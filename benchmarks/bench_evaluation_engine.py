@@ -11,17 +11,11 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
 * an applied longest-path swap walk on a deep layered DAG through the
   incremental level-window delta versus a full vectorized re-relaxation
   per move;
-* chunked multi-core batch evaluation through ``ParallelEvaluator`` versus
-  the serial ``evaluate_batch`` (skipped, not failed, on single-CPU hosts);
-* shared-memory process-pool batch evaluation through
-  ``ProcessPoolEvaluator`` versus the thread chunking (skipped on
-  single-CPU hosts and where fork / POSIX shared memory is unavailable);
 * a mostly-rejected longest-path peek walk through the window-local
   ``swap_cost`` versus the pre-rewrite full-suffix re-relaxation peek;
 * block-scored neighborhood peeks: scoring candidate-move blocks through
   ``DeltaEvaluator.peek_many`` versus the per-move peek loop the search
-  solvers ran before the vectorized neighborhood kernels (plus an
-  informational pool-routed variant, skipped on single-CPU hosts);
+  solvers ran before the vectorized neighborhood kernels;
 * the CP labeling bounds (compatibility domains and per-assignment cost
   lower bounds) computed from ``CompiledProblem`` index arrays versus the
   dict-walking reference implementations;
@@ -72,13 +66,9 @@ from repro.core import (
     DeploymentProblem,
     MoveBatch,
     Objective,
-    ParallelEvaluator,
     PlacementConstraints,
-    ProcessPoolEvaluator,
-    available_workers,
     compile_problem,
     deployment_cost,
-    process_pool_unavailable_reason,
 )
 from repro.solvers import SearchBudget, SwapLocalSearch
 from repro.solvers.cp.labeling import (
@@ -238,85 +228,6 @@ def bench_incremental_lp():
     return graph, full_s, delta_s, full_s / delta_s
 
 
-def bench_parallel_batch(repeats=3):
-    """(serial_s, parallel_s, speedup, workers) for a longest-path batch.
-
-    Scores ``NUM_PLANS`` random assignments of the tracked n=100 DAG
-    serially and through a :class:`ParallelEvaluator` sized to the host
-    (``workers="auto"``), asserting the chunked result is bit-identical.
-    Returns ``None`` timings when the host exposes a single CPU — thread
-    chunking cannot beat serial there, so the caller reports the key as
-    skipped instead of recording a meaningless ratio.
-    """
-    available = available_workers()
-    graph, costs = build_problem(Objective.LONGEST_PATH)
-    problem = compile_problem(graph, costs)
-    assignments = problem.random_assignments(NUM_PLANS, SEED + 9)
-    if available < 2:
-        return None, None, None, available
-
-    serial_s, serial_costs = _best_of(
-        repeats,
-        lambda: problem.evaluate_batch(assignments, Objective.LONGEST_PATH))
-
-    # Hyperthreaded hosts can serve the memory-bound gathers better with
-    # one worker per physical core than one per logical CPU, so the tracked
-    # ratio is the best chunking the host supports.
-    parallel_s, best_workers = float("inf"), available
-    for workers in sorted({2, available}):
-        parallel = ParallelEvaluator(problem, workers=workers)
-        timed_s, parallel_costs = _best_of(
-            repeats,
-            lambda: parallel.evaluate_batch(assignments, Objective.LONGEST_PATH))
-        assert np.array_equal(serial_costs, parallel_costs), \
-            "parallel batch evaluation disagrees with serial"
-        assert parallel.parallel_calls > 0, \
-            "benchmark batch fell below the parallel size cutoff"
-        if timed_s < parallel_s:
-            parallel_s, best_workers = timed_s, workers
-    return serial_s, parallel_s, serial_s / parallel_s, best_workers
-
-
-def bench_process_pool_batch(repeats=3):
-    """(thread_s, procs_s, speedup, workers, skip_reason) for an LP batch.
-
-    The tracked comparison is the thread :class:`ParallelEvaluator` versus
-    the shared-memory :class:`ProcessPoolEvaluator` on the same
-    ``NUM_PLANS`` batch, both sized to the host — the process pool's whole
-    point is beating the thread chunking's single-interpreter ceiling.
-    Returns a skip reason (``None`` timings) on single-CPU hosts and on
-    platforms without fork / POSIX shared memory; the pool is warmed
-    (forked, segments attached) before the timed runs so the ratio tracks
-    the steady state a solver sees, not the one-off fork cost.
-    """
-    available = available_workers()
-    if available < 2:
-        return None, None, None, available, "single-core-host"
-    reason = process_pool_unavailable_reason()
-    if reason is not None:
-        return None, None, None, available, reason
-
-    graph, costs = build_problem(Objective.LONGEST_PATH)
-    problem = compile_problem(graph, costs)
-    assignments = problem.random_assignments(NUM_PLANS, SEED + 10)
-    threaded = ParallelEvaluator(problem, workers=available)
-    pooled = ProcessPoolEvaluator(problem, workers=available)
-    pooled.evaluate_batch(assignments, Objective.LONGEST_PATH)  # warm-up
-
-    thread_s, thread_costs = _best_of(
-        repeats,
-        lambda: threaded.evaluate_batch(assignments, Objective.LONGEST_PATH))
-    procs_s, procs_costs = _best_of(
-        repeats,
-        lambda: pooled.evaluate_batch(assignments, Objective.LONGEST_PATH))
-
-    assert np.array_equal(thread_costs, procs_costs), \
-        "process-pool batch evaluation disagrees with threads"
-    assert pooled.fallback_reason is None and pooled.parallel_calls > 0, \
-        "benchmark batch never reached the worker processes"
-    return thread_s, procs_s, thread_s / procs_s, available, None
-
-
 def bench_peeked_lp():
     """(full_s, delta_s, speedup) for a mostly-rejected longest-path walk.
 
@@ -462,11 +373,8 @@ def bench_neighborhood_batch(block=64):
     already window-local, so batching amortises less.  Both paths must
     produce bit-identical cost arrays.
 
-    Returns ``(ll_tuple, lp_tuple, pool)`` where each tuple is
-    ``(graph, loop_s, batch_s, speedup)``; ``pool`` is an informational
-    ``(serial_s, pool_s, ratio)`` for routing one large batch through the
-    thread pool (``workers="auto"``), or ``None`` on single-CPU hosts
-    where the route is reported as skipped.
+    Returns ``(ll_tuple, lp_tuple)`` where each tuple is
+    ``(graph, loop_s, batch_s, speedup)``.
     """
     ll_graph, ll_costs_matrix = build_problem(Objective.LONGEST_LINK)
     ll_problem = compile_problem(ll_graph, ll_costs_matrix)
@@ -484,26 +392,7 @@ def bench_neighborhood_batch(block=64):
     loop_s, batch_s, speedup = _block_peek_walk(
         lp_problem, Objective.LONGEST_PATH, n, block, SEED + 23)
     lp = (lp_graph, loop_s, batch_s, speedup)
-
-    pool = None
-    if available_workers() >= 2:
-        move_rng = np.random.default_rng(SEED + 24)
-        start = ll_problem.random_assignments(1, move_rng)[0]
-        big = MoveBatch.from_moves([
-            ("swap",) + tuple(int(x) for x in
-                              move_rng.choice(NUM_NODES, size=2,
-                                              replace=False))
-            for _ in range(min(NUM_MOVES, 4096))
-        ])
-        evaluator = ll_problem.delta_evaluator(start, Objective.LONGEST_LINK)
-        serial_s, serial_costs = _best_of(
-            3, lambda: evaluator.peek_many(big))
-        pool_s, pool_costs = _best_of(
-            3, lambda: evaluator.peek_many(big, workers="auto"))
-        assert np.array_equal(serial_costs, pool_costs), \
-            "pool-routed move peeks disagree with the serial kernel"
-        pool = (serial_s, pool_s, serial_s / pool_s)
-    return ll, lp, pool
+    return ll, lp
 
 
 def bench_cp_bounds(repeats=5):
@@ -798,15 +687,8 @@ def bench_mip_rounding(repeats=3):
 
 
 def build_report():
-    """Return ``(report_text, metrics, skipped)`` for the benchmark suite.
-
-    ``skipped`` maps threshold keys that could not be measured on this host
-    (e.g. ``parallel_batch`` on a single-CPU machine) to a short reason;
-    they are emitted as ``skipped <key> <reason>`` lines that
-    ``check_thresholds.py`` honours instead of failing on a missing key.
-    """
+    """Return ``(report_text, metrics)`` for the benchmark suite."""
     metrics = {}
-    skipped = {}
     lines = [
         f"Evaluation engine benchmark — n={NUM_NODES} nodes, "
         f"m={NUM_INSTANCES} instances, {NUM_PLANS} plans / {NUM_MOVES} moves",
@@ -837,38 +719,6 @@ def build_report():
         f"speedup {speedup:7.1f}x"
     )
 
-    serial_s, parallel_s, speedup, workers = bench_parallel_batch()
-    if speedup is None:
-        skipped["parallel_batch"] = "single-core-host"
-        lines.append(
-            f"parallel batch longest_path: skipped (host exposes "
-            f"{workers} CPU; thread chunking needs >= 2)"
-        )
-    else:
-        metrics["parallel_batch"] = speedup
-        lines.append(
-            f"parallel batch longest_path ({workers} workers, "
-            f"{NUM_PLANS} plans): "
-            f"serial {serial_s:7.3f} s   parallel {parallel_s:7.3f} s   "
-            f"speedup {speedup:7.1f}x"
-        )
-
-    thread_s, procs_s, speedup, workers, skip_reason = bench_process_pool_batch()
-    if speedup is None:
-        skipped["process_pool_batch"] = skip_reason
-        lines.append(
-            f"process pool batch longest_path: skipped ({skip_reason}; "
-            f"host exposes {workers} CPU)"
-        )
-    else:
-        metrics["process_pool_batch"] = speedup
-        lines.append(
-            f"process pool batch longest_path ({workers} workers, "
-            f"{NUM_PLANS} plans): "
-            f"threads {thread_s:7.3f} s   procs {procs_s:7.3f} s   "
-            f"speedup {speedup:7.1f}x"
-        )
-
     peek_graph, full_s, delta_s, speedup = bench_peeked_lp()
     metrics["peeked_longest_path"] = speedup
     lines.append(
@@ -878,7 +728,7 @@ def build_report():
         f"speedup {speedup:7.1f}x"
     )
 
-    ll, lp, pool = bench_neighborhood_batch()
+    ll, lp = bench_neighborhood_batch()
     nb_graph, loop_s, batch_s, speedup = ll
     metrics["neighborhood_batch"] = speedup
     lines.append(
@@ -895,21 +745,6 @@ def build_report():
         f"per-move {loop_s:7.3f} s   batch {batch_s:7.3f} s   "
         f"speedup {speedup:7.1f}x"
     )
-    if pool is None:
-        skipped["neighborhood_batch_pool"] = "single-core-host"
-        lines.append(
-            "neighborhood batch pool route: skipped (host exposes "
-            "1 CPU; pool routing needs >= 2)"
-        )
-    else:
-        serial_s, pool_s, ratio = pool
-        metrics["neighborhood_batch_pool"] = ratio
-        lines.append(
-            f"neighborhood batch pool route (one {min(NUM_MOVES, 4096)}-move "
-            f"batch, workers=auto): "
-            f"serial {serial_s:7.3f} s   pool {pool_s:7.3f} s   "
-            f"speedup {ratio:7.1f}x"
-        )
 
     domains_ref, domains_vec, lb_ref, lb_vec = bench_cp_bounds()
     metrics["cp_compatibility_domains"] = domains_ref / domains_vec
@@ -980,9 +815,7 @@ def build_report():
                  "(parsed by benchmarks/check_thresholds.py):")
     for key in sorted(metrics):
         lines.append(f"speedup {key} {metrics[key]:.1f}")
-    for key in sorted(skipped):
-        lines.append(f"skipped {key} {skipped[key]}")
-    return "\n".join(lines), metrics, skipped
+    return "\n".join(lines), metrics
 
 
 def load_thresholds():
@@ -991,21 +824,20 @@ def load_thresholds():
 
 
 def test_evaluation_engine_speedup(emit):
-    report, metrics, skipped = build_report()
+    report, metrics = build_report()
     emit("evaluation_engine", report)
     # Acceptance bar: every tracked speedup must clear its committed floor
-    # (the same check CI applies through benchmarks/check_thresholds.py);
-    # keys the host cannot measure (see build_report) are exempt.
+    # (the same check CI applies through benchmarks/check_thresholds.py).
     failures = {
         key: (metrics.get(key), floor)
         for key, floor in load_thresholds().items()
-        if key not in skipped and metrics.get(key, 0.0) < floor
+        if metrics.get(key, 0.0) < floor
     }
     assert not failures, f"speedup regressions: {failures}"
 
 
 if __name__ == "__main__":
-    report_text, _, _ = build_report()
+    report_text, _ = build_report()
     print(report_text)
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(report_text + "\n")

@@ -34,38 +34,18 @@ def parse_speedups(text: str) -> dict:
     return speedups
 
 
-def parse_skipped(text: str) -> dict:
-    """Extract the ``skipped <key> <reason>`` lines from a results file.
-
-    A benchmark emits one when its key cannot be measured meaningfully on
-    the current host (e.g. ``parallel_batch`` on a single-CPU machine);
-    the key is then exempt from its floor instead of reported MISSING.
-    """
-    skipped = {}
-    for line in text.splitlines():
-        parts = line.split(maxsplit=2)
-        if len(parts) >= 2 and parts[0] == "skipped":
-            skipped[parts[1]] = parts[2] if len(parts) == 3 else ""
-    return skipped
-
-
 def main() -> int:
     if not RESULTS_PATH.exists():
         print(f"error: {RESULTS_PATH} not found — run "
               "benchmarks/bench_evaluation_engine.py first")
         return 1
     thresholds = json.loads(THRESHOLDS_PATH.read_text())
-    results_text = RESULTS_PATH.read_text()
-    speedups = parse_speedups(results_text)
-    skipped = parse_skipped(results_text)
+    speedups = parse_speedups(RESULTS_PATH.read_text())
 
     failures = []
     for key, floor in sorted(thresholds.items()):
         value = speedups.get(key)
-        if value is None and key in skipped:
-            reason = skipped[key] or "no reason given"
-            status = f"SKIP ({reason})"
-        elif value is None:
+        if value is None:
             status = "MISSING"
             failures.append(key)
         elif value < floor:

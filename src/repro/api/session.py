@@ -49,11 +49,11 @@ from ..core.cost_matrix import CostMatrix
 from ..core.errors import ClouDiAError, InvalidDeploymentError, StoreError
 from ..core.evaluation import (
     CompileCacheStats,
+    ParallelStats,
     compile_cache_stats,
+    parallel_stats,
     peek_compiled,
-    resolve_workers,
 )
-from ..core.parallel import ParallelStats, parallel_stats
 from ..core.deployment import DeploymentPlan
 from ..core.problem import DeploymentProblem
 from ..netmeasure.stream import CostRevision, relative_link_drift
@@ -101,9 +101,8 @@ class SessionStats:
     #: Process-wide compiled-engine LRU counters (shared by every session
     #: in this process; see :func:`repro.core.compile_cache_stats`).
     engine_cache: CompileCacheStats = field(default_factory=CompileCacheStats)
-    #: Process-wide parallel-evaluation counters — thread and worker-process
-    #: batch calls, pool sizes, shared-memory attach/refresh tallies (see
-    #: :func:`repro.core.parallel_stats`).
+    #: Process-wide incremental-evaluator counters — peeks, commits and
+    #: ``peek_many`` batches (see :func:`repro.core.parallel_stats`).
     parallel: ParallelStats = field(default_factory=ParallelStats)
 
     @property
@@ -130,7 +129,11 @@ class SessionStats:
             "watch_resolves": self.watch_resolves,
             "result_cache_hits": self.result_cache_hits,
             "engine_cache": self.engine_cache.to_dict(),
-            "parallel": self.parallel.to_dict(),
+            # Evaluation is serial; the two pool-call keys stay (always 0)
+            # so existing readers of this snapshot keep working.
+            "parallel": dict(self.parallel.to_dict(),
+                             thread_parallel_calls=0,
+                             process_parallel_calls=0),
         }
 
 
@@ -159,22 +162,16 @@ class AdvisorSession:
             fingerprint plus solver key, so restarted sessions resume
             where they left off.  A store-backed cache additionally
             persists watch history and solve telemetry.
-        eval_workers: session-wide default for the evaluation-parallelism
-            knob of :class:`~repro.solvers.base.SearchBudget` (``"auto"``,
-            a positive int, or ``"procs[:N]"`` for the shared-memory
-            worker-process pool).  Applied to every request whose budget does
-            not set ``workers`` itself (including requests without a
-            budget); a request budget with an explicit ``workers`` wins.
-            Batch scoring stays bit-identical at any setting, so this only
-            changes wall-clock, never results.
         peek_block: session-wide default for the neighborhood block-size
             knob of :class:`~repro.solvers.base.SearchBudget` — how many
             candidate moves the block-scored search solvers draw and
             batch-peek per pass (``1`` disables batching).  Applied to
             every request whose budget does not set ``peek_block`` itself;
-            an explicit request value wins.  Like ``eval_workers``, this
-            only changes wall-clock, never results: default-mode
-            trajectories are bit-identical at any block size.
+            an explicit request value wins.  Under the default
+            first-improvement acceptance this only changes wall-clock:
+            trajectories are bit-identical at any block size.  Under
+            ``acceptance="best"`` the block is the candidate set each
+            committed move is picked from, so results depend on it.
     """
 
     def __init__(self, registry: Optional[SolverRegistry] = None,
@@ -182,21 +179,17 @@ class AdvisorSession:
                  max_cached_problems: int = 128,
                  result_cache: Optional[Union[
                      ResultCache, "SQLiteResultCache", str, Path]] = None,
-                 eval_workers: Optional[Union[int, str]] = None,
                  peek_block: Optional[int] = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if max_cached_problems < 1:
             raise ValueError("max_cached_problems must be >= 1")
-        if eval_workers is not None:
-            resolve_workers(eval_workers)  # validate at construction time
         if peek_block is not None and (
                 not isinstance(peek_block, int)
                 or isinstance(peek_block, bool) or peek_block < 1):
             raise ValueError("peek_block must be a positive integer")
         self.registry = registry if registry is not None else default_registry
         self.max_workers = max_workers
-        self.eval_workers = eval_workers
         self.peek_block = peek_block
         self.max_cached_problems = max_cached_problems
         if isinstance(result_cache, (str, Path)):
@@ -587,27 +580,22 @@ class AdvisorSession:
     def _effective_budget(self,
                           budget: Optional[SearchBudget]
                           ) -> Optional[SearchBudget]:
-        """Fold the session's engine defaults into a request budget.
+        """Fold the session's ``peek_block`` default into a request budget.
 
-        ``eval_workers`` and ``peek_block`` are applied independently: a
-        budget that already pins a knob keeps its value, and everything
-        passes through untouched when the session has no defaults.  A
-        ``None`` budget becomes a budget carrying only the knobs; solvers
-        default the missing limits through
+        A budget that already pins ``peek_block`` keeps its value, and
+        everything passes through untouched when the session has no
+        default.  A ``None`` budget becomes a budget carrying only the
+        knob; solvers default the missing limits through
         :func:`~repro.solvers.base.default_limits`, which recognises a
         knob-only budget and keeps their usual time caps in place.
         """
-        if self.eval_workers is None and self.peek_block is None:
+        if self.peek_block is None:
             return budget
         if budget is None:
-            return SearchBudget(workers=self.eval_workers,
-                                peek_block=self.peek_block)
-        updates = {}
-        if self.eval_workers is not None and budget.workers is None:
-            updates["workers"] = self.eval_workers
-        if self.peek_block is not None and budget.peek_block is None:
-            updates["peek_block"] = self.peek_block
-        return replace(budget, **updates) if updates else budget
+            return SearchBudget(peek_block=self.peek_block)
+        if budget.peek_block is None:
+            return replace(budget, peek_block=self.peek_block)
+        return budget
 
     def _with_assigned_id(self, request: SolveRequest) -> SolveRequest:
         with self._lock:

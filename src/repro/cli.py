@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .core import (
     DeploymentProblem,
     LatencyMetric,
     Objective,
-    workers_spec,
 )
 from .core.advisor import AdvisorConfig, ClouDiA, MeasurementConfig
 from .core.errors import ClouDiAError
@@ -262,28 +261,6 @@ def _budget_from_flag(time_limit: float) -> Optional[SearchBudget]:
     return SearchBudget.seconds(time_limit)
 
 
-def _eval_workers_flag(value: Optional[str]) -> Optional[Union[int, str]]:
-    """``--eval-workers`` semantics: ``auto``, a positive int, a
-    ``procs[:N]`` process-pool spec, or unset."""
-    if value is None:
-        return None
-    if value == "auto":
-        return "auto"
-    if value.startswith("procs"):
-        try:
-            workers_spec(value)  # validate the spec eagerly
-        except ValueError as exc:
-            raise ClouDiAError(str(exc)) from None
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise ClouDiAError(
-            f"--eval-workers must be 'auto', 'procs[:N]' or a positive "
-            f"integer, got {value!r}"
-        ) from None
-
-
 def _peek_block_flag(value: Optional[int]) -> Optional[int]:
     """``--peek-block`` semantics: a positive block size (1 disables
     batching), or unset to keep each solver's default."""
@@ -305,8 +282,7 @@ def command_solve(args: argparse.Namespace) -> int:
         config=default_registry.seeded_config(args.solver, args.seed, extra),
         budget=_budget_from_flag(args.time_limit),
     )
-    session = AdvisorSession(eval_workers=_eval_workers_flag(args.eval_workers),
-                             peek_block=_peek_block_flag(args.peek_block))
+    session = AdvisorSession(peek_block=_peek_block_flag(args.peek_block))
     try:
         response = session.solve(request)
     except (ClouDiAError, ValueError, TypeError) as exc:
@@ -355,7 +331,6 @@ def command_solve_batch(args: argparse.Namespace) -> int:
         return 2
 
     session = AdvisorSession(max_workers=args.workers,
-                             eval_workers=_eval_workers_flag(args.eval_workers),
                              peek_block=_peek_block_flag(args.peek_block))
     responses = session.solve_many(requests)
 
@@ -472,10 +447,7 @@ def command_watch(args: argparse.Namespace) -> int:
         result_cache = SQLiteResultCache(args.store)
     else:
         result_cache = args.cache_dir
-    session = AdvisorSession(
-        result_cache=result_cache,
-        eval_workers=_eval_workers_flag(args.eval_workers),
-    )
+    session = AdvisorSession(result_cache=result_cache)
     report = session.watch(problem, matrices, policy)
 
     rows = []
@@ -547,7 +519,6 @@ def command_serve(args: argparse.Namespace) -> int:
         request_timeout_s=args.request_timeout,
         tenant_header=args.tenant_header,
         tenant_weights=weights,
-        eval_workers=_eval_workers_flag(args.eval_workers),
     )
     app = create_app(store=args.store, config=config, start_workers=False)
     return serve_until_signal(
@@ -727,17 +698,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = solver default budget)")
     solve.add_argument("--solver-config", default=None,
                        help="extra solver config as a JSON object")
-    solve.add_argument("--eval-workers", default=None,
-                       help="evaluation parallelism for batch-scoring "
-                            "solvers: 'auto', a positive integer, or "
-                            "'procs[:N]' for shared-memory worker "
-                            "processes (default: serial; results are "
-                            "bit-identical either way)")
     solve.add_argument("--peek-block", type=int, default=None,
                        help="candidate moves batch-scored per local-search/"
                             "annealing pass (1 disables batching; default: "
                             "solver-specific; results are bit-identical at "
-                            "any setting)")
+                            "any setting under the default first-improvement "
+                            "acceptance)")
     solve.add_argument("--out", default=None,
                        help="path of the response JSON to write")
     solve.set_defaults(handler=command_solve)
@@ -763,18 +729,13 @@ def build_parser() -> argparse.ArgumentParser:
                              help="worker threads (default: sequential, "
                                   "which keeps wall-clock solver budgets "
                                   "reproducible)")
-    solve_batch.add_argument("--eval-workers", default=None,
-                             help="evaluation parallelism for batch-scoring "
-                                  "solvers: 'auto', a positive integer, or "
-                                  "'procs[:N]' for shared-memory worker "
-                                  "processes (default: serial; results are "
-                                  "bit-identical either way)")
     solve_batch.add_argument("--peek-block", type=int, default=None,
                              help="candidate moves batch-scored per "
                                   "local-search/annealing pass (1 disables "
                                   "batching; default: solver-specific; "
                                   "results are bit-identical at any "
-                                  "setting)")
+                                  "setting under the default "
+                                  "first-improvement acceptance)")
     solve_batch.add_argument("--out", default=None,
                              help="path of the responses JSON to write")
     solve_batch.set_defaults(handler=command_solve_batch)
@@ -830,12 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "store (WAL mode, shared across processes; "
                             "also records the re-deployment history; "
                             "alternative to --cache-dir)")
-    watch.add_argument("--eval-workers", default=None,
-                       help="evaluation parallelism for the watch "
-                            "session's (re-)solves: 'auto', a positive "
-                            "integer, or 'procs[:N]' for worker processes "
-                            "(default: serial; results are bit-identical "
-                            "either way)")
     watch.add_argument("--out", default=None,
                        help="path of the re-deployment log JSON to write")
     watch.set_defaults(handler=command_watch)
@@ -873,10 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="TENANT=WEIGHT",
                        help="fair-share weight for one tenant "
                             "(repeatable; default weight is 1)")
-    serve.add_argument("--eval-workers", default=None,
-                       help="evaluation parallelism forwarded to the "
-                            "advisor session ('auto', a positive int, or "
-                            "'procs[:N]' for worker processes)")
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request to stderr")
     serve.set_defaults(handler=command_serve)

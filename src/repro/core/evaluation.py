@@ -35,11 +35,9 @@ then evaluates plans with a handful of vectorized operations:
   only the nodes its perturbation actually reaches, and everything
   downstream of a washed-out change is reused untouched — the full DAG is
   never re-relaxed unless the move genuinely re-routes it.
-* :class:`ParallelEvaluator` — multi-core batch evaluation.  Chunks the
-  rows of an assignment matrix across a shared thread pool; the batch
-  kernels gather through ``np.take`` and combine with ufuncs, both of
-  which release the GIL under NumPy, so threads scale on multi-core hosts
-  while small batches fall back to the serial path untouched.
+
+Evaluation is serial: thread- and process-pooled batch scoring measured
+slower end to end on the search workloads (see ``docs/ARCHITECTURE.md``).
 
 All evaluators return bit-identical costs to the pure-Python oracle in
 :mod:`repro.core.objectives`: they gather the same float64 cost entries and
@@ -51,11 +49,9 @@ stays in place as the reference implementation the tests compare against.
 from __future__ import annotations
 
 import operator
-import os
 import threading
 import weakref
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -640,8 +636,7 @@ class CompiledProblem:
             # One flat gather over linearized (src, dst) pairs beats a
             # two-array fancy index on large batches.  All gathers go
             # through np.take, which (unlike plain fancy indexing) releases
-            # the GIL — that is what lets ParallelEvaluator's thread chunks
-            # run concurrently on multi-core hosts.
+            # the GIL, so solves on the service's worker threads overlap.
             linear = np.take(block, self.edge_src, axis=1)
             linear *= self.num_instances
             linear += np.take(block, self.edge_dst, axis=1)
@@ -971,8 +966,8 @@ class IndexedPlan:
 # unlocked increments — the peek path is the solvers' innermost loop, and a
 # lock acquisition per peek would cost more than the counter is worth; under
 # CPython the occasional lost increment is telemetry noise, nothing more.
-# Snapshot via delta_counters(), surfaced through
-# repro.core.parallel.parallel_stats() -> SessionStats -> /metrics.
+# Snapshot via delta_counters() / parallel_stats(), surfaced through
+# SessionStats -> /metrics.
 _DELTA_PEEKS = 0
 _DELTA_COMMITS = 0
 _BATCH_PEEK_CALLS = 0
@@ -983,6 +978,45 @@ def delta_counters() -> Tuple[int, int, int, int]:
     """Process-wide ``(peeks, commits, batch_calls, batch_moves)`` snapshot."""
     return (_DELTA_PEEKS, _DELTA_COMMITS, _BATCH_PEEK_CALLS,
             _BATCH_PEEKED_MOVES)
+
+
+@dataclass(frozen=True)
+class ParallelStats:
+    """Process-wide incremental-evaluator counters.
+
+    Single-move candidate scorings and commits, plus ``peek_many`` batch
+    calls and the total moves they scored (``batch_peeked_moves /
+    batch_peek_calls`` is the realized mean block size).  Aggregated
+    across every evaluator since process start (evaluators are created
+    per solve), snapshot by :func:`parallel_stats` and surfaced through
+    ``SessionStats.to_dict()`` / the serve ``/metrics`` endpoint.
+    """
+
+    delta_peeks: int = 0
+    delta_commits: int = 0
+    batch_peek_calls: int = 0
+    batch_peeked_moves: int = 0
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-serializable snapshot (consumed by telemetry exporters)."""
+        return {
+            "delta_peeks": self.delta_peeks,
+            "delta_commits": self.delta_commits,
+            "batch_peek_calls": self.batch_peek_calls,
+            "batch_peeked_moves": self.batch_peeked_moves,
+        }
+
+
+def parallel_stats() -> ParallelStats:
+    """Snapshot the process-wide incremental-evaluator counters."""
+    return ParallelStats(*delta_counters())
+
+
+def reset_parallel_stats() -> None:
+    """Zero the incremental-evaluator counters (test hygiene)."""
+    global _DELTA_PEEKS, _DELTA_COMMITS, _BATCH_PEEK_CALLS, _BATCH_PEEKED_MOVES
+    _DELTA_PEEKS = _DELTA_COMMITS = 0
+    _BATCH_PEEK_CALLS = _BATCH_PEEKED_MOVES = 0
 
 
 class MoveBatch:
@@ -1702,8 +1736,7 @@ class DeltaEvaluator:
         """Materialize the ``(k, n)`` assignment each batch row would commit.
 
         Row ``k`` is the current assignment with move ``k`` applied — the
-        input :meth:`CompiledProblem.evaluate_batch` needs to score the
-        batch through the full (pool-routable) engines.
+        rows the batched longest-path peek gathers its edge costs through.
         """
         is_swap, target1, _ = self._batch_move_targets(batch)
         count = len(batch)
@@ -1842,8 +1875,8 @@ class DeltaEvaluator:
             base = tail
         return np.maximum(window_max, base)
 
-    def peek_many(self, moves: "MoveBatch | Sequence[Tuple[str, int, int]]",
-                  workers: Optional[int | str] = None) -> np.ndarray:
+    def peek_many(self, moves: "MoveBatch | Sequence[Tuple[str, int, int]]"
+                  ) -> np.ndarray:
         """Score a whole block of candidate moves in one vectorized pass.
 
         Returns a ``(k,)`` float array whose entry ``k`` equals what
@@ -1852,12 +1885,6 @@ class DeltaEvaluator:
         perturbing seeded trajectories.  Scoring does not mutate the
         evaluator (no commit payloads are produced; committing a chosen
         move re-peeks it through the serial path).
-
-        ``workers`` (the :class:`~repro.solvers.base.SearchBudget` spec:
-        ``"auto"``, an int, or ``"procs[:N]"``) routes blocks whose gather
-        footprint crosses :data:`PARALLEL_MIN_CELLS` through the thread or
-        shared-memory process pools as a full candidate-assignment batch
-        evaluation — still bit-identical, per the engines' contract.
 
         Raises the same errors as the serial peeks: ``SolverError`` after
         a cost refresh (until :meth:`reprime`), ``InvalidDeploymentError``
@@ -1874,18 +1901,6 @@ class DeltaEvaluator:
         global _BATCH_PEEK_CALLS, _BATCH_PEEKED_MOVES
         _BATCH_PEEK_CALLS += 1
         _BATCH_PEEKED_MOVES += count
-        if (workers is not None
-                and count * max(1, self.problem.num_edges)
-                >= PARALLEL_MIN_CELLS):
-            mode, pool_workers = workers_spec(workers)
-            assignments = self.candidate_assignments(batch)
-            if mode == "procs":
-                from .parallel import ProcessPoolEvaluator
-                scorer: Any = ProcessPoolEvaluator(self.problem,
-                                                   workers=pool_workers)
-            else:
-                scorer = ParallelEvaluator(self.problem, workers=pool_workers)
-            return scorer.evaluate_batch(assignments, self.objective)
         if self.objective is Objective.LONGEST_LINK:
             return self._peek_many_ll(batch)
         return self._peek_many_lp(batch)
@@ -1962,259 +1977,6 @@ class DeltaEvaluator:
         return (
             f"DeltaEvaluator(objective={self.objective.value}, "
             f"cost={self._cost:.6f})"
-        )
-
-
-# --------------------------------------------------------------------------- #
-# Parallel batch evaluation
-# --------------------------------------------------------------------------- #
-
-#: Minimum number of gathered cells (batch rows x edges) before a batch is
-#: worth chunking across threads; below this, thread dispatch overhead
-#: outweighs the work and the serial path wins.
-PARALLEL_MIN_CELLS = 65_536
-
-_EXECUTOR_LOCK = threading.Lock()
-_EXECUTOR: Optional[ThreadPoolExecutor] = None
-_EXECUTOR_WORKERS = 0
-
-# Process-wide tallies of thread-parallel batch calls, aggregated across
-# every ParallelEvaluator instance (evaluators are created per solve, so
-# instance counters alone cannot feed session-lifetime telemetry).
-_THREAD_COUNTER_LOCK = threading.Lock()
-_THREAD_PARALLEL_CALLS = 0
-_THREAD_SERIAL_CALLS = 0
-
-
-def _count_thread_call(parallel: bool) -> None:
-    global _THREAD_PARALLEL_CALLS, _THREAD_SERIAL_CALLS
-    with _THREAD_COUNTER_LOCK:
-        if parallel:
-            _THREAD_PARALLEL_CALLS += 1
-        else:
-            _THREAD_SERIAL_CALLS += 1
-
-
-def thread_parallel_counters() -> Tuple[int, int]:
-    """Process-wide ``(parallel_calls, serial_calls)`` across all thread evaluators."""
-    with _THREAD_COUNTER_LOCK:
-        return _THREAD_PARALLEL_CALLS, _THREAD_SERIAL_CALLS
-
-
-def thread_pool_size() -> int:
-    """Current size of the shared evaluation thread pool (0 before first use)."""
-    with _EXECUTOR_LOCK:
-        return _EXECUTOR_WORKERS
-
-
-def balanced_chunk_bounds(rows: int, chunks: int) -> List[Tuple[int, int]]:
-    """Contiguous, balanced ``(start, stop)`` row ranges, at most ``chunks``.
-
-    Shared by the thread and process evaluators so both split a batch
-    identically — concatenating per-chunk results therefore reproduces the
-    serial row order bit-for-bit regardless of the execution backend.
-    """
-    parts = min(chunks, rows)
-    base, extra = divmod(rows, parts)
-    bounds = []
-    start = 0
-    for k in range(parts):
-        stop = start + base + (1 if k < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def available_workers() -> int:
-    """CPUs usable by this process (affinity-aware where supported, >= 1)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except AttributeError:  # pragma: no cover - platforms without affinity
-        return max(1, os.cpu_count() or 1)
-
-
-def resolve_workers(workers: int | str | None) -> int:
-    """Normalise a ``workers`` knob to a concrete worker count.
-
-    Args:
-        workers: ``None`` or ``"auto"`` for one worker per available CPU
-            (:func:`available_workers`), an explicit positive integer, or a
-            process-pool spec ``"procs"`` / ``"procs:auto"`` / ``"procs:N"``
-            (see :func:`workers_spec`).
-
-    Returns:
-        The resolved worker count, always >= 1.
-
-    Raises:
-        ValueError: on a non-positive count or an unrecognised value.
-    """
-    if workers is None or workers == "auto":
-        return available_workers()
-    if isinstance(workers, str):
-        return workers_spec(workers)[1]
-    try:
-        count = operator.index(workers)
-    except TypeError as exc:
-        raise ValueError(
-            f"workers must be a positive int, 'auto', 'procs[:N]' or None, "
-            f"got {workers!r}"
-        ) from exc
-    if count < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
-    return count
-
-
-def workers_spec(workers: int | str | None) -> Tuple[str, int]:
-    """Parse the ``workers`` knob into an execution mode and worker count.
-
-    The knob grammar, shared by :class:`~repro.solvers.base.SearchBudget`,
-    ``AdvisorSession(eval_workers=...)`` and the CLI ``--eval-workers``:
-
-    - ``None`` / ``"auto"`` / positive int — thread-parallel evaluation
-      (mode ``"threads"``), counting like :func:`resolve_workers`.
-    - ``"procs"`` / ``"procs:auto"`` — process-pool evaluation (mode
-      ``"procs"``) with one worker per available CPU.
-    - ``"procs:N"`` — process-pool evaluation with ``N`` workers.
-
-    Returns:
-        ``(mode, count)`` with ``mode`` in ``{"threads", "procs"}`` and
-        ``count >= 1``.
-
-    Raises:
-        ValueError: on a malformed spec or non-positive count.
-    """
-    if isinstance(workers, str) and workers.startswith("procs"):
-        rest = workers[len("procs"):]
-        if rest in ("", ":auto"):
-            return ("procs", available_workers())
-        if rest.startswith(":"):
-            try:
-                count = int(rest[1:])
-            except ValueError as exc:
-                raise ValueError(
-                    f"workers must be 'procs', 'procs:auto' or 'procs:N', "
-                    f"got {workers!r}"
-                ) from exc
-            if count < 1:
-                raise ValueError(f"workers must be >= 1, got {workers!r}")
-            return ("procs", count)
-        raise ValueError(
-            f"workers must be 'procs', 'procs:auto' or 'procs:N', "
-            f"got {workers!r}"
-        )
-    if isinstance(workers, str) and workers != "auto":
-        raise ValueError(
-            f"workers must be a positive int, 'auto', 'procs[:N]' or None, "
-            f"got {workers!r}"
-        )
-    return ("threads", resolve_workers(workers))
-
-
-def _shared_executor(workers: int) -> ThreadPoolExecutor:
-    """The process-wide evaluation thread pool, grown to ``workers`` threads.
-
-    One pool is shared by every :class:`ParallelEvaluator` (threads are
-    cheap but not free, and evaluators are created per solve); the pool
-    only ever grows, so a wider evaluator never deadlocks behind a
-    narrower one's sizing.
-    """
-    global _EXECUTOR, _EXECUTOR_WORKERS
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is None or _EXECUTOR_WORKERS < workers:
-            if _EXECUTOR is not None:
-                _EXECUTOR.shutdown(wait=False)
-            _EXECUTOR = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-eval",
-            )
-            _EXECUTOR_WORKERS = workers
-        return _EXECUTOR
-
-
-class ParallelEvaluator:
-    """Multi-core batch evaluation on top of a :class:`CompiledProblem`.
-
-    Splits the rows of an ``evaluate_batch`` assignment matrix into one
-    contiguous chunk per worker and scores the chunks concurrently on a
-    shared thread pool.  The batch kernels route every large gather
-    through ``np.take`` and combine with ufuncs — both release the GIL
-    under NumPy — so threads scale near-linearly on multi-core hosts
-    without any shared-memory plumbing or fork-safety hazards.  Rows are
-    evaluated independently by the same serial kernels, so results are
-    bit-identical to :meth:`CompiledProblem.evaluate_batch` in any chunking.
-
-    Batches below ``min_cells`` gathered cells (rows x edges), single-row
-    batches, and ``workers=1`` evaluators take the serial path untouched,
-    so small problems never pay dispatch overhead.  The
-    ``parallel_calls`` / ``serial_calls`` counters record which path each
-    call took.
-
-    Args:
-        problem: the compiled problem whose kernels do the scoring.
-        workers: ``None`` / ``"auto"`` for one worker per available CPU,
-            or an explicit positive count (see :func:`resolve_workers`).
-        min_cells: serial-fallback cutoff in gathered cells
-            (:data:`PARALLEL_MIN_CELLS` by default).
-    """
-
-    def __init__(self, problem: CompiledProblem,
-                 workers: int | str | None = None,
-                 min_cells: int = PARALLEL_MIN_CELLS):
-        self.problem = problem
-        self.workers = resolve_workers(workers)
-        self.min_cells = max(0, operator.index(min_cells))
-        self.parallel_calls = 0
-        self.serial_calls = 0
-
-    def _chunk_bounds(self, rows: int) -> List[Tuple[int, int]]:
-        """Contiguous, balanced ``(start, stop)`` row ranges, one per worker."""
-        return balanced_chunk_bounds(rows, self.workers)
-
-    def evaluate_batch(self, assignments: np.ndarray,
-                       objective: Objective) -> np.ndarray:
-        """Evaluate a ``(k, n)`` assignment array across the worker pool.
-
-        Bit-identical to :meth:`CompiledProblem.evaluate_batch` (which it
-        delegates to per chunk — and entirely, for batches under the
-        serial cutoff).
-
-        Raises:
-            ValueError: on a mis-shaped batch or unknown objective.
-        """
-        problem = self.problem
-        assignments = np.asarray(assignments)
-        if assignments.ndim != 2 or assignments.shape[1] != problem.num_nodes:
-            raise ValueError(
-                f"assignments must have shape (k, {problem.num_nodes})"
-            )
-        rows = assignments.shape[0]
-        if (self.workers <= 1 or rows < 2
-                or rows * max(1, problem.num_edges) < self.min_cells):
-            self.serial_calls += 1
-            _count_thread_call(parallel=False)
-            return problem.evaluate_batch(assignments, objective)
-        if objective is Objective.LONGEST_PATH:
-            problem._level_groups()  # build lazy shared state before fan-out
-        executor = _shared_executor(self.workers)
-        futures = [
-            executor.submit(problem.evaluate_batch,
-                            assignments[start:stop], objective)
-            for start, stop in self._chunk_bounds(rows)
-        ]
-        self.parallel_calls += 1
-        _count_thread_call(parallel=True)
-        return np.concatenate([future.result() for future in futures])
-
-    def evaluate_plans(self, plans: Sequence[DeploymentPlan],
-                       objective: Objective) -> np.ndarray:
-        """Lower a sequence of plans once, then batch-evaluate in parallel."""
-        if not plans:
-            return np.empty(0)
-        return self.evaluate_batch(self.problem.index_plans(plans), objective)
-
-    def __repr__(self) -> str:
-        return (
-            f"ParallelEvaluator(workers={self.workers}, "
-            f"min_cells={self.min_cells})"
         )
 
 

@@ -73,11 +73,7 @@ class AdvisorApp:
         if isinstance(store, (str, Path)):
             store = SQLiteResultCache(store)
         self.store = store
-        self.session = AdvisorSession(
-            registry=registry,
-            result_cache=store,
-            eval_workers=self.config.eval_workers,
-        )
+        self.session = AdvisorSession(registry=registry, result_cache=store)
         self.scheduler = FairScheduler(
             max_queue=self.config.max_queue,
             tenant_weights=self.config.tenant_weights,

@@ -56,7 +56,6 @@ class ServeConfig:
             :class:`~repro.serve.scheduler.FairScheduler`).
         max_finished_jobs: bound on finished jobs kept for ``/v1/jobs``.
         max_body_bytes: bound on accepted request bodies.
-        eval_workers: forwarded to :class:`~repro.api.AdvisorSession`.
         drain_timeout_s: how long a graceful shutdown waits for in-flight
             jobs before detaching the worker threads.
     """
@@ -69,7 +68,6 @@ class ServeConfig:
     tenant_weights: Mapping[str, float] = field(default_factory=dict)
     max_finished_jobs: int = 1024
     max_body_bytes: int = 16 * 1024 * 1024
-    eval_workers: Optional[object] = None
     drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:

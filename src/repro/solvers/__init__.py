@@ -12,7 +12,6 @@ from .base import (
     default_limits,
     default_plan,
     random_plans,
-    scoring_engine,
 )
 from .cp import (
     CPLongestLinkSolver,
@@ -67,5 +66,4 @@ __all__ = [
     "default_plan",
     "default_registry",
     "random_plans",
-    "scoring_engine",
 ]

@@ -28,14 +28,7 @@ from ..core.communication_graph import CommunicationGraph
 from ..core.cost_matrix import CostMatrix
 from ..core.deployment import DeploymentPlan, provider_order_plan
 from ..core.errors import SolverError
-from ..core.evaluation import (
-    CompiledProblem,
-    ParallelEvaluator,
-    compile_problem,
-    resolve_workers,
-    workers_spec,
-)
-from ..core.parallel import ProcessPoolEvaluator
+from ..core.evaluation import CompiledProblem, compile_problem
 from ..core.objectives import Objective
 from ..core.problem import DeploymentProblem
 from ..core.types import make_rng
@@ -58,37 +51,26 @@ class SearchBudget:
         max_iterations: iteration limit whose meaning is solver-specific
             (random plans generated, branch-and-bound nodes, CP backtracks).
         target_cost: stop early once a plan at or below this cost is found.
-        workers: evaluation parallelism for batch-scoring solvers (random
-            search batches, MIP candidate rounding, restart repopulation):
-            ``None`` keeps the serial path, ``"auto"`` uses one thread per
-            available CPU, an explicit positive ``int`` pins the thread
-            count, and ``"procs"`` / ``"procs:auto"`` / ``"procs:N"``
-            scores through a shared-memory worker-process pool (see
-            :class:`~repro.core.parallel.ProcessPoolEvaluator`; falls back
-            to threads where fork or shared memory is unavailable).
-            Results are bit-identical at any setting (see
-            :class:`~repro.core.evaluation.ParallelEvaluator`); only the
-            wall-clock changes, so seeded runs stay reproducible.
         peek_block: neighborhood block size for the move-based searches
             (local search, annealing): how many candidate moves are drawn
             and scored per :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many`
             batch.  ``None`` keeps each solver's default, ``1`` disables
-            batching (the pure per-move loop).  Trajectories are
-            bit-identical at any setting — the solvers select the
-            serial-order-first admissible move and re-synchronise their
-            RNG stream — so this knob, like ``workers``, only moves
-            wall-clock.
+            batching (the pure per-move loop).  Under the default
+            first-improvement acceptance trajectories are bit-identical at
+            any setting — the solvers select the serial-order-first
+            admissible move and re-synchronise their RNG stream — so there
+            the knob only moves wall-clock.  Under
+            ``SwapLocalSearch(acceptance="best")`` the block is the
+            candidate set the committed move is picked from, so the block
+            size changes the trajectory.
     """
 
     time_limit_s: Optional[float] = None
     max_iterations: Optional[int] = None
     target_cost: Optional[float] = None
-    workers: Optional[int | str] = None
     peek_block: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.workers is not None:
-            resolve_workers(self.workers)  # validate eagerly; resolve lazily
         if self.peek_block is not None:
             if (not isinstance(self.peek_block, int)
                     or isinstance(self.peek_block, bool)
@@ -117,7 +99,6 @@ class SearchBudget:
             "time_limit_s": self.time_limit_s,
             "max_iterations": self.max_iterations,
             "target_cost": self.target_cost,
-            "workers": self.workers,
             "peek_block": self.peek_block,
         }
 
@@ -133,7 +114,6 @@ class SearchBudget:
             time_limit_s=payload.get("time_limit_s"),
             max_iterations=payload.get("max_iterations"),
             target_cost=payload.get("target_cost"),
-            workers=payload.get("workers"),
             peek_block=payload.get("peek_block"),
         )
 
@@ -439,53 +419,26 @@ def random_plans(graph: CommunicationGraph, costs: CostMatrix, count: int,
 
 def default_limits(budget: Optional[SearchBudget],
                    default: SearchBudget) -> SearchBudget:
-    """Solver-side budget defaulting, aware of the ``workers`` knob.
+    """Solver-side budget defaulting, aware of the ``peek_block`` knob.
 
     Replaces the ``budget or default`` idiom: a missing budget becomes
-    ``default`` as before, and a budget carrying *only* execution knobs
-    (``workers`` and/or ``peek_block``, no time / iteration / target
-    limit) adopts ``default``'s limits while keeping the knobs —
-    otherwise a session-level ``workers`` or ``peek_block`` default would
-    silently disable a solver's default time cap (and purely time-bounded
-    searches such as simulated annealing would never stop).  A budget with
-    any explicit limit passes through untouched.
+    ``default`` as before, and a budget carrying *only* ``peek_block`` (no
+    time / iteration / target limit) adopts ``default``'s limits while
+    keeping the knob — otherwise a session-level ``peek_block`` default
+    would silently disable a solver's default time cap (and purely
+    time-bounded searches such as simulated annealing would never stop).
+    A budget with any explicit limit passes through untouched.
     """
     if budget is None:
         return default
-    if ((budget.workers is not None or budget.peek_block is not None)
-            and not budget.has_limits()):
-        return replace(default, workers=budget.workers,
-                       peek_block=budget.peek_block)
+    if budget.peek_block is not None and not budget.has_limits():
+        return replace(default, peek_block=budget.peek_block)
     return budget
-
-
-def scoring_engine(
-    engine: CompiledProblem, workers: Optional[int | str]
-) -> "CompiledProblem | ParallelEvaluator | ProcessPoolEvaluator":
-    """The batch scorer a solver should use under a budget's ``workers``.
-
-    Returns ``engine`` untouched when ``workers`` is ``None`` (the serial
-    path, zero overhead), a
-    :class:`~repro.core.parallel.ProcessPoolEvaluator` for the
-    ``"procs[:N]"`` spec (shared-memory worker processes, degrading to
-    threads where unavailable), and a
-    :class:`~repro.core.evaluation.ParallelEvaluator` otherwise.  All
-    expose the same ``evaluate_batch`` / ``evaluate_plans`` surface and
-    return bit-identical costs, so callers can treat the result as a
-    drop-in engine.
-    """
-    if workers is None:
-        return engine
-    mode, count = workers_spec(workers)
-    if mode == "procs":
-        return ProcessPoolEvaluator(engine, workers=count)
-    return ParallelEvaluator(engine, workers=count)
 
 
 def best_random_plan(graph: CommunicationGraph, costs: CostMatrix,
                      objective: Objective, count: int,
-                     rng: np.random.Generator | int | None = None,
-                     workers: Optional[int | str] = None
+                     rng: np.random.Generator | int | None = None
                      ) -> Tuple[DeploymentPlan, float]:
     """Best of ``count`` random plans; used to bootstrap exact solvers.
 
@@ -493,22 +446,19 @@ def best_random_plan(graph: CommunicationGraph, costs: CostMatrix,
     (Sect. 6.3.1).  Plans are drawn one by one (keeping the RNG stream
     identical to older releases) but scored in a single batch through the
     vectorized evaluation engine; ties keep the earliest plan, matching the
-    previous strict-improvement loop.  ``workers`` routes the batch through
-    a :class:`~repro.core.evaluation.ParallelEvaluator` (bit-identical).
+    previous strict-improvement loop.
     """
     generator = make_rng(rng)
     plans = random_plans(graph, costs, count, generator)
     if not plans:
         raise SolverError("count must be positive to draw a random plan")
-    scorer = scoring_engine(compile_problem(graph, costs), workers)
-    plan_costs = scorer.evaluate_plans(plans, objective)
+    plan_costs = compile_problem(graph, costs).evaluate_plans(plans, objective)
     best_index = int(np.argmin(plan_costs))
     return plans[best_index], float(plan_costs[best_index])
 
 
 def best_constrained_random_plan(problem: DeploymentProblem, count: int,
-                                 rng: np.random.Generator | int | None = None,
-                                 workers: Optional[int | str] = None
+                                 rng: np.random.Generator | int | None = None
                                  ) -> Tuple[DeploymentPlan, float]:
     """Best of ``count`` random *feasible* plans of a constrained problem.
 
@@ -520,13 +470,12 @@ def best_constrained_random_plan(problem: DeploymentProblem, count: int,
     view = problem.compiled_constraints()
     if view is None:
         return best_random_plan(problem.graph, problem.costs,
-                                problem.objective, count, rng, workers=workers)
+                                problem.objective, count, rng)
     if count <= 0:
         raise SolverError("count must be positive to draw a random plan")
     engine = problem.compiled()
     assignments = view.random_assignments(count, make_rng(rng))
-    plan_costs = scoring_engine(engine, workers).evaluate_batch(
-        assignments, problem.objective)
+    plan_costs = engine.evaluate_batch(assignments, problem.objective)
     best_index = int(np.argmin(plan_costs))
     return (engine.plan_from_assignment(assignments[best_index]),
             float(plan_costs[best_index]))

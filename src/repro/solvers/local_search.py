@@ -188,8 +188,7 @@ def _draw_proposals(evaluator: DeltaEvaluator, rng, constrained: bool,
 
 
 def _block_costs(evaluator: DeltaEvaluator,
-                 proposals: List[Optional[Move]],
-                 workers: Optional[int | str]) -> List[Optional[float]]:
+                 proposals: List[Optional[Move]]) -> List[Optional[float]]:
     """Scores aligned with ``proposals`` (``None`` rows stay ``None``).
 
     A single real proposal takes the serial sparse peek (cheaper than a
@@ -205,7 +204,7 @@ def _block_costs(evaluator: DeltaEvaluator,
         costs[rows[0]] = _peek_move(evaluator, proposals[rows[0]])
         return costs
     batch = MoveBatch.from_moves([proposals[k] for k in rows])
-    for k, cost in zip(rows, evaluator.peek_many(batch, workers=workers)):
+    for k, cost in zip(rows, evaluator.peek_many(batch)):
         costs[k] = float(cost)
     return costs
 
@@ -293,11 +292,9 @@ class SwapLocalSearch(DeploymentSolver):
             if restart == 0 and initial_plan is not None:
                 plan, cost = initial_plan, best_cost
             elif view is None:
-                plan, cost = best_random_plan(graph, costs, objective, 10, rng,
-                                              workers=budget.workers)
+                plan, cost = best_random_plan(graph, costs, objective, 10, rng)
             else:
-                plan, cost = best_constrained_random_plan(
-                    problem, 10, rng, workers=budget.workers)
+                plan, cost = best_constrained_random_plan(problem, 10, rng)
             trace.record(watch.elapsed(), min(cost, best_cost if best_plan else cost))
             evaluator = engine.delta_evaluator(plan, objective,
                                                allowed_mask=mask)
@@ -313,8 +310,7 @@ class SwapLocalSearch(DeploymentSolver):
                 block = max(1, block)
                 snapshot = (rng.bit_generator.state if block > 1 else None)
                 proposals = _draw_proposals(evaluator, rng, constrained, block)
-                costs_block = _block_costs(evaluator, proposals,
-                                           budget.workers)
+                costs_block = _block_costs(evaluator, proposals)
 
                 if self.acceptance == "best":
                     # Opt-in best-improvement: every proposal counts one
@@ -404,10 +400,10 @@ class SwapLocalSearch(DeploymentSolver):
         if best_plan is None:
             if view is None:
                 best_plan, best_cost = best_random_plan(
-                    graph, costs, objective, 1, rng, workers=budget.workers)
+                    graph, costs, objective, 1, rng)
             else:
                 best_plan, best_cost = best_constrained_random_plan(
-                    problem, 1, rng, workers=budget.workers)
+                    problem, 1, rng)
             trace.record(watch.elapsed(), best_cost)
 
         return SolverResult(
@@ -467,11 +463,9 @@ class SimulatedAnnealing(DeploymentSolver):
             plan = initial_plan
             cost = engine.evaluate_plan(plan, objective)
         elif view is None:
-            plan, cost = best_random_plan(graph, costs, objective, 10, rng,
-                                          workers=budget.workers)
+            plan, cost = best_random_plan(graph, costs, objective, 10, rng)
         else:
-            plan, cost = best_constrained_random_plan(
-                problem, 10, rng, workers=budget.workers)
+            plan, cost = best_constrained_random_plan(problem, 10, rng)
         evaluator = engine.delta_evaluator(plan, objective, allowed_mask=mask)
         best_plan, best_cost = plan, cost
         trace.record(watch.elapsed(), best_cost)
@@ -508,7 +502,7 @@ class SimulatedAnnealing(DeploymentSolver):
             else:
                 snapshot = rng.bit_generator.state
                 proposals = _draw_proposals(evaluator, rng, constrained, block)
-                costs_block = _block_costs(evaluator, proposals, budget.workers)
+                costs_block = _block_costs(evaluator, proposals)
 
                 consumed = 0
                 scored: Optional[int] = None

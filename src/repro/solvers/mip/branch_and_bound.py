@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..base import scoring_engine
 from .model import MipModel, MipSolution
 from .scipy_backend import solve_lp_relaxation
 
@@ -77,17 +76,12 @@ class DeploymentRounder:
         problem: compiled evaluation engine for (graph, costs) of the
             encoding.
         objective: which deployment objective the encoding minimises.
-        workers: optional evaluation parallelism (``"auto"``, a positive
-            int, or a ``"procs[:N]"`` process-pool spec); batches are
-            scored through a bit-identical parallel evaluator when set
-            (see :func:`~repro.solvers.base.scoring_engine`).
     """
 
-    def __init__(self, encoding, problem, objective, workers=None):
+    def __init__(self, encoding, problem, objective):
         self.encoding = encoding
         self.problem = problem
         self.objective = objective
-        self._scorer = scoring_engine(problem, workers)
 
     def round_batch(self, batch: Sequence[np.ndarray]
                     ) -> Tuple[np.ndarray, List[Dict[int, int]]]:
@@ -104,7 +98,7 @@ class DeploymentRounder:
              for assignment in assignments],
             dtype=np.intp,
         ).reshape(len(assignments), self.problem.num_nodes)
-        costs = self._scorer.evaluate_batch(rows, self.objective)
+        costs = self.problem.evaluate_batch(rows, self.objective)
         return costs, assignments
 
     def realize(self, assignment: Dict[int, int]) -> np.ndarray:

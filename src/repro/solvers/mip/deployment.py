@@ -287,12 +287,10 @@ class MipDeploymentSolver(DeploymentSolver):
             if view is None:
                 initial_plan, _ = best_random_plan(
                     graph, costs, objective, self.initial_random_plans,
-                    rng=self._seed, workers=budget.workers,
-                )
+                    rng=self._seed)
             else:
                 initial_plan, _ = best_constrained_random_plan(
-                    problem, self.initial_random_plans, rng=self._seed,
-                    workers=budget.workers)
+                    problem, self.initial_random_plans, rng=self._seed)
 
         clustered = costs.clustered(self.k_clusters, round_to=self.round_to) \
             if self.k_clusters is not None else costs
@@ -322,8 +320,7 @@ class MipDeploymentSolver(DeploymentSolver):
         else:
             if self.use_engine:
                 bnb = BranchAndBound(encoding.model, batch_rounder=DeploymentRounder(
-                    encoding, compile_problem(graph, clustered), objective,
-                    workers=budget.workers))
+                    encoding, compile_problem(graph, clustered), objective))
             else:
                 bnb = BranchAndBound(encoding.model,
                                      rounding_callback=encoding.rounding_callback)

@@ -104,7 +104,6 @@ class PortfolioSolver(DeploymentSolver):
                 time_limit_s=member_limit,
                 max_iterations=budget.max_iterations,
                 target_cost=budget.target_cost,
-                workers=budget.workers,
             )
             result = member.solve(problem, budget=member_budget,
                                   initial_plan=warm_start)

@@ -28,7 +28,6 @@ from .base import (
     Stopwatch,
     constrained_warm_start,
     default_limits,
-    scoring_engine,
 )
 
 #: Batch sizes for vectorized plan evaluation.  Chunks start small so a
@@ -97,7 +96,6 @@ class RandomSearch(DeploymentSolver):
         trace = ConvergenceTrace()
         instances = list(costs.instance_ids)
         engine = self.compiled(graph, costs)
-        scorer = scoring_engine(engine, budget.workers)
         view = problem.compiled_constraints()
         initial_plan = constrained_warm_start(problem, initial_plan)
 
@@ -134,13 +132,13 @@ class RandomSearch(DeploymentSolver):
                     DeploymentPlan.random(graph.nodes, instances, rng)
                     for _ in range(size)
                 ]
-                plan_costs = scorer.evaluate_plans(plans, objective)
+                plan_costs = engine.evaluate_plans(plans, objective)
             else:
                 # Constrained problems: every sample is feasible by
                 # construction (drawn from the allowed-index arrays).
                 assignments = view.random_assignments(size, rng)
                 plans = None
-                plan_costs = scorer.evaluate_batch(assignments, objective)
+                plan_costs = engine.evaluate_batch(assignments, objective)
             for index, cost in enumerate(plan_costs):
                 iterations += 1
                 if cost < best_cost:

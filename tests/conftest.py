@@ -33,17 +33,13 @@ def pytest_collection_modifyitems(config, items):
 def _no_shared_memory_litter():
     """The whole suite must leave ``/dev/shm`` exactly as it found it.
 
-    Process-pool evaluators export engine arrays into named shared-memory
-    segments (token ``repro-<pid>-...``); every one of them must be
-    unlinked by the finalizers / sweepers by the time the session ends.
+    No named shared-memory segment (token ``repro-<pid>-...``) may
+    outlive the session.
     """
     import glob
     import os
 
     yield
-    from repro.core.parallel import close_shared_engines, shutdown_process_pool
-    shutdown_process_pool()
-    close_shared_engines()
     if os.path.isdir("/dev/shm"):
         litter = glob.glob(f"/dev/shm/repro-{os.getpid()}-*")
         assert not litter, f"leaked shared-memory segments: {litter}"

@@ -23,10 +23,7 @@ from hypothesis import strategies as st
 from repro.core import (
     CommunicationGraph,
     CostMatrix,
-    DeploymentProblem,
     Objective,
-    ParallelEvaluator,
-    ProcessPoolEvaluator,
     compile_problem,
 )
 from repro.solvers import (
@@ -35,7 +32,6 @@ from repro.solvers import (
     MIPLongestPathSolver,
     SearchBudget,
 )
-from repro.solvers.registry import default_registry
 from repro.solvers.cp.labeling import (
     assignment_cost_lower_bounds_reference,
     compatibility_domains,
@@ -253,30 +249,8 @@ def test_deployment_rounder_costs_match_model_objective():
 
 
 # --------------------------------------------------------------------------- #
-# Parallel batch evaluation and incremental longest-path vs serial oracles
+# Incremental longest-path vs the full re-relaxation oracle
 # --------------------------------------------------------------------------- #
-
-@given(seed=st.integers(0, 2000),
-       objective=st.sampled_from([Objective.LONGEST_LINK,
-                                  Objective.LONGEST_PATH]),
-       workers=st.integers(1, 4))
-@settings(max_examples=40, deadline=None)
-def test_parallel_evaluator_bit_identical_to_serial(seed, objective, workers):
-    """Chunked evaluation equals serial ``evaluate_batch`` bit for bit.
-
-    ``min_cells=1`` forces the pool past the serial-fallback cutoff even on
-    these small instances, so the chunked code path is what actually runs.
-    """
-    graph, costs = random_problem(seed, dag=objective is Objective.LONGEST_PATH)
-    problem = compile_problem(graph, costs)
-    assignments = problem.random_assignments(17, seed)
-    parallel = ParallelEvaluator(problem, workers=workers, min_cells=1)
-    expected = problem.evaluate_batch(assignments, objective)
-    chunked = parallel.evaluate_batch(assignments, objective)
-    assert np.array_equal(expected, chunked)
-    if workers > 1:
-        assert parallel.parallel_calls == 1
-
 
 @given(seed=st.integers(0, 2000))
 @settings(max_examples=40, deadline=None)
@@ -314,85 +288,3 @@ def test_incremental_longest_path_walk_matches_full_rerelaxation(seed):
             reference = candidate
         assert evaluator.current_cost == \
             problem.evaluate(reference, Objective.LONGEST_PATH)
-
-
-@given(seed=st.integers(0, 2000),
-       objective=st.sampled_from([Objective.LONGEST_LINK,
-                                  Objective.LONGEST_PATH]),
-       workers=st.integers(1, 3))
-@settings(max_examples=15, deadline=None)
-def test_process_pool_evaluator_bit_identical_to_serial(seed, objective,
-                                                        workers):
-    """Shared-memory process evaluation equals serial bit for bit.
-
-    ``min_cells=1`` forces work past the serial cutoff; workers attach the
-    parent's shared index/cost arrays and run the same unbound kernels, so
-    every float is produced by the same instruction sequence.
-    """
-    graph, costs = random_problem(seed, dag=objective is Objective.LONGEST_PATH)
-    problem = compile_problem(graph, costs)
-    assignments = problem.random_assignments(11, seed)
-    pooled = ProcessPoolEvaluator(problem, workers=workers, min_cells=1)
-    expected = problem.evaluate_batch(assignments, objective)
-    threaded = ParallelEvaluator(problem, workers=max(2, workers),
-                                 min_cells=1).evaluate_batch(
-                                     assignments, objective)
-    chunked = pooled.evaluate_batch(assignments, objective)
-    assert np.array_equal(expected, chunked)
-    assert np.array_equal(expected, threaded)
-    if workers > 1 and pooled.fallback_reason is None:
-        assert pooled.parallel_calls == 1
-
-
-def _registry_problem(key, spec, seed):
-    """A small instance every registry solver can handle for ``key``."""
-    objective = spec.objectives[0]
-    graph, costs = random_problem(seed, min_nodes=4, max_nodes=5, extra=2,
-                                  dag=objective is Objective.LONGEST_PATH)
-    return DeploymentProblem(graph, costs, objective=objective)
-
-
-@pytest.mark.parametrize("key", default_registry.available())
-def test_registry_solvers_seed_identical_with_process_workers(key):
-    """Every registered solver is seed-for-seed identical under ``procs``.
-
-    The workers knob only swaps the batch-scoring backend; since the
-    process pool is bit-identical to the serial engine, plan, cost and
-    iteration count must not move for any solver in the registry.
-    """
-    spec = default_registry.spec(key)
-    problem = _registry_problem(key, spec, seed=13)
-    config = default_registry.seeded_config(key, 7)
-    results = []
-    for workers in (None, "procs:2"):
-        solver = default_registry.make(key, **config)
-        budget = SearchBudget(max_iterations=60, workers=workers)
-        results.append(solver.solve(problem, budget=budget))
-    serial, pooled = results
-    assert pooled.cost == serial.cost
-    assert pooled.plan.as_dict() == serial.plan.as_dict()
-    assert pooled.iterations == serial.iterations
-
-
-@pytest.mark.parametrize("seed", [1, 5, 11])
-def test_branch_and_bound_same_node_sequence_with_workers(seed):
-    """A workers-enabled DeploymentRounder replays the scalar decisions."""
-    graph, costs = random_problem(seed, min_nodes=3, max_nodes=4, extra=2)
-    scalar_encoding = LLNDPEncoding(graph, costs)
-    scalar = BranchAndBound(
-        scalar_encoding.model,
-        rounding_callback=scalar_encoding.rounding_callback,
-        record_nodes=True,
-    ).solve(node_limit=150)
-
-    batch_encoding = LLNDPEncoding(graph, costs)
-    rounder = DeploymentRounder(batch_encoding, compile_problem(graph, costs),
-                                Objective.LONGEST_LINK, workers=2)
-    batch = BranchAndBound(
-        batch_encoding.model, batch_rounder=rounder, record_nodes=True,
-    ).solve(node_limit=150)
-
-    assert batch.node_sequence == scalar.node_sequence
-    assert [c for _, c in batch.incumbent_trace] == \
-        [c for _, c in scalar.incumbent_trace]
-    assert batch.solution.objective_value == scalar.solution.objective_value

@@ -5,8 +5,7 @@ Four contracts are pinned here:
 * :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` returns
   bit-identical costs to the sequential per-move ``swap_cost`` /
   ``relocate_cost`` peeks — for both objectives, constrained and
-  unconstrained instances, mid-walk after commits, and through every
-  worker routing (serial kernels, thread pool, process pool);
+  unconstrained instances, and mid-walk after commits;
 * the blocked solver loops are bit-identical seed for seed to the
   historical per-move loops: the committed golden trajectories in
   ``tests/data/golden_trajectories.json`` (captured from the pre-batching
@@ -39,7 +38,7 @@ from repro.core import (
     SolverError,
     compile_problem,
 )
-from repro.core.parallel import parallel_stats, reset_parallel_stats
+from repro.core.evaluation import parallel_stats, reset_parallel_stats
 from repro.solvers import (
     SearchBudget,
     SimulatedAnnealing,
@@ -185,43 +184,6 @@ def test_peek_many_consistent_after_commits(seed, objective):
             evaluator.apply_swap(first, second)
         else:
             evaluator.apply_relocate(first, second)
-
-
-@given(seed=st.integers(0, 1500),
-       workers=st.integers(1, 3))
-@settings(max_examples=15, deadline=None)
-def test_peek_many_worker_routing_bit_identical(seed, workers):
-    # Large enough that count * num_edges crosses the pool routing cutoff.
-    graph = CommunicationGraph.random_dag(40, 0.15, seed=seed)
-    rng = np.random.default_rng(seed + 4)
-    m = 48
-    matrix = rng.uniform(0.1, 2.0, size=(m, m))
-    np.fill_diagonal(matrix, 0.0)
-    problem = compile_problem(graph, CostMatrix(list(range(m)), matrix))
-    start = problem.random_assignments(1, rng)[0]
-    for objective in (Objective.LONGEST_LINK, Objective.LONGEST_PATH):
-        evaluator = problem.delta_evaluator(start, objective)
-        moves = _random_moves(problem, evaluator, rng, 600)
-        batch = MoveBatch.from_moves(moves)
-        serial = evaluator.peek_many(batch)
-        assert np.array_equal(serial, evaluator.peek_many(batch,
-                                                          workers=workers))
-
-
-def test_peek_many_process_pool_routing_bit_identical():
-    graph = CommunicationGraph.random_dag(40, 0.15, seed=11)
-    rng = np.random.default_rng(12)
-    m = 48
-    matrix = rng.uniform(0.1, 2.0, size=(m, m))
-    np.fill_diagonal(matrix, 0.0)
-    problem = compile_problem(graph, CostMatrix(list(range(m)), matrix))
-    start = problem.random_assignments(1, rng)[0]
-    evaluator = problem.delta_evaluator(start, Objective.LONGEST_PATH)
-    moves = _random_moves(problem, evaluator, rng, 600)
-    batch = MoveBatch.from_moves(moves)
-    serial = evaluator.peek_many(batch)
-    assert np.array_equal(serial, evaluator.peek_many(batch,
-                                                      workers="procs:2"))
 
 
 def test_peek_many_empty_batch():
@@ -479,25 +441,30 @@ def test_peek_block_validation_and_round_trip():
 
 def test_peek_block_only_budget_adopts_default_limits():
     default = SearchBudget.seconds(2.0)
+    assert default_limits(None, default) is default
     adopted = default_limits(SearchBudget(peek_block=8), default)
     assert adopted.time_limit_s == 2.0
     assert adopted.peek_block == 8
-    both = default_limits(SearchBudget(workers=2, peek_block=8), default)
-    assert both.workers == 2 and both.peek_block == 8
+    explicit = SearchBudget(max_iterations=50, peek_block=8)
+    assert default_limits(explicit, default) is explicit
+    unlimited = SearchBudget.unlimited()
+    assert default_limits(unlimited, default) is unlimited
+    assert not unlimited.has_limits()
+    assert explicit.has_limits()
 
 
 def test_session_peek_block_folds_into_budgets():
     with pytest.raises(ValueError):
         AdvisorSession(peek_block=0)
-    session = AdvisorSession(peek_block=16, eval_workers=2)
-    folded = session._effective_budget(None)
-    assert folded.peek_block == 16 and folded.workers == 2
+    session = AdvisorSession(peek_block=16)
+    assert session._effective_budget(None) == SearchBudget(peek_block=16)
     folded = session._effective_budget(SearchBudget(time_limit_s=1.0))
     assert folded.peek_block == 16 and folded.time_limit_s == 1.0
-    explicit = session._effective_budget(
-        SearchBudget(time_limit_s=1.0, peek_block=4))
-    assert explicit.peek_block == 4  # the request's own knob wins
+    pinned = SearchBudget(time_limit_s=1.0, peek_block=4)
+    assert session._effective_budget(pinned) is pinned  # the request wins
     assert AdvisorSession()._effective_budget(None) is None
+    untouched = SearchBudget(time_limit_s=1.0)
+    assert AdvisorSession()._effective_budget(untouched) is untouched
 
 
 # --------------------------------------------------------------------------- #
@@ -540,3 +507,10 @@ def test_batch_peek_counters_reach_session_stats():
     assert payload["batch_peek_calls"] > 0
     assert payload["batch_peeked_moves"] >= payload["batch_peek_calls"]
     assert payload["delta_peeks"] > 0
+    # Evaluation is serial; the pool-call keys stay, pinned at 0, for
+    # readers of the pre-serial snapshot.
+    assert set(payload) == {"delta_peeks", "delta_commits",
+                            "batch_peek_calls", "batch_peeked_moves",
+                            "thread_parallel_calls", "process_parallel_calls"}
+    assert payload["thread_parallel_calls"] == 0
+    assert payload["process_parallel_calls"] == 0

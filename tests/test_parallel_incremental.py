@@ -1,18 +1,9 @@
-"""Property-style coverage for the parallel / incremental evaluation paths.
+"""Property-style coverage for the incremental evaluation paths.
 
-Three contracts are pinned here:
-
-* :class:`~repro.core.evaluation.ParallelEvaluator` returns bit-identical
-  costs to the serial ``evaluate_batch`` / ``evaluate_plans`` for every
-  worker count, objective, and constrained instance — parallelism changes
-  wall-clock only, never results;
-* the incremental longest-path delta inside
-  :class:`~repro.core.evaluation.DeltaEvaluator` stays exactly consistent
-  with a from-scratch priming across long mixed swap/relocate walks, and is
-  invalidated by ``cost_epoch`` like every other cost-derived cache;
-* the ``workers`` knob on :class:`~repro.solvers.base.SearchBudget` (and the
-  ``eval_workers`` session default) round-trips through JSON, validates
-  eagerly, and leaves seeded solver results unchanged.
+The incremental longest-path delta inside
+:class:`~repro.core.evaluation.DeltaEvaluator` stays exactly consistent
+with a from-scratch priming across long mixed swap/relocate walks, and is
+invalidated by ``cost_epoch`` like every other cost-derived cache.
 """
 
 import numpy as np
@@ -20,26 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import AdvisorSession, SolveRequest
 from repro.core import (
     CommunicationGraph,
     CostMatrix,
     DeploymentProblem,
     Objective,
-    ParallelEvaluator,
     PlacementConstraints,
     SolverError,
-    available_workers,
     compile_problem,
-    resolve_workers,
-)
-from repro.solvers import (
-    RandomSearch,
-    SearchBudget,
-    SimulatedAnnealing,
-    SwapLocalSearch,
-    default_limits,
-    scoring_engine,
 )
 
 
@@ -55,100 +34,6 @@ def _random_instance(seed, n_lo=4, n_hi=10, extra=3, dag=False):
     else:
         graph = CommunicationGraph.random_graph(n, 0.4, seed=seed)
     return graph, costs
-
-
-# --------------------------------------------------------------------------- #
-# ParallelEvaluator: bit-identical chunked evaluation
-# --------------------------------------------------------------------------- #
-
-@given(seed=st.integers(0, 5000),
-       objective=st.sampled_from([Objective.LONGEST_LINK,
-                                  Objective.LONGEST_PATH]),
-       workers=st.integers(1, 4),
-       rows=st.integers(1, 33))
-@settings(max_examples=60, deadline=None)
-def test_parallel_batch_bit_identical_any_worker_count(seed, objective,
-                                                       workers, rows):
-    graph, costs = _random_instance(seed, dag=objective is Objective.LONGEST_PATH)
-    problem = compile_problem(graph, costs)
-    assignments = problem.random_assignments(rows, seed)
-    parallel = ParallelEvaluator(problem, workers=workers, min_cells=1)
-    assert np.array_equal(problem.evaluate_batch(assignments, objective),
-                          parallel.evaluate_batch(assignments, objective))
-
-
-@given(seed=st.integers(0, 2000), workers=st.integers(2, 4))
-@settings(max_examples=25, deadline=None)
-def test_parallel_batch_bit_identical_on_constrained_instances(seed, workers):
-    graph, costs = _random_instance(seed, n_lo=5, n_hi=9, extra=4)
-    rng = np.random.default_rng(seed)
-    nodes = list(graph.nodes)
-    pinned = {nodes[0]: int(rng.integers(costs.num_instances))}
-    forbidden = {nodes[1]: {int(rng.integers(costs.num_instances))}
-                 - set(pinned.values())}
-    problem = DeploymentProblem(
-        graph, costs,
-        constraints=PlacementConstraints(pinned=pinned, forbidden=forbidden))
-    view = problem.compiled_constraints()
-    engine = problem.compiled()
-    assignments = view.random_assignments(23, rng)
-    parallel = ParallelEvaluator(engine, workers=workers, min_cells=1)
-    assert np.array_equal(
-        engine.evaluate_batch(assignments, problem.objective),
-        parallel.evaluate_batch(assignments, problem.objective))
-
-
-def test_parallel_evaluate_plans_matches_serial():
-    graph, costs = _random_instance(7)
-    problem = compile_problem(graph, costs)
-    rng = np.random.default_rng(7)
-    plans = [problem.plan_from_assignment(a)
-             for a in problem.random_assignments(9, rng)]
-    parallel = ParallelEvaluator(problem, workers=3, min_cells=1)
-    assert list(problem.evaluate_plans(plans, Objective.LONGEST_LINK)) == \
-        list(parallel.evaluate_plans(plans, Objective.LONGEST_LINK))
-
-
-def test_parallel_evaluator_serial_fallback_below_cutoff():
-    graph, costs = _random_instance(3)
-    problem = compile_problem(graph, costs)
-    parallel = ParallelEvaluator(problem, workers=4)  # default min_cells
-    small = problem.random_assignments(4, 3)
-    parallel.evaluate_batch(small, Objective.LONGEST_LINK)
-    assert parallel.serial_calls == 1
-    assert parallel.parallel_calls == 0
-    forced = ParallelEvaluator(problem, workers=4, min_cells=1)
-    forced.evaluate_batch(small, Objective.LONGEST_LINK)
-    assert forced.parallel_calls == 1
-
-
-def test_parallel_evaluator_single_worker_stays_serial():
-    graph, costs = _random_instance(5)
-    problem = compile_problem(graph, costs)
-    parallel = ParallelEvaluator(problem, workers=1, min_cells=1)
-    parallel.evaluate_batch(problem.random_assignments(8, 5),
-                            Objective.LONGEST_LINK)
-    assert parallel.parallel_calls == 0
-    assert parallel.serial_calls == 1
-
-
-def test_resolve_workers_validation():
-    assert resolve_workers(None) == available_workers()
-    assert resolve_workers("auto") == available_workers()
-    assert resolve_workers(3) == 3
-    assert available_workers() >= 1
-    for bad in (0, -2, "three", 1.5):
-        with pytest.raises(ValueError):
-            resolve_workers(bad)
-
-
-def test_scoring_engine_passthrough_and_wrap():
-    graph, costs = _random_instance(11)
-    problem = compile_problem(graph, costs)
-    assert scoring_engine(problem, None) is problem
-    wrapped = scoring_engine(problem, 2)
-    assert isinstance(wrapped, ParallelEvaluator)
-    assert wrapped.workers == 2
 
 
 # --------------------------------------------------------------------------- #
@@ -342,82 +227,3 @@ def test_peek_window_state_invalidated_and_rebuilt_after_refresh():
         candidate = evaluator.indexed_plan().assignment
         candidate[[a, b]] = candidate[[b, a]]
         assert peek == problem.evaluate(candidate, Objective.LONGEST_PATH)
-
-
-# --------------------------------------------------------------------------- #
-# SearchBudget.workers / session plumbing
-# --------------------------------------------------------------------------- #
-
-def test_budget_workers_round_trips_through_json():
-    for workers in (None, "auto", 2):
-        budget = SearchBudget(time_limit_s=1.5, max_iterations=10,
-                              workers=workers)
-        assert SearchBudget.from_dict(budget.to_dict()) == budget
-    # Pre-workers payloads (older serialized budgets) stay loadable.
-    legacy = SearchBudget.from_dict({"time_limit_s": 2.0})
-    assert legacy.workers is None
-
-
-def test_budget_workers_validated_eagerly():
-    for bad in (0, -1, "many"):
-        with pytest.raises(ValueError):
-            SearchBudget(workers=bad)
-
-
-def test_default_limits_keeps_workers_and_default_caps():
-    default = SearchBudget.seconds(2.0)
-    assert default_limits(None, default) is default
-    folded = default_limits(SearchBudget(workers=3), default)
-    assert folded.time_limit_s == 2.0 and folded.workers == 3
-    explicit = SearchBudget(max_iterations=50, workers=2)
-    assert default_limits(explicit, default) is explicit
-    unlimited = SearchBudget.unlimited()
-    assert default_limits(unlimited, default) is unlimited
-    assert not unlimited.has_limits()
-    assert explicit.has_limits()
-
-
-@pytest.mark.parametrize("workers", ["auto", 1, 3])
-def test_solvers_seed_identical_with_and_without_workers(workers):
-    graph, costs = _random_instance(31, n_lo=6, n_hi=6)
-    problem = DeploymentProblem(graph, costs)
-    budget = SearchBudget(max_iterations=400)
-    with_workers = SearchBudget(max_iterations=400, workers=workers)
-    for solver_factory in (
-        lambda: RandomSearch(num_samples=300, seed=9),
-        lambda: SwapLocalSearch(restarts=2, seed=9),
-        lambda: SimulatedAnnealing(seed=9),
-    ):
-        serial = solver_factory().solve(problem, budget=budget)
-        parallel = solver_factory().solve(problem, budget=with_workers)
-        assert serial.cost == parallel.cost
-        assert serial.plan.as_dict() == parallel.plan.as_dict()
-        assert serial.iterations == parallel.iterations
-
-
-def test_session_eval_workers_default_applies_and_validates():
-    graph, costs = _random_instance(37, n_lo=6, n_hi=6)
-    problem = DeploymentProblem(graph, costs)
-    request = SolveRequest(problem=problem, solver="random",
-                           config={"num_samples": 150, "seed": 4})
-    baseline = AdvisorSession().solve(request)
-    threaded = AdvisorSession(eval_workers=2).solve(request)
-    assert baseline.status == threaded.status == "ok"
-    assert baseline.result.cost == threaded.result.cost
-    assert baseline.result.plan.as_dict() == threaded.result.plan.as_dict()
-    with pytest.raises(ValueError):
-        AdvisorSession(eval_workers="lots")
-    with pytest.raises(ValueError):
-        AdvisorSession(eval_workers=0)
-
-
-def test_session_effective_budget_precedence():
-    session = AdvisorSession(eval_workers=2)
-    assert session._effective_budget(None) == SearchBudget(workers=2)
-    pinned = SearchBudget(time_limit_s=1.0, workers=4)
-    assert session._effective_budget(pinned) is pinned
-    folded = session._effective_budget(SearchBudget(time_limit_s=1.0))
-    assert folded.workers == 2 and folded.time_limit_s == 1.0
-    plain = AdvisorSession()
-    untouched = SearchBudget(time_limit_s=1.0)
-    assert plain._effective_budget(untouched) is untouched

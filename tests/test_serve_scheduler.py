@@ -3,11 +3,12 @@ back-pressure, the job table, and the metrics reservoir."""
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
 
-from repro.api import SolveRequest
+from repro.api import AdvisorSession, SolveRequest, WatchPolicy
 from repro.core import CommunicationGraph, DeploymentProblem
 from repro.core.errors import ClouDiAError
 from repro.serve import (
@@ -182,6 +183,26 @@ class TestCoalescing:
         _, coalesced_b = scheduler.submit(second)
         assert not coalesced_a and not coalesced_b
         assert scheduler.depth() == 2
+
+    def test_leftover_budget_workers_key_shares_keys(self):
+        """A stale ``"workers"`` budget key is ignored like any unknown
+        key: the body coalesces with, and is served the stored result of,
+        the same body without it.  ``peek_block`` still separates keys."""
+        def keys(**budget):
+            body = {"problem": make_problem(5).to_dict(),
+                    "solver": "local-search", "config": {"seed": 3},
+                    "budget": dict({"max_iterations": 300}, **budget)}
+            request = SolveRequest.from_dict(json.loads(json.dumps(body)))
+            policy = WatchPolicy(solver=request.solver,
+                                 config=request.config,
+                                 budget=request.budget)
+            return (coalesce_key(default_registry, request),
+                    AdvisorSession._solver_cache_tag(request.solver, policy))
+
+        assert keys(workers=2) == keys()
+        coalesce, store_tag = keys(peek_block=8)
+        assert coalesce != keys()[0]
+        assert store_tag != keys()[1]
 
     def test_running_job_still_coalesces_until_completed(self):
         scheduler = FairScheduler()

@@ -372,48 +372,6 @@ class TestWatchCli:
         assert code == 0
         assert "re-solves: 0" in captured.out
 
-    def test_watch_accepts_eval_workers(self, tmp_path, capsys):
-        """``watch --eval-workers`` plumbs into the session and is inert
-        on results: the pooled log equals the serial log event for event."""
-        problem_path = self._make_problem(tmp_path)
-        trace_path = tmp_path / "trace.json"
-        assert cli_main([
-            "make-trace", "--problem", str(problem_path),
-            "--out", str(trace_path), "--windows", "2",
-            "--spike-window", "1", "--spike-links", "3",
-        ]) == 0
-        logs = []
-        for i, workers in enumerate([[], ["--eval-workers", "procs:2"],
-                                     ["--eval-workers", "2"]]):
-            log_path = tmp_path / f"log{i}.json"
-            code = cli_main([
-                "watch", "--problem", str(problem_path),
-                "--trace", str(trace_path), "--solver", "greedy",
-                "--out", str(log_path), *workers,
-            ])
-            capsys.readouterr()
-            assert code == 0
-            logs.append(json.loads(log_path.read_text()))
-
-        def stable(log):
-            return [(e["revision"], e["reason"], e["cost"], e["resolved"],
-                     e["redeployed"]) for e in log["events"]]
-
-        serial, procs, threads = logs
-        assert procs["plan"] == serial["plan"]
-        assert threads["plan"] == serial["plan"]
-        assert stable(procs) == stable(serial)
-        assert stable(threads) == stable(serial)
-
-    def test_watch_rejects_bad_eval_workers(self, tmp_path, capsys):
-        problem_path = self._make_problem(tmp_path)
-        code = cli_main([
-            "watch", "--problem", str(problem_path),
-            "--trace", str(problem_path), "--eval-workers", "procs:zero",
-        ])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
     def test_watch_rejects_malformed_trace(self, tmp_path, capsys):
         problem_path = self._make_problem(tmp_path)
         bad_trace = tmp_path / "bad.json"
