@@ -18,6 +18,21 @@ class TestParserAndBuilders:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["advise", "--provider", "unknown-cloud"])
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "problem.json"],
+        ["solve-batch", "--problem", "problem.json"],
+        ["watch", "--problem", "problem.json", "--trace", "trace.json"],
+        ["serve"],
+    ], ids=["solve", "solve-batch", "watch", "serve"])
+    def test_parser_rejects_removed_eval_workers_flag(self, argv, capsys):
+        # Evaluation is serial: a script still passing the old flag fails
+        # at parse time instead of having it silently ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--eval-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --eval-workers 2" in \
+            capsys.readouterr().err
+
     def test_build_graph_templates(self):
         parser = build_parser()
         mesh = build_graph(parser.parse_args(["advise", "--template", "mesh",

@@ -38,7 +38,12 @@ from repro.core import (
     SolverError,
     compile_problem,
 )
-from repro.core.evaluation import parallel_stats, reset_parallel_stats
+from repro.core.evaluation import (
+    ParallelStats,
+    delta_counters,
+    parallel_stats,
+    reset_parallel_stats,
+)
 from repro.solvers import (
     SearchBudget,
     SimulatedAnnealing,
@@ -184,6 +189,44 @@ def test_peek_many_consistent_after_commits(seed, objective):
             evaluator.apply_swap(first, second)
         else:
             evaluator.apply_relocate(first, second)
+
+
+def _large_instance(seed):
+    """40-node DAG on 48 instances: 600-move blocks on it are the size
+    that once routed ``peek_many`` to a worker pool."""
+    graph = CommunicationGraph.random_dag(40, 0.15, seed=seed)
+    rng = np.random.default_rng(seed + 4)
+    m = 48
+    matrix = rng.uniform(0.1, 2.0, size=(m, m))
+    np.fill_diagonal(matrix, 0.0)
+    return graph, CostMatrix(list(range(m)), matrix), rng
+
+
+@given(seed=st.integers(0, 1500))
+@settings(max_examples=15, deadline=None)
+def test_peek_many_large_block_matches_serial_peeks(seed):
+    graph, costs, rng = _large_instance(seed)
+    problem = compile_problem(graph, costs)
+    start = problem.random_assignments(1, rng)[0]
+    for objective in (Objective.LONGEST_LINK, Objective.LONGEST_PATH):
+        evaluator = problem.delta_evaluator(start, objective)
+        moves = _random_moves(problem, evaluator, rng, 600)
+        got = evaluator.peek_many(MoveBatch.from_moves(moves))
+        assert np.array_equal(got, _serial_costs(evaluator, moves))
+
+
+def test_peek_many_large_block_matches_serial_peeks_constrained():
+    graph, costs, rng = _large_instance(11)
+    for objective in (Objective.LONGEST_LINK, Objective.LONGEST_PATH):
+        problem = _constrained_problem(graph, costs, rng, objective)
+        view = problem.compiled_constraints()
+        evaluator = problem.compiled().delta_evaluator(
+            view.random_assignments(1, rng)[0], objective,
+            allowed_mask=view.allowed_mask)
+        moves = _random_moves(problem, evaluator, rng, 600,
+                              constrained=True)
+        got = evaluator.peek_many(MoveBatch.from_moves(moves))
+        assert np.array_equal(got, _serial_costs(evaluator, moves))
 
 
 def test_peek_many_empty_batch():
@@ -412,6 +455,30 @@ def test_best_improvement_respects_iteration_budget():
     assert result.iterations <= 70 + 31  # at most one trailing block
 
 
+def test_best_improvement_block_is_the_candidate_set():
+    # Under first-improvement the block size only moves wall-clock; under
+    # best-improvement the block is the candidate set the committed move
+    # is picked from, so the trajectory moves with it.  A block of one is
+    # the per-move loop in both modes.
+    graph = CommunicationGraph.mesh_2d(3, 3)
+    costs = deterministic_cost_matrix(12, seed=5)
+    problem = DeploymentProblem(graph, costs,
+                                objective=Objective.LONGEST_LINK)
+
+    def costs_by_block(acceptance):
+        return [SwapLocalSearch(seed=5, acceptance=acceptance).solve(
+                    problem,
+                    budget=SearchBudget(time_limit_s=30.0,
+                                        max_iterations=200,
+                                        peek_block=block)).cost
+                for block in (1, 4, 32)]
+
+    first, best = costs_by_block("first"), costs_by_block("best")
+    assert len(set(first)) == 1
+    assert best[0] == first[0]
+    assert len(set(best)) == 3
+
+
 def test_best_improvement_is_registry_visible():
     spec = default_registry.spec("local-search")
     assert spec.supports_best_improvement
@@ -489,6 +556,38 @@ def test_batch_peek_counters_surface_in_parallel_stats():
         assert key in payload
     reset_parallel_stats()
     assert parallel_stats().batch_peek_calls == 0
+
+
+def test_peek_and_commit_counters_count_each_evaluation_once():
+    # The solvers' peek-then-apply sequence scores a move once: a repeated
+    # peek and the commit that follows it hit the last-peek memo.
+    graph, costs = _random_instance(21)
+    problem = compile_problem(graph, costs)
+    evaluator = problem.delta_evaluator(
+        problem.random_assignments(1, 21)[0], Objective.LONGEST_LINK)
+    before = delta_counters()
+    evaluator.swap_cost(0, 1)
+    evaluator.swap_cost(0, 1)
+    evaluator.apply_swap(0, 1)
+    evaluator.swap_cost(0, 1)  # the state moved: a fresh evaluation
+    evaluator.peek_many(MoveBatch.from_moves([("swap", 0, 1),
+                                              ("swap", 1, 2)]))
+    after = delta_counters()
+    assert tuple(a - b for a, b in zip(after, before)) == (2, 1, 1, 2)
+
+
+def test_reset_parallel_stats_zeroes_every_counter():
+    graph, costs = _random_instance(23)
+    problem = compile_problem(graph, costs)
+    evaluator = problem.delta_evaluator(
+        problem.random_assignments(1, 23)[0], Objective.LONGEST_LINK)
+    evaluator.apply_swap(0, 1)
+    evaluator.peek_many(MoveBatch.from_moves([("swap", 0, 1)]))
+    assert all(delta_counters())
+    reset_parallel_stats()
+    assert delta_counters() == (0, 0, 0, 0)
+    assert parallel_stats() == ParallelStats()
+    assert set(AdvisorSession().stats.to_dict()["parallel"].values()) == {0}
 
 
 def test_batch_peek_counters_reach_session_stats():

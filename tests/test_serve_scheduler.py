@@ -24,6 +24,7 @@ from repro.serve import (
     coalesce_key,
     parse_priority,
 )
+from repro.solvers import SearchBudget
 from repro.solvers.registry import default_registry
 from repro.testing import deterministic_cost_matrix
 
@@ -31,6 +32,23 @@ from repro.testing import deterministic_cost_matrix
 def make_problem(seed=0):
     return DeploymentProblem(CommunicationGraph.ring(5),
                              deterministic_cost_matrix(7, seed=seed))
+
+
+def request_body(**budget):
+    """A local-search request body with extra budget keys."""
+    return {"problem": make_problem(5).to_dict(),
+            "solver": "local-search", "config": {"seed": 3},
+            "budget": dict({"max_iterations": 300}, **budget)}
+
+
+def request_keys(**budget):
+    """The coalesce key and the store tag of :func:`request_body`."""
+    request = SolveRequest.from_dict(
+        json.loads(json.dumps(request_body(**budget))))
+    policy = WatchPolicy(solver=request.solver, config=request.config,
+                         budget=request.budget)
+    return (coalesce_key(default_registry, request),
+            AdvisorSession._solver_cache_tag(request.solver, policy))
 
 
 def make_job(scheduler, tenant="public", priority=PRIORITY_INTERACTIVE,
@@ -188,21 +206,24 @@ class TestCoalescing:
         """A stale ``"workers"`` budget key is ignored like any unknown
         key: the body coalesces with, and is served the stored result of,
         the same body without it.  ``peek_block`` still separates keys."""
-        def keys(**budget):
-            body = {"problem": make_problem(5).to_dict(),
-                    "solver": "local-search", "config": {"seed": 3},
-                    "budget": dict({"max_iterations": 300}, **budget)}
-            request = SolveRequest.from_dict(json.loads(json.dumps(body)))
-            policy = WatchPolicy(solver=request.solver,
-                                 config=request.config,
-                                 budget=request.budget)
-            return (coalesce_key(default_registry, request),
-                    AdvisorSession._solver_cache_tag(request.solver, policy))
+        assert request_keys(workers=2) == request_keys()
+        coalesce, store_tag = request_keys(peek_block=8)
+        assert coalesce != request_keys()[0]
+        assert store_tag != request_keys()[1]
 
-        assert keys(workers=2) == keys()
-        coalesce, store_tag = keys(peek_block=8)
-        assert coalesce != keys()[0]
-        assert store_tag != keys()[1]
+    @pytest.mark.parametrize("workers", [
+        None, "auto", 3, "procs", "procs:auto", "procs:4",
+        "procs:", "procs:x", "procs:0", "procs:-1", "procs=2", "prox",
+        "", 0, -2, 1.5,
+    ])
+    def test_every_former_workers_spec_is_ignored(self, workers):
+        """Every value of the removed knob's grammar, the ones it accepted
+        and the ones it rejected, now parses and is dropped."""
+        budget = SolveRequest.from_dict(json.loads(json.dumps(
+            request_body(workers=workers)))).budget
+        assert budget == SearchBudget(max_iterations=300)
+        assert "workers" not in budget.to_dict()
+        assert request_keys(workers=workers) == request_keys()
 
     def test_running_job_still_coalesces_until_completed(self):
         scheduler = FairScheduler()

@@ -210,6 +210,22 @@ class TestAppDispatch:
         assert payload["source"] == "store"
         assert app.metrics.solver_invocations == 1
 
+    def test_leftover_workers_budget_key_served_from_store(self, app):
+        # A body still carrying the removed "workers" budget key is
+        # accepted and served the stored result of the body without it.
+        plain = solve_body(budget={"max_iterations": 200})
+        legacy = solve_body(budget={"max_iterations": 200,
+                                    "workers": "procs:2"})
+        _, first = app.handle("POST", "/v1/solve",
+                              body=json.dumps(plain).encode())
+        status, second = app.handle("POST", "/v1/solve",
+                                    body=json.dumps(legacy).encode())
+        assert status == 200
+        assert first["source"] == "solver"
+        assert second["source"] == "store"
+        assert second["response"]["result"] == first["response"]["result"]
+        assert app.metrics.solver_invocations == 1
+
     def test_async_solve_then_poll(self, app):
         status, payload = app.handle(
             "POST", "/v1/solve",
