@@ -16,6 +16,9 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
 * block-scored neighborhood peeks: scoring candidate-move blocks through
   ``DeltaEvaluator.peek_many`` versus the per-move peek loop the search
   solvers ran before the vectorized neighborhood kernels;
+* one G2 greedy construction on the n = 100 mesh through the vectorized
+  step kernel (one score matrix and ``argmin`` per step) versus the
+  per-(frontier instance, unmapped neighbor) loop it replaced;
 * the CP labeling bounds (compatibility domains and per-assignment cost
   lower bounds) computed from ``CompiledProblem`` index arrays versus the
   dict-walking reference implementations;
@@ -70,7 +73,7 @@ from repro.core import (
     compile_problem,
     deployment_cost,
 )
-from repro.solvers import SearchBudget, SwapLocalSearch
+from repro.solvers import GreedyG2, SearchBudget, SwapLocalSearch
 from repro.solvers.cp.labeling import (
     assignment_cost_lower_bounds_reference,
     compatibility_domains,
@@ -393,6 +396,78 @@ def bench_neighborhood_batch(block=64):
         lp_problem, Objective.LONGEST_PATH, n, block, SEED + 23)
     lp = (lp_graph, loop_s, batch_s, speedup)
     return ll, lp
+
+
+class PerPairG2(GreedyG2):
+    """G2 with the candidate scan it ran before the vectorized step kernel.
+
+    Every step rescans the partial deployment for frontier instances and
+    runs one NumPy pass per (frontier instance, unmapped neighbor) pair:
+    a gather of the explicit link costs, one ``np.maximum`` per mapped
+    neighbor of the candidate node, and an ``argmin`` kept on strict
+    improvement.  The state keeps no implicit-cost table for it
+    (``implicit_links = False``): this loop charges the implicit links
+    itself.
+    """
+
+    implicit_links = False
+
+    def _best_candidate(self, state):
+        graph, problem = state.graph, state.problem
+        cost_array = problem.cost_array
+        free_list = list(state.unused_instances)
+        if not free_list:
+            return None
+        free_idx = np.fromiter((problem.instance_idx(v) for v in free_list),
+                               dtype=np.intp, count=len(free_list))
+        best_cost, best = float("inf"), None
+        for u, anchor in state.instance_to_node.items():
+            u_idx = problem.instance_idx(u)
+            for w in graph.neighbors(anchor):
+                if w not in state.unmapped_nodes:
+                    continue
+                w_free_idx = state.allowed_unused_idx(w, free_idx)
+                if not w_free_idx.size:
+                    continue
+                candidate = cost_array[u_idx, w_free_idx].copy()
+                for x in graph.successors(w):
+                    mapped = state.node_to_instance.get(x)
+                    if mapped is not None:
+                        np.maximum(candidate, cost_array[
+                            w_free_idx, problem.instance_idx(mapped)],
+                            out=candidate)
+                for x in graph.predecessors(w):
+                    mapped = state.node_to_instance.get(x)
+                    if mapped is not None:
+                        np.maximum(candidate, cost_array[
+                            problem.instance_idx(mapped), w_free_idx],
+                            out=candidate)
+                k = int(np.argmin(candidate))
+                if candidate[k] < best_cost:
+                    best_cost = float(candidate[k])
+                    best = (w, problem.instance_ids[int(w_free_idx[k])])
+        return best
+
+
+def bench_greedy_g2(repeats=3):
+    """(loop_s, kernel_s, speedup) for one G2 construction on a 10x10 mesh.
+
+    The paper's behavioural-simulation graph at n = 100 (m = 110), the
+    G2 class of the end-to-end search-ll workload.  Both paths must build
+    the same plan with the same cost and step count.
+    """
+    rng = np.random.default_rng(SEED + 6)
+    matrix = rng.uniform(0.2, 1.4, size=(NUM_INSTANCES, NUM_INSTANCES))
+    np.fill_diagonal(matrix, 0.0)
+    problem = DeploymentProblem(
+        CommunicationGraph.mesh_2d(10, 10),
+        CostMatrix(list(range(NUM_INSTANCES)), matrix))
+    loop_s, loop = _best_of(repeats, lambda: PerPairG2().solve(problem))
+    kernel_s, kernel = _best_of(repeats, lambda: GreedyG2().solve(problem))
+    assert kernel.plan.as_dict() == loop.plan.as_dict(), \
+        "vectorized G2 step disagrees with the per-pair loop"
+    assert (kernel.cost, kernel.iterations) == (loop.cost, loop.iterations)
+    return loop_s, kernel_s, loop_s / kernel_s
 
 
 def bench_cp_bounds(repeats=5):
@@ -743,6 +818,14 @@ def build_report():
         f"neighborhood batch peeks longest_path (n={nb_graph.num_nodes}, "
         f"{nb_graph.num_edges} edges, blocks of 64): "
         f"per-move {loop_s:7.3f} s   batch {batch_s:7.3f} s   "
+        f"speedup {speedup:7.1f}x"
+    )
+
+    loop_s, kernel_s, speedup = bench_greedy_g2()
+    metrics["greedy_g2"] = speedup
+    lines.append(
+        f"greedy G2 construction (10x10 mesh, m={NUM_INSTANCES}): "
+        f"per-pair {loop_s * 1e3:7.1f} ms  kernel {kernel_s * 1e3:7.1f} ms  "
         f"speedup {speedup:7.1f}x"
     )
 

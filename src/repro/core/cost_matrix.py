@@ -66,7 +66,8 @@ class CostMatrix:
                 "cost matrix size does not match number of instances"
             )
         off_diag = array[~np.eye(len(ids), dtype=bool)]
-        if off_diag.size and (np.isnan(off_diag).any() or (off_diag < 0).any()):
+        if off_diag.size and (not np.isfinite(off_diag).all()
+                              or (off_diag < 0).any()):
             raise InvalidCostMatrixError("costs must be non-negative and finite")
         self._ids: Tuple[InstanceId, ...] = tuple(ids)
         self._index: Dict[InstanceId, int] = {inst: k for k, inst in enumerate(ids)}

@@ -53,6 +53,18 @@ class TestConstruction:
         with pytest.raises(InvalidCostMatrixError):
             CostMatrix([0, 1], matrix)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_costs(self, bad):
+        matrix = np.ones((3, 3))
+        matrix[2, 0] = bad
+        with pytest.raises(InvalidCostMatrixError, match="finite"):
+            CostMatrix([0, 1, 2], matrix)
+
+    def test_non_finite_diagonal_is_ignored(self):
+        matrix = np.ones((2, 2))
+        np.fill_diagonal(matrix, np.inf)
+        assert CostMatrix([0, 1], matrix).cost(0, 0) == 0.0
+
     def test_rejects_duplicate_ids(self):
         with pytest.raises(InvalidCostMatrixError):
             CostMatrix([0, 0], np.ones((2, 2)))

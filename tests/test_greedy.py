@@ -1,7 +1,11 @@
 """Tests for the greedy deployment algorithms G1 and G2."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CommunicationGraph,
@@ -11,8 +15,10 @@ from repro.core import (
     Objective,
     PlacementConstraints,
 )
+from repro.core.errors import InfeasibleProblemError
 from repro.core.objectives import deployment_cost, longest_link_cost
 from repro.solvers import GreedyG1, GreedyG2, RandomSearch
+from repro.solvers import greedy
 
 from conftest import deterministic_cost_matrix
 
@@ -175,3 +181,78 @@ class TestGreedyWarmStart:
     def test_declares_warm_start_capability(self):
         assert GreedyG1.supports_warm_start
         assert GreedyG2.supports_warm_start
+
+
+@st.composite
+def greedy_problems(draw):
+    """Small problems with tied integer costs, non-contiguous instance ids,
+    arbitrary directed edges (possibly disconnected) and, sometimes, a pin
+    and a forbidden instance."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    m = n + draw(st.integers(min_value=0, max_value=3))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.sets(pair.filter(lambda e: e[0] != e[1]),
+                         max_size=3 * n))
+    ids = draw(st.lists(st.integers(0, 10 * m), min_size=m, max_size=m,
+                        unique=True))
+    values = draw(st.lists(st.integers(1, 3), min_size=m * m,
+                           max_size=m * m))
+    costs = CostMatrix(ids, np.array(values, dtype=float).reshape(m, m))
+    constraints = None
+    if draw(st.booleans()):
+        pinned, banned = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                       max_size=2, unique=True))
+        constraints = PlacementConstraints(
+            pinned={pinned: draw(st.sampled_from(ids))},
+            forbidden={banned: {draw(st.sampled_from(ids))}})
+    try:
+        return DeploymentProblem(CommunicationGraph(range(n), edges), costs,
+                                 constraints=constraints)
+    except InfeasibleProblemError:
+        assume(False)
+
+
+def assert_state_invariants(state):
+    """The incrementally kept state equals a from-scratch recomputation."""
+    graph, problem = state.graph, state.problem
+    rescan = [instance for instance, node in state.instance_to_node.items()
+              if any(y in state.unmapped_nodes for y in graph.neighbors(node))]
+    assert state.frontier_instances() == rescan
+    assert state.unused_indices().tolist() == [
+        problem.instance_idx(v) for v in state.unused_instances]
+    if state.floor is None:
+        return
+    cost = problem.cost_array
+    for w in state.unmapped_nodes:
+        expected = np.full(problem.num_instances, -np.inf)
+        if state.implicit:
+            for x in graph.successors(w):  # edge w -> x costs CL(v, x's)
+                if x in state.node_to_instance:
+                    expected = np.maximum(expected, cost[:, problem.instance_idx(
+                        state.node_to_instance[x])])
+            for x in graph.predecessors(w):  # edge x -> w costs CL(x's, v)
+                if x in state.node_to_instance:
+                    expected = np.maximum(expected, cost[problem.instance_idx(
+                        state.node_to_instance[x])])
+        if state.view is not None:
+            expected[~state.view.allowed_mask[problem.node_idx(w)]] = np.inf
+        assert np.array_equal(state.floor[problem.node_idx(w)], expected)
+
+
+class _CheckedState(greedy._GreedyState):
+    def assign(self, node, instance):
+        super().assign(node, instance)
+        assert_state_invariants(self)
+
+
+class TestGreedyStateInvariants:
+    """The frontier, free-instance order and floor table kept at ``assign``
+    time match a full rescan after every assignment of a real construction."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=greedy_problems())
+    def test_incremental_state_matches_rescan(self, problem):
+        with mock.patch.object(greedy, "_GreedyState", _CheckedState):
+            for solver_class in (GreedyG1, GreedyG2):
+                result = solver_class().solve(problem)
+                problem.check_plan(result.plan)

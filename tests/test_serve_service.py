@@ -359,6 +359,16 @@ class TestAppDispatch:
         status, payload = app.handle("POST", "/v1/solve", body=b"{oops")
         assert status == 400 and "JSON" in payload["error"]
 
+    def test_infinite_cost_is_400_before_any_solve(self, app):
+        body = solve_body()
+        body["problem"]["costs"]["matrix"][0][1] = float("inf")
+        encoded = json.dumps(body).encode()  # the bare Infinity token
+        assert b"Infinity" in encoded
+        status, payload = app.handle("POST", "/v1/solve", body=encoded)
+        assert status == 400
+        assert "non-negative and finite" in payload["error"]
+        assert app.metrics.solver_invocations == 0
+
     def test_tenant_header_lands_on_the_job(self, app):
         status, payload = app.handle(
             "POST", "/v1/solve", headers={"x-tenant": "acme"},
