@@ -8,7 +8,6 @@ heterogeneity.  One benchmark per provider regenerates both the CDF and the
 stability trace.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis import cdf_points, empirical_cdf, format_series, format_table

@@ -34,7 +34,6 @@ from .core import (
 from .core.advisor import AdvisorConfig, AdvisorReport, ClouDiA, MeasurementConfig
 from .api import (
     AdvisorSession,
-    ResultCache,
     SessionStats,
     SolveRequest,
     SolverResponse,
@@ -99,7 +98,6 @@ __all__ = [
     "PortfolioSolver",
     "ProviderProfile",
     "RandomSearch",
-    "ResultCache",
     "SearchBudget",
     "SessionStats",
     "SimulatedCloud",

@@ -14,7 +14,6 @@ pipeline can be driven from serialized artifacts (see the CLI's ``solve``
 and ``solve-batch`` commands).
 """
 
-from .cache import ResultCache, ResultCacheStats
 from .schema import AUTO_SOLVER, SolveRequest, SolverResponse, SolveTelemetry
 from .session import AdvisorSession, SessionStats, solve_requests
 from .watch import WatchEvent, WatchPolicy, WatchReport
@@ -22,8 +21,6 @@ from .watch import WatchEvent, WatchPolicy, WatchReport
 __all__ = [
     "AUTO_SOLVER",
     "AdvisorSession",
-    "ResultCache",
-    "ResultCacheStats",
     "SessionStats",
     "SolveRequest",
     "SolverResponse",

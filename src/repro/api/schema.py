@@ -111,20 +111,12 @@ class SolveTelemetry:
             problem (≈0 on a cache hit).
         solve_time_s: the solver's own reported search time.
         total_time_s: end-to-end time the session spent on the request.
-        repair_applied: whether the *base class's* constraint-repair
-            fallback fired on the returned plan.  ``False`` for every
-            natively constraint-aware solver (all built-ins on their
-            engine paths — including the rare dead-end cases they resolve
-            internally with the same matching); ``True`` flags the legacy
-            fallback path, where a constraint-blind search result was
-            repaired after the fact.
     """
 
     compile_cache_hit: bool = False
     compile_time_s: float = 0.0
     solve_time_s: float = 0.0
     total_time_s: float = 0.0
-    repair_applied: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable representation."""
@@ -133,19 +125,21 @@ class SolveTelemetry:
             "compile_time_s": self.compile_time_s,
             "solve_time_s": self.solve_time_s,
             "total_time_s": self.total_time_s,
-            "repair_applied": self.repair_applied,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SolveTelemetry":
-        """Rebuild telemetry from :meth:`to_dict` output."""
+        """Rebuild telemetry from :meth:`to_dict` output.
+
+        Unknown keys are ignored, so telemetry written by older releases
+        stays readable.
+        """
         _require_mapping(payload, "solve telemetry")
         return cls(
             compile_cache_hit=payload.get("compile_cache_hit", False),
             compile_time_s=payload.get("compile_time_s", 0.0),
             solve_time_s=payload.get("solve_time_s", 0.0),
             total_time_s=payload.get("total_time_s", 0.0),
-            repair_applied=payload.get("repair_applied", False),
         )
 
 

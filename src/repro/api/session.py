@@ -18,10 +18,8 @@ things the paper's service framing needs at scale:
   budget; the pool pays off for engine-dominated (NumPy) request mixes.
 * **Telemetry** — every response carries per-request
   :class:`~repro.api.schema.SolveTelemetry` (compile cache hit, compile /
-  solve / total time, and whether the constraint-repair fallback fired —
-  always ``False`` for the natively constraint-aware built-in solvers),
-  and the session aggregates :class:`SessionStats` so a server can export
-  hit rates.
+  solve / total time), and the session aggregates :class:`SessionStats` so
+  a server can export hit rates.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Iterable,
@@ -59,7 +56,6 @@ from ..core.problem import DeploymentProblem
 from ..netmeasure.stream import CostRevision, relative_link_drift
 from ..solvers.base import SearchBudget, SolverResult
 from ..solvers.registry import SolverRegistry, default_registry
-from .cache import ResultCache
 from .schema import AUTO_SOLVER, SolveRequest, SolverResponse, SolveTelemetry
 from .watch import (
     REASON_DEGRADATION,
@@ -152,16 +148,13 @@ class AdvisorSession:
             are evicted beyond it, so a long-lived serving session does not
             grow without bound.  An evicted instance is simply recompiled
             if it is submitted again.
-        result_cache: optional persistent solver-result cache — a
-            :class:`~repro.api.cache.ResultCache`, a durable
-            :class:`~repro.store.SQLiteResultCache` (or anything else
-            satisfying their ``get`` / ``put`` / ``stats`` protocol), or a
-            directory path a JSON ``ResultCache`` is created at.  Used by
-            :meth:`watch` to skip re-solving revisions this or any sibling
-            process already solved — entries are keyed on the problem
-            fingerprint plus solver key, so restarted sessions resume
-            where they left off.  A store-backed cache additionally
-            persists watch history and solve telemetry.
+        result_cache: optional durable
+            :class:`~repro.store.SQLiteResultCache`.  Used by :meth:`watch`
+            to skip re-solving revisions this or any sibling process
+            already solved — entries are keyed on the problem fingerprint
+            plus solver key, so restarted sessions resume where they left
+            off.  The store also receives the watch history and the
+            telemetry of every executed request.
         peek_block: session-wide default for the neighborhood block-size
             knob of :class:`~repro.solvers.base.SearchBudget` — how many
             candidate moves the block-scored search solvers draw and
@@ -177,8 +170,7 @@ class AdvisorSession:
     def __init__(self, registry: Optional[SolverRegistry] = None,
                  max_workers: Optional[int] = None,
                  max_cached_problems: int = 128,
-                 result_cache: Optional[Union[
-                     ResultCache, "SQLiteResultCache", str, Path]] = None,
+                 result_cache: Optional["SQLiteResultCache"] = None,
                  peek_block: Optional[int] = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
@@ -192,8 +184,6 @@ class AdvisorSession:
         self.max_workers = max_workers
         self.peek_block = peek_block
         self.max_cached_problems = max_cached_problems
-        if isinstance(result_cache, (str, Path)):
-            result_cache = ResultCache(result_cache)
         self.result_cache = result_cache
         self._lock = threading.Lock()
         #: Canonical (graph, costs) objects per instance content hash, in
@@ -472,12 +462,16 @@ class AdvisorSession:
 
         report = WatchReport(problem=problem, plan=plan, cost=cost,
                              result=result, events=events)
-        # A store-backed result cache keeps the re-deployment log durable:
-        # the events become queryable history rows, not just this report.
-        history = getattr(self.result_cache, "history", None)
-        if history is not None:
-            history.record_report(report, solver=solver_key,
-                                  root_fingerprint=root_fingerprint)
+        # The store keeps the re-deployment log durable: the events become
+        # queryable history rows, not just this report.  Best effort, like
+        # every store write: a failed write must not lose the report.
+        if self.result_cache is not None:
+            try:
+                self.result_cache.history.record_report(
+                    report, solver=solver_key,
+                    root_fingerprint=root_fingerprint)
+            except StoreError:
+                pass
         return report
 
     def _watch_step(self, problem: DeploymentProblem, solver_key: str,
@@ -512,12 +506,7 @@ class AdvisorSession:
             candidate_cost = result.cost
             with self._lock:
                 self._watch_resolves += 1
-            if self.result_cache is not None:
-                record_problem = getattr(self.result_cache,
-                                         "record_problem", None)
-                if record_problem is not None:
-                    record_problem(problem)
-                self.result_cache.put(fingerprint, cache_tag, result)
+            self.write_back(problem, fingerprint, cache_tag, result)
 
         # Keep the incumbent when the step did not strictly improve on it
         # (a cold or cached plan may be worse than the plan in production).
@@ -544,8 +533,8 @@ class AdvisorSession:
         The problem fingerprint covers everything solver-independent; this
         tag covers the run configuration — solver key plus a digest of the
         policy's solver config (seed included) and budget — so watches
-        sharing a cache directory only reuse each other's results when
-        they would have executed the same solve.
+        sharing a store only reuse each other's results when they would
+        have executed the same solve.
         """
         payload = json.dumps(
             {
@@ -558,6 +547,22 @@ class AdvisorSession:
         )
         digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
         return f"{solver_key}.{digest}"
+
+    def write_back(self, problem: DeploymentProblem, fingerprint: str,
+                   cache_tag: str, result: SolverResult) -> None:
+        """Best-effort write of a solved result into the store.
+
+        The store accelerates later requests; a failed write (lock
+        timeout, full disk) must not fail the solve that produced the
+        result.  Used by :meth:`watch` and by the service's worker pool.
+        """
+        if self.result_cache is None:
+            return
+        try:
+            self.result_cache.record_problem(problem)
+            self.result_cache.put(fingerprint, cache_tag, result)
+        except StoreError:
+            pass
 
     def _cached_result(self, problem: DeploymentProblem, fingerprint: str,
                        cache_tag: str) -> Optional[SolverResult]:
@@ -627,7 +632,6 @@ class AdvisorSession:
                 compile_time_s=compile_time,
                 solve_time_s=result.solve_time_s,
                 total_time_s=time.perf_counter() - started,
-                repair_applied=result.repair_applied,
             )
             response = SolverResponse(
                 request_id=request.request_id, solver=solver_key,
@@ -651,17 +655,16 @@ class AdvisorSession:
 
     def _record_telemetry(self, problem: DeploymentProblem,
                           response: SolverResponse) -> None:
-        """Append the response to a store-backed cache's telemetry stream.
+        """Append the response to the store's telemetry stream.
 
         Best effort: telemetry is observability, so a store failure (lock
         timeout, full disk) must not fail the solve that produced the
         response.
         """
-        recorder = getattr(self.result_cache, "record_telemetry", None)
-        if recorder is None:
+        if self.result_cache is None:
             return
         try:
-            recorder(problem.fingerprint(), response)
+            self.result_cache.record_telemetry(problem.fingerprint(), response)
         except StoreError:
             pass
 

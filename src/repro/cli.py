@@ -247,9 +247,6 @@ def _print_response(response: SolverResponse,
     if response.telemetry is not None:
         rows.append(("compile cache hit",
                      response.telemetry.compile_cache_hit))
-        if problem.constraints is not None:
-            rows.append(("constraint repair applied",
-                         response.telemetry.repair_applied))
     print(format_table(["quantity", "value"], rows,
                        title="solver response"))
 
@@ -439,14 +436,7 @@ def command_watch(args: argparse.Namespace) -> int:
         degradation_threshold=args.degradation_threshold,
         warm_start=not args.cold,
     )
-    if args.store and args.cache_dir:
-        print("error: --store and --cache-dir are alternative result "
-              "caches; pass one of them", file=sys.stderr)
-        return 2
-    if args.store:
-        result_cache = SQLiteResultCache(args.store)
-    else:
-        result_cache = args.cache_dir
+    result_cache = SQLiteResultCache(args.store) if args.store else None
     session = AdvisorSession(result_cache=result_cache)
     report = session.watch(problem, matrices, policy)
 
@@ -547,13 +537,11 @@ def command_solvers(args: argparse.Namespace) -> int:
     for spec in default_registry.specs():
         objectives = ", ".join(obj.value for obj in spec.objectives)
         size = "-" if spec.max_nodes is None else f"<= {spec.max_nodes} nodes"
-        constraints = "native" if spec.supports_constraints else "repair"
         warm = "yes" if spec.supports_warm_start else "no"
         best = "yes" if spec.supports_best_improvement else "no"
-        rows.append((spec.key, objectives, size, constraints, warm, best,
-                     spec.summary))
+        rows.append((spec.key, objectives, size, warm, best, spec.summary))
     print(format_table(
-        ["key", "objectives", "practical size", "constraints", "warm start",
+        ["key", "objectives", "practical size", "warm start",
          "best improve", "description"],
         rows, title="registered solvers",
     ))
@@ -783,14 +771,11 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--cold", action="store_true",
                        help="disable warm-starting re-solves from the "
                             "incumbent plan")
-    watch.add_argument("--cache-dir", default=None,
-                       help="directory of the persistent JSON result cache "
-                            "(shared across processes; default: no cache)")
     watch.add_argument("--store", default=None,
                        help="path of the durable SQLite result + history "
                             "store (WAL mode, shared across processes; "
                             "also records the re-deployment history; "
-                            "alternative to --cache-dir)")
+                            "default: no store)")
     watch.add_argument("--out", default=None,
                        help="path of the re-deployment log JSON to write")
     watch.set_defaults(handler=command_watch)

@@ -9,7 +9,7 @@ simulated provider picks physical hosts for a new allocation request.
 from __future__ import annotations
 
 import abc
-from typing import List, Sequence, Set
+from typing import List, Sequence
 
 import numpy as np
 

@@ -71,11 +71,11 @@ class PlacementConstraints:
     compiled view this class lowers to (:meth:`compile`, cached per
     problem by
     :meth:`~repro.core.problem.DeploymentProblem.compiled_constraints`).
-    The matching-based :meth:`repair` survives as a verified fallback the
-    base :class:`~repro.solvers.base.DeploymentSolver` applies only for
-    solvers that do not declare native support (e.g. the exact solvers'
-    ``use_engine=False`` reference paths); telemetry records whenever it
-    fires.
+    The base :class:`~repro.solvers.base.DeploymentSolver` checks every
+    returned plan and raises if one violates a constraint.  The
+    matching-based :meth:`repair` is what solvers use to make a violating
+    warm start feasible, to complete a dead-ended greedy construction, and
+    to fix the MIP's fallback plan when no solution was found in budget.
     """
 
     __slots__ = ("_pinned", "_forbidden")

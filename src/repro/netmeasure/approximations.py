@@ -10,13 +10,13 @@ correlation statistics behind Figs. 16 and 17.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 from scipy import stats
 
 from ..core.cost_matrix import CostMatrix
-from ..core.types import InstanceId, Link
+from ..core.types import InstanceId
 from ..cloud.provider import SimulatedCloud, ip_distance
 
 

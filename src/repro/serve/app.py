@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qsl
 
-from ..api.cache import ResultCache
 from ..api.schema import SolveRequest, SolverResponse, SolveTelemetry
 from ..core.errors import ClouDiAError, InvalidDeploymentError
 from ..solvers.registry import SolverRegistry
@@ -264,19 +263,17 @@ class AdvisorApp:
         it would turn a graceful-degradation path into spurious errors.
         """
         self.drain(timeout=timeout)
-        closer = getattr(self.store, "close", None)
-        if closer is None:
+        if self.store is None:
             return
         if self.pool.alive():
             print("serve: drain timed out with workers still running; "
                   "leaving the store connection open for stragglers",
                   file=sys.stderr, flush=True)
             return
-        closer()
+        self.store.close()
 
 
-def create_app(store: Optional[Union[SQLiteResultCache, ResultCache,
-                                     str, Path]] = None,
+def create_app(store: Optional[Union[SQLiteResultCache, str, Path]] = None,
                config: Optional[ServeConfig] = None,
                registry: Optional[SolverRegistry] = None,
                start_workers: bool = True) -> AdvisorApp:

@@ -14,9 +14,8 @@ end-to-end latency percentiles.
 from __future__ import annotations
 
 import threading
-from bisect import insort
 from collections import Counter, deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict
 
 #: Default bound on the latency reservoir (most recent samples kept).
 DEFAULT_RESERVOIR = 2048
@@ -46,23 +45,21 @@ class LatencyReservoir:
         self._count += 1
         self._total += float(latency_s)
 
-    def percentile(self, q: float) -> Optional[float]:
-        """The ``q``-quantile (0..1) over the window, ``None`` when empty."""
-        if not self._samples:
-            return None
-        ordered: list = []
-        for sample in self._samples:
-            insort(ordered, sample)
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
-
     def to_dict(self) -> Dict:
-        """Count, mean and the exported percentiles (seconds)."""
+        """Count, mean and the exported percentiles (seconds).
+
+        The window is sorted once per snapshot; each percentile ``q`` is
+        the nearest-rank sample at index ``round(q * (len - 1))``, and
+        ``None`` while the window is empty.
+        """
         mean = self._total / self._count if self._count else None
+        ordered = sorted(self._samples)
+        last = len(ordered) - 1
         return {
             "count": self._count,
             "mean_s": mean,
-            **{f"p{int(q * 100)}_s": self.percentile(q)
+            **{f"p{int(q * 100)}_s":
+               ordered[min(last, max(0, round(q * last)))] if ordered else None
                for q in LATENCY_PERCENTILES},
         }
 

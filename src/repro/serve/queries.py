@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..solvers.registry import SolverRegistry
-from ..store.history import WatchRunSummary
+from ..store import SQLiteResultCache
+from ..store.history import WatchHistory, WatchRunSummary
 from .dependencies import HttpError
 
 
@@ -40,7 +41,17 @@ def run_summary_payload(summary: WatchRunSummary) -> Dict:
     }
 
 
-def history_runs(store, root_fingerprint: Optional[str] = None
+def _history(store: Optional[SQLiteResultCache]) -> WatchHistory:
+    """The store's watch history; 503 when serving without a store."""
+    if store is None:
+        raise HttpError(
+            503, "history requires a durable store; start the service "
+                 "with --store")
+    return store.history
+
+
+def history_runs(store: Optional[SQLiteResultCache],
+                 root_fingerprint: Optional[str] = None
                  ) -> List[WatchRunSummary]:
     """Recorded watch runs, newest first, optionally for one root problem.
 
@@ -48,28 +59,18 @@ def history_runs(store, root_fingerprint: Optional[str] = None
         HttpError: 503 when the service runs without a durable store
             (history needs one — there is nothing to read otherwise).
     """
-    history = getattr(store, "history", None)
-    if history is None:
-        raise HttpError(
-            503, "history requires a durable store; start the service "
-                 "with --store")
-    runs = history.runs(root_fingerprint)
+    runs = _history(store).runs(root_fingerprint)
     runs.reverse()  # newest first: page 0 is the most recent activity
     return runs
 
 
-def run_events(store, run_id: int) -> List[Dict]:
+def run_events(store: Optional[SQLiteResultCache], run_id: int) -> List[Dict]:
     """The full event log of one recorded run, as JSON dicts.
 
     Raises:
         HttpError: 503 without a store, 404 for an unknown run id.
     """
-    history = getattr(store, "history", None)
-    if history is None:
-        raise HttpError(
-            503, "history requires a durable store; start the service "
-                 "with --store")
-    events = history.events(run_id)
+    events = _history(store).events(run_id)
     if not events:
         raise HttpError(404, f"unknown watch run {run_id}")
     return [event.to_dict() for event in events]

@@ -19,7 +19,6 @@ import traceback
 from typing import List, Optional
 
 from ..api.session import AdvisorSession
-from ..core.errors import StoreError
 from .metrics import ServiceMetrics
 from .scheduler import FairScheduler, Job, JobTable
 
@@ -33,8 +32,8 @@ class WorkerPool:
 
     Args:
         scheduler: the shared fair queue to drain.
-        session: the advisor session requests run through; its result
-            cache (when store-backed) also receives every solved result.
+        session: the advisor session requests run through; its store (when
+            it has one) also receives every solved result.
         metrics: service counters (solver invocations, errors).
         workers: number of worker threads.
         jobs: the job table finished jobs are retired into, moving them
@@ -92,7 +91,8 @@ class WorkerPool:
             response = self.session.solve_many([job.request])[0]
             self.metrics.record_solver_run(error=not response.ok)
             if response.ok:
-                self._persist(job, response)
+                self.session.write_back(job.request.problem, job.fingerprint,
+                                        job.cache_tag, response.result)
                 job.source = "solver"
                 job.finish(response=response)
             else:
@@ -104,23 +104,6 @@ class WorkerPool:
             self.scheduler.complete(job)
             if self.jobs is not None:
                 self.jobs.retire(job)
-
-    def _persist(self, job: Job, response) -> None:
-        """Best-effort write of the solved result into the result cache.
-
-        The store accelerates future requests; a failed write (full disk,
-        lock timeout) must not fail the solve that produced the response.
-        """
-        cache = self.session.result_cache
-        if cache is None or response.result is None:
-            return
-        try:
-            record_problem = getattr(cache, "record_problem", None)
-            if record_problem is not None:
-                record_problem(job.request.problem)
-            cache.put(job.fingerprint, job.cache_tag, response.result)
-        except (StoreError, OSError):
-            pass
 
     def alive(self) -> bool:
         """Whether any worker thread is still running."""

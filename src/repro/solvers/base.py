@@ -9,16 +9,13 @@ benchmarks can compare them under equal conditions, as the paper does
 (Sect. 6.5).
 
 The public entry point is :meth:`DeploymentSolver.solve`, which takes the
-problem object; the historical ``solve(graph, costs, objective=...)``
-positional form is still accepted through a deprecation shim that wraps the
-arguments into a problem and warns.
+problem object and keyword-only ``budget`` / ``initial_plan``.
 """
 
 from __future__ import annotations
 
 import abc
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -32,14 +29,6 @@ from ..core.evaluation import CompiledProblem, compile_problem
 from ..core.objectives import Objective
 from ..core.problem import DeploymentProblem
 from ..core.types import make_rng
-
-#: Message of the deprecation warning emitted by the legacy ``solve`` form;
-#: the pytest configuration filters on its prefix to keep tier-1 clean.
-_LEGACY_SOLVE_MESSAGE = (
-    "Passing (graph, costs, objective) to DeploymentSolver.solve() is "
-    "deprecated; construct a DeploymentProblem and call "
-    "solve(problem, budget=..., initial_plan=...) instead"
-)
 
 
 @dataclass(frozen=True)
@@ -186,12 +175,6 @@ class SolverResult:
     #: Proven lower bound on the optimal cost, when the solver derives one
     #: (the CP solver's degree-based bound, a MIP's best LP bound).
     lower_bound: Optional[float] = None
-    #: Whether the *base class's* repair fallback fired after the search
-    #: to satisfy placement constraints.  Always ``False`` for natively
-    #: constraint-aware solvers (which guarantee feasibility themselves,
-    #: even on search dead-ends); ``True`` marks the legacy fallback that
-    #: post-hoc repairs a constraint-blind search result.
-    repair_applied: bool = False
 
     def improvement_over(self, baseline_cost: float) -> float:
         """Relative improvement of this result over a baseline cost.
@@ -220,12 +203,15 @@ class SolverResult:
             "optimal": self.optimal,
             "trace": [[when, cost] for when, cost in self.trace],
             "lower_bound": self.lower_bound,
-            "repair_applied": self.repair_applied,
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SolverResult":
-        """Rebuild a result from :meth:`to_dict` output."""
+        """Rebuild a result from :meth:`to_dict` output.
+
+        Unknown keys are ignored, so results stored by older releases stay
+        readable.
+        """
         try:
             return cls(
                 plan=DeploymentPlan.from_dict(payload["plan"]),
@@ -238,7 +224,6 @@ class SolverResult:
                 trace=tuple((when, cost)
                             for when, cost in payload.get("trace", [])),
                 lower_bound=payload.get("lower_bound"),
-                repair_applied=payload.get("repair_applied", False),
             )
         except (KeyError, TypeError) as exc:
             raise SolverError(
@@ -251,10 +236,9 @@ class DeploymentSolver(abc.ABC):
 
     Subclasses implement :meth:`_solve`, which receives a validated
     :class:`~repro.core.problem.DeploymentProblem`.  The public
-    :meth:`solve` entry point normalises arguments (including the
-    deprecated ``solve(graph, costs, objective=...)`` form), checks that
-    the solver supports the problem's objective, and enforces placement
-    constraints on the returned plan.
+    :meth:`solve` entry point checks that the solver supports the problem's
+    objective and that the returned plan honours the problem's placement
+    constraints, which every solver enforces natively inside its search.
     """
 
     #: Human-readable solver name used in results and benchmark output.
@@ -266,25 +250,14 @@ class DeploymentSolver(abc.ABC):
         Objective.LONGEST_PATH,
     )
 
-    #: Objective assumed by the deprecated positional ``solve`` form when
-    #: the caller does not name one.
-    default_objective: Objective = Objective.LONGEST_LINK
-
-    #: Whether this solver class enforces placement constraints natively
-    #: during the search (drawing candidates only from the allowed region)
-    #: instead of relying on the base class's post-hoc repair.  Registered
-    #: through :class:`~repro.solvers.registry.SolverSpec` as a capability.
-    supports_constraints: bool = False
-
     #: Whether this solver class makes productive use of ``initial_plan``:
     #: search solvers start from it, exact solvers seed their incumbent /
     #: initial upper bound with it, constructive solvers treat its cost as
     #: an upper bound on the result they return.  This is what makes
     #: re-solving after a small cost drift cost a fraction of a cold solve.
     #: Registered through :class:`~repro.solvers.registry.SolverSpec` as a
-    #: capability; a legacy solver that ignores ``initial_plan`` should
-    #: leave this ``False`` so the watch loop knows a warm start buys
-    #: nothing.
+    #: capability; a solver that ignores ``initial_plan`` should leave
+    #: this ``False`` so the watch loop knows a warm start buys nothing.
     supports_warm_start: bool = False
 
     #: Whether this solver class offers an opt-in best-improvement
@@ -293,15 +266,6 @@ class DeploymentSolver(abc.ABC):
     #: Registered through :class:`~repro.solvers.registry.SolverSpec` as a
     #: capability so clients can discover it before configuring a solver.
     supports_best_improvement: bool = False
-
-    def handles_constraints(self, problem: DeploymentProblem) -> bool:
-        """Whether this *instance* natively enforces ``problem``'s constraints.
-
-        Defaults to the class capability; solvers with a legacy reference
-        path (``use_engine=False``) override this to fall back to the
-        repair on that path.
-        """
-        return self.supports_constraints
 
     def check_problem(self, problem: DeploymentProblem) -> None:
         """Validate that this solver can work on ``problem``.
@@ -326,77 +290,34 @@ class DeploymentSolver(abc.ABC):
         """
         return compile_problem(graph, costs)
 
-    def solve(self, problem: DeploymentProblem | CommunicationGraph,
-              costs: CostMatrix | None = None,
-              objective: Objective | None = None,
+    def solve(self, problem: DeploymentProblem, *,
               budget: SearchBudget | None = None,
               initial_plan: DeploymentPlan | None = None) -> SolverResult:
         """Search for a low-cost deployment plan.
 
         Args:
-            problem: the deployment problem to solve.  Passing a
-                :class:`~repro.core.communication_graph.CommunicationGraph`
-                here (with ``costs`` and optionally ``objective``) is the
-                deprecated legacy form; it still works but emits a
-                :class:`DeprecationWarning`.
-            costs: legacy form only — pairwise costs over instances.
-            objective: legacy form only — the cost function to minimise.
+            problem: the deployment problem to solve.
             budget: optional time / iteration limits.
             initial_plan: optional warm-start plan.
 
         Returns:
             The best plan found, its cost, and bookkeeping information.
-            When the problem carries placement constraints, a natively
-            constraint-aware solver (``handles_constraints``) must return
-            a feasible plan — the base class asserts it; for legacy
-            solvers the plan is repaired to satisfy the constraints and
-            re-scored (``optimal`` is cleared and ``repair_applied`` set
-            if the repair changed the plan).
+
+        Raises:
+            SolverError: when the solver does not support the problem's
+                objective, or returns a plan that violates the problem's
+                placement constraints.
         """
-        if isinstance(problem, DeploymentProblem):
-            if costs is not None or objective is not None:
-                raise TypeError(
-                    "solve(problem, ...) does not accept costs/objective; "
-                    "they are part of the DeploymentProblem"
-                )
-        else:
-            warnings.warn(_LEGACY_SOLVE_MESSAGE, DeprecationWarning,
-                          stacklevel=2)
-            if costs is None:
-                raise TypeError(
-                    "legacy solve(graph, costs, ...) form requires a cost "
-                    "matrix as the second argument"
-                )
-            chosen = objective if objective is not None else self.default_objective
-            if chosen not in self.supported_objectives:
-                raise SolverError(
-                    f"{self.name} does not support objective {chosen.value}"
-                )
-            problem = DeploymentProblem(problem, costs, objective=chosen)
         self.check_problem(problem)
         result = self._solve(problem, budget=budget, initial_plan=initial_plan)
         constraints = problem.constraints
         if constraints is not None:
-            if self.handles_constraints(problem):
-                violations = constraints.violations(result.plan)
-                if violations:
-                    raise SolverError(
-                        f"{self.name} declares native constraint support "
-                        f"but returned a violating plan: "
-                        + "; ".join(violations[:3])
-                    )
-            elif not constraints.satisfied_by(result.plan):
-                plan = constraints.repair(result.plan,
-                                          problem.costs.instance_ids)
-                cost = problem.evaluate(plan)
-                trace = result.trace
-                if trace and cost > trace[-1][1]:
-                    # The repaired plan is the one actually returned; close
-                    # the convergence trace with its honest (possibly
-                    # worse) cost.
-                    trace = trace + ((result.solve_time_s, cost),)
-                result = replace(result, plan=plan, cost=cost, optimal=False,
-                                 trace=trace, repair_applied=True)
+            violations = constraints.violations(result.plan)
+            if violations:
+                raise SolverError(
+                    f"{self.name} returned a plan violating the placement "
+                    f"constraints: " + "; ".join(violations[:3])
+                )
         return result
 
     @abc.abstractmethod

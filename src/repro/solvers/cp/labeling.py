@@ -7,15 +7,16 @@ application node can only be mapped to an instance whose in/out degree is at
 least as large, and whose neighborhood degree profile dominates the node's.
 This module computes those initial domains for a given threshold graph.
 
-Two implementations coexist.  The default entry points
-(:func:`compatibility_domains`, :func:`quick_infeasibility_check`) are
-vectorized over NumPy arrays — node degrees and neighbour-degree profiles
-come from :class:`~repro.core.evaluation.CompiledProblem` index arrays when
-one is supplied — because at paper scale (100+ nodes, 110+ instances) the
-per-(node, instance) Python loop dominates each threshold iteration of the
-CP solver.  The original dict-walking versions are kept as the reference
-oracle (``*_reference``) and the tests assert both produce identical
-domains on random instances.
+The CP solver uses the vectorized entry points
+(:func:`compatibility_domains`, :func:`quick_infeasibility_check`): node
+degrees and neighbour-degree profiles come from
+:class:`~repro.core.evaluation.CompiledProblem` index arrays when one is
+supplied, because at paper scale (100+ nodes, 110+ instances) a
+per-(node, instance) Python loop would dominate each threshold iteration.
+The dict-walking ``*_reference`` builders are not on any solver path; they
+are the oracles ``tests/test_exact_engine_agreement.py`` checks the
+vectorized builders against on random instances, and the baselines
+``benchmarks/bench_evaluation_engine.py`` times them against.
 """
 
 from __future__ import annotations

@@ -16,9 +16,8 @@ engine (:func:`repro.core.evaluation.compile_problem`): incumbents are
 scored with ``evaluate_plan``, threshold graphs come from
 ``threshold_adjacency`` over the compiled cost array, and the per-assignment
 degree bounds yield a proven lower bound that terminates the threshold loop
-early once the incumbent provably cannot improve.  ``use_engine=False``
-keeps the original dict-walking oracle path; the agreement tests assert both
-paths return bit-identical plans, costs and bounds seed for seed.
+early once the incumbent provably cannot improve.  Seeded results are pinned
+in ``tests/data/cp_golden.json``.
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-import numpy as np
-
 from ...core.deployment import DeploymentPlan
 from ...core.evaluation import compile_problem
-from ...core.objectives import Objective, deployment_cost
+from ...core.objectives import Objective
 from ...core.problem import DeploymentProblem
 from ...core.types import make_rng
 from ..base import (
@@ -44,7 +41,6 @@ from ..base import (
     constrained_warm_start,
     default_limits,
 )
-from .labeling import longest_link_lower_bound_reference
 from .subgraph import SubgraphMonomorphismSearch
 
 
@@ -61,35 +57,21 @@ class CPLongestLinkSolver(DeploymentSolver):
         max_backtracks_per_iteration: optional cap on backtracks within one
             satisfaction search, to bound worst-case behaviour.
         seed: RNG seed for the initial random plans.
-        use_engine: score plans and compute bounds through the compiled
-            evaluation engine (default); ``False`` uses the pure-Python
-            oracle in :mod:`repro.core.objectives`, kept as the reference.
     """
 
     name = "CP"
     supported_objectives = (Objective.LONGEST_LINK,)
-    supports_constraints = True
     #: The incumbent seeds the threshold loop: a warm start at cost ``c``
     #: means the first satisfaction search already runs at the next
     #: distinct cost below ``c``, so a near-optimal incumbent (the usual
     #: case after a small drift) skips almost the whole threshold descent.
     supports_warm_start = True
 
-    def handles_constraints(self, problem: DeploymentProblem) -> bool:
-        """Constraints are lowered into the search on the engine path only.
-
-        The ``use_engine=False`` oracle path is kept bit-identical to the
-        historical solver and therefore still relies on the base-class
-        repair.
-        """
-        return self.use_engine
-
     def __init__(self, k_clusters: Optional[int] = 20, round_to: float | None = 0.01,
                  initial_random_plans: int = 10,
                  max_backtracks_per_iteration: int | None = 200_000,
                  matching_check_interval: int = 8,
-                 seed: int | None = None,
-                 use_engine: bool = True):
+                 seed: int | None = None):
         if k_clusters is not None and k_clusters < 2:
             raise ValueError("k_clusters must be at least 2 (or None)")
         self.k_clusters = k_clusters
@@ -98,7 +80,6 @@ class CPLongestLinkSolver(DeploymentSolver):
         self.max_backtracks_per_iteration = max_backtracks_per_iteration
         self.matching_check_interval = matching_check_interval
         self._seed = seed
-        self.use_engine = use_engine
 
     def _solve(self, problem: DeploymentProblem,
                budget: SearchBudget | None = None,
@@ -110,49 +91,30 @@ class CPLongestLinkSolver(DeploymentSolver):
         rng = make_rng(self._seed)
 
         clustered = costs.clustered(self.k_clusters, round_to=self.round_to)
-        cost_array = clustered.as_array()
         instance_ids = list(clustered.instance_ids)
 
-        # Placement constraints are lowered into the search itself on the
-        # engine path: the allowed mask restricts the CP domains and
-        # tightens both lower bounds (the clustered matrix preserves
-        # instance ids and order, so one mask serves both engines).
-        view = (problem.compiled_constraints()
-                if self.use_engine else None)
+        # Placement constraints are lowered into the search itself: the
+        # allowed mask restricts the CP domains and tightens both lower
+        # bounds (the clustered matrix preserves instance ids and order, so
+        # one mask serves both engines).
+        view = problem.compiled_constraints()
         mask = None if view is None else view.allowed_mask
 
-        if self.use_engine:
-            engine = compile_problem(graph, costs)
-            clustered_engine = compile_problem(graph, clustered)
+        engine = compile_problem(graph, costs)
+        clustered_engine = compile_problem(graph, clustered)
 
-            def true_cost(plan: DeploymentPlan) -> float:
-                return engine.evaluate_plan(plan, objective)
+        def true_cost(plan: DeploymentPlan) -> float:
+            return engine.evaluate_plan(plan, objective)
 
-            def clustered_cost(plan: DeploymentPlan) -> float:
-                return clustered_engine.evaluate_plan(plan, objective)
+        def clustered_cost(plan: DeploymentPlan) -> float:
+            return clustered_engine.evaluate_plan(plan, objective)
 
-            # Two bounds: the clustered one gates the threshold loop (it
-            # lives in the same value space as the thresholds), while the
-            # reported lower bound comes from the true costs so it is a
-            # proven bound on the actual optimum (clustering can round a
-            # cost upward past it).
-            clustered_lower_bound = clustered_engine.longest_link_lower_bound(mask)
-            lower_bound = engine.longest_link_lower_bound(mask)
-        else:
-            clustered_engine = None
-
-            def true_cost(plan: DeploymentPlan) -> float:
-                return deployment_cost(plan, graph, costs, objective)
-
-            def clustered_cost(plan: DeploymentPlan) -> float:
-                return deployment_cost(plan, graph, clustered, objective)
-
-            clustered_lower_bound = longest_link_lower_bound_reference(
-                graph, cost_array
-            )
-            lower_bound = longest_link_lower_bound_reference(
-                graph, costs.as_array()
-            )
+        # Two bounds: the clustered one gates the threshold loop (it lives
+        # in the same value space as the thresholds), while the reported
+        # lower bound comes from the true costs so it is a proven bound on
+        # the actual optimum (clustering can round a cost upward past it).
+        clustered_lower_bound = clustered_engine.longest_link_lower_bound(mask)
+        lower_bound = engine.longest_link_lower_bound(mask)
 
         # Seed the incumbent with the best of a few random plans (and the
         # caller-provided warm start when available); on the constrained
@@ -188,11 +150,7 @@ class CPLongestLinkSolver(DeploymentSolver):
                 proven_optimal = True
                 break
             threshold = float(lower_values.max())
-            if self.use_engine:
-                allowed = clustered_engine.threshold_adjacency(threshold)
-            else:
-                allowed = cost_array <= threshold + 1e-12
-                np.fill_diagonal(allowed, False)
+            allowed = clustered_engine.threshold_adjacency(threshold)
 
             remaining = watch.remaining()
             deadline = (time.perf_counter() + remaining) if remaining is not None else None
@@ -200,8 +158,7 @@ class CPLongestLinkSolver(DeploymentSolver):
                 graph, instance_ids, allowed, deadline=deadline,
                 max_backtracks=self.max_backtracks_per_iteration,
                 matching_check_interval=self.matching_check_interval,
-                problem=clustered_engine, use_engine=self.use_engine,
-                node_allowed=mask,
+                problem=clustered_engine, node_allowed=mask,
             )
             outcome = search.find()
             iterations += 1

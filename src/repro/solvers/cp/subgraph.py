@@ -25,12 +25,7 @@ from ...core.evaluation import CompiledProblem
 from ...core.types import InstanceId, NodeId
 from .alldifferent import matching_feasible, propagate_assignment
 from .domains import DomainStore
-from .labeling import (
-    compatibility_domains,
-    compatibility_domains_reference,
-    quick_infeasibility_check,
-    quick_infeasibility_check_reference,
-)
+from .labeling import compatibility_domains, quick_infeasibility_check
 
 
 @dataclass(frozen=True)
@@ -67,9 +62,6 @@ class SubgraphMonomorphismSearch:
         problem: optional compiled evaluation engine for the instance; its
             cached degree arrays and profiles feed the vectorized labeling
             and the quick feasibility pre-check.
-        use_engine: route the labeling bounds through the vectorized
-            implementations (default); ``False`` keeps the dict-walking
-            oracle path, which the agreement tests compare against.
         node_allowed: optional boolean ``(num_nodes, num_instances)``
             placement mask in ``graph.nodes`` × ``instance_ids`` order (see
             :class:`~repro.core.evaluation.CompiledConstraints`).  Root
@@ -92,7 +84,6 @@ class SubgraphMonomorphismSearch:
                  max_backtracks: int | None = None,
                  matching_check_interval: int = 8,
                  problem: Optional[CompiledProblem] = None,
-                 use_engine: bool = True,
                  node_allowed: Optional[np.ndarray] = None):
         self.graph = graph
         self.instance_ids = list(instance_ids)
@@ -102,7 +93,6 @@ class SubgraphMonomorphismSearch:
         self.max_backtracks = max_backtracks
         self.matching_check_interval = matching_check_interval
         self.problem = problem
-        self.use_engine = use_engine
         self.node_allowed = node_allowed
 
         self._undirected_allowed = self.allowed | self.allowed.T
@@ -119,20 +109,13 @@ class SubgraphMonomorphismSearch:
         self._nodes_explored = 0
         self._timed_out = False
 
-        if self.use_engine:
-            feasible = quick_infeasibility_check(self.graph, self.allowed,
-                                                 problem=self.problem)
-        else:
-            feasible = quick_infeasibility_check_reference(self.graph, self.allowed)
-        if not feasible:
+        if not quick_infeasibility_check(self.graph, self.allowed,
+                                         problem=self.problem):
             return SearchOutcome(plan=None, proven_infeasible=True, timed_out=False,
                                  backtracks=0, nodes_explored=0)
 
-        if self.use_engine:
-            domains = compatibility_domains(self.graph, self.allowed,
-                                            problem=self.problem)
-        else:
-            domains = compatibility_domains_reference(self.graph, self.allowed)
+        domains = compatibility_domains(self.graph, self.allowed,
+                                        problem=self.problem)
         if self.node_allowed is not None:
             # Placement constraints restrict the root domains directly: a
             # node may only map to instances its allowed row admits.

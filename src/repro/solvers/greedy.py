@@ -311,8 +311,7 @@ def _finalize_constrained(state: _GreedyState,
     Remaining unmapped nodes are parked on arbitrary free instances; if the
     resulting plan violates a constraint (only possible after a dead end),
     the solver re-establishes feasibility itself through the
-    minimum-change constraint matching — natively, not via the base-class
-    repair, so ``repair_applied`` stays ``False``.
+    minimum-change constraint matching.
     """
     free = sorted(state.unused_instances)
     for node in sorted(state.unmapped_nodes):
@@ -327,7 +326,6 @@ def _finalize_constrained(state: _GreedyState,
 class _Greedy(DeploymentSolver):
     """The construction loop G1 and G2 share; they differ only in the score."""
 
-    supports_constraints = True
     supports_warm_start = True
     #: Whether a candidate is also charged the implicit links it fixes (G2).
     implicit_links = False

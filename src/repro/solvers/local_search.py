@@ -239,7 +239,6 @@ class SwapLocalSearch(DeploymentSolver):
     """
 
     name = "local-search"
-    supports_constraints = True
     supports_warm_start = True
     supports_best_improvement = True
 
@@ -424,7 +423,6 @@ class SimulatedAnnealing(DeploymentSolver):
     """
 
     name = "annealing"
-    supports_constraints = True
     supports_warm_start = True
 
     def __init__(self, initial_temperature: float = 0.3, cooling: float = 0.995,

@@ -18,10 +18,7 @@ Placement constraints are lowered directly into the model through the
 variable-fixing hook: a disallowed assignment variable is fixed to 0 (and a
 pin's variable to 1) via bounds, which eliminates the disallowed block of
 the ``|E| * |S|^2`` constraint interactions from every LP relaxation — the
-MIP searches only the feasible region instead of relying on the post-hoc
-repair.  The ``use_engine=False`` reference path keeps the historical
-constraint-blind model (and the base-class repair) so the engine-vs-oracle
-agreement suite stays meaningful.
+MIP searches only the feasible region.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from ...core.communication_graph import CommunicationGraph, augment_with_dummy_n
 from ...core.cost_matrix import CostMatrix
 from ...core.deployment import DeploymentPlan
 from ...core.evaluation import compile_problem
-from ...core.objectives import deployment_cost
 from ...core.problem import DeploymentProblem
 from ..base import (
     ConvergenceTrace,
@@ -233,10 +229,6 @@ class MipDeploymentSolver(DeploymentSolver):
         k_clusters: optional cost clustering applied before encoding.
         round_to: rounding grid for clustering.
         node_limit: branch-and-bound node limit.
-        use_engine: score branch-and-bound incumbent roundings in batches
-            through the compiled evaluation engine and lower placement
-            constraints into the model (default); ``False`` keeps the
-            scalar model-scored, constraint-blind path as the reference.
         initial_random_plans: number of random plans drawn to seed the
             incumbent when ``seed`` is given and no warm start is supplied
             (the paper seeds its solvers with the best of 10 random
@@ -247,7 +239,6 @@ class MipDeploymentSolver(DeploymentSolver):
 
     #: Encoding class instantiated per problem; set by subclasses.
     encoding_factory = None
-    supports_constraints = True
     #: The warm start becomes the branch-and-bound's initial incumbent
     #: (its objective value prunes every node whose LP bound cannot beat
     #: it), so a near-optimal incumbent after a small drift turns the
@@ -256,7 +247,7 @@ class MipDeploymentSolver(DeploymentSolver):
 
     def __init__(self, backend: str = "bnb", k_clusters: Optional[int] = None,
                  round_to: float | None = 0.01, node_limit: int | None = 5000,
-                 use_engine: bool = True, initial_random_plans: int = 10,
+                 initial_random_plans: int = 10,
                  seed: int | None = None):
         if backend not in ("bnb", "milp"):
             raise ValueError("backend must be 'bnb' or 'milp'")
@@ -264,13 +255,8 @@ class MipDeploymentSolver(DeploymentSolver):
         self.k_clusters = k_clusters
         self.round_to = round_to
         self.node_limit = node_limit
-        self.use_engine = use_engine
         self.initial_random_plans = max(1, initial_random_plans)
         self._seed = seed
-
-    def handles_constraints(self, problem: DeploymentProblem) -> bool:
-        """Constraints are fixed into the model on the engine path only."""
-        return self.use_engine
 
     def _solve(self, problem: DeploymentProblem,
                budget: SearchBudget | None = None,
@@ -280,7 +266,7 @@ class MipDeploymentSolver(DeploymentSolver):
         watch = Stopwatch(budget)
         trace = ConvergenceTrace()
         constraints = problem.constraints
-        view = problem.compiled_constraints() if self.use_engine else None
+        view = problem.compiled_constraints()
         if view is not None:
             initial_plan = constrained_warm_start(problem, initial_plan)
         if initial_plan is None and self._seed is not None:
@@ -299,14 +285,10 @@ class MipDeploymentSolver(DeploymentSolver):
             allowed_mask=None if view is None else view.allowed_mask,
         )
 
-        if self.use_engine:
-            engine = compile_problem(graph, costs)
+        engine = compile_problem(graph, costs)
 
-            def score(plan: DeploymentPlan) -> float:
-                return engine.evaluate_plan(plan, objective)
-        else:
-            def score(plan: DeploymentPlan) -> float:
-                return deployment_cost(plan, graph, costs, objective)
+        def score(plan: DeploymentPlan) -> float:
+            return engine.evaluate_plan(plan, objective)
 
         if initial_plan is not None:
             trace.record(watch.elapsed(), score(initial_plan))
@@ -318,12 +300,8 @@ class MipDeploymentSolver(DeploymentSolver):
             incumbents: Tuple[Tuple[float, float], ...] = ()
             values = solution.values
         else:
-            if self.use_engine:
-                bnb = BranchAndBound(encoding.model, batch_rounder=DeploymentRounder(
-                    encoding, compile_problem(graph, clustered), objective))
-            else:
-                bnb = BranchAndBound(encoding.model,
-                                     rounding_callback=encoding.rounding_callback)
+            bnb = BranchAndBound(encoding.model, batch_rounder=DeploymentRounder(
+                encoding, compile_problem(graph, clustered), objective))
             warm_vector = None
             if initial_plan is not None:
                 warm_vector = encoding.solution_vector(
@@ -346,8 +324,7 @@ class MipDeploymentSolver(DeploymentSolver):
             plan = initial_plan if initial_plan is not None else \
                 DeploymentPlan.identity(graph.nodes,
                                         costs.instance_ids[: graph.num_nodes])
-            if view is not None and constraints is not None \
-                    and not constraints.satisfied_by(plan):
+            if constraints is not None and not constraints.satisfied_by(plan):
                 plan = constraints.repair(plan, costs.instance_ids)
             optimal = False
         else:

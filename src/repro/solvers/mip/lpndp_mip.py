@@ -116,5 +116,4 @@ class MIPLongestPathSolver(MipDeploymentSolver):
 
     name = "MIP-LP"
     supported_objectives = (Objective.LONGEST_PATH,)
-    default_objective = Objective.LONGEST_PATH
     encoding_factory = LPNDPEncoding

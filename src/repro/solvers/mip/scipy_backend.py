@@ -42,19 +42,7 @@ def solve_lp_relaxation(model: MipModel,
                                    solve_time_s=time.perf_counter() - start)
 
     matrix, c_lower, c_upper = model.constraint_matrix()
-    constraints = []
-    if matrix.shape[0]:
-        constraints.append(LinearConstraint(matrix, c_lower, c_upper))
-
-    result = linprog(
-        c=cost,
-        A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-        bounds=np.column_stack([lower, upper]),
-        constraints=constraints,
-        method="highs",
-    ) if _linprog_supports_constraints() else _linprog_fallback(
-        cost, matrix, c_lower, c_upper, lower, upper
-    )
+    result = _linprog(cost, matrix, c_lower, c_upper, lower, upper)
 
     elapsed = time.perf_counter() - start
     if result.status == 0:
@@ -68,12 +56,7 @@ def solve_lp_relaxation(model: MipModel,
                        values=None, optimal=False, solve_time_s=elapsed)
 
 
-def _linprog_supports_constraints() -> bool:
-    """Older SciPy ``linprog`` versions do not accept a ``constraints`` kwarg."""
-    return False
-
-
-def _linprog_fallback(cost, matrix, c_lower, c_upper, lower, upper):
+def _linprog(cost, matrix, c_lower, c_upper, lower, upper):
     """Translate two-sided row bounds into A_ub / A_eq form for ``linprog``."""
     a_ub_rows = []
     b_ub = []

@@ -38,11 +38,6 @@ class PortfolioSolver(DeploymentSolver):
     """
 
     name = "portfolio"
-    #: Members run through their public ``solve`` entry point, which
-    #: enforces constraints per member (natively for the built-ins, via
-    #: the repair fallback for custom legacy members), so every plan the
-    #: portfolio sees — and the one it returns — is feasible.
-    supports_constraints = True
     #: The caller's warm start is handed to the first member and the best
     #: incumbent so far is threaded into every later member.
     supports_warm_start = True
@@ -129,8 +124,4 @@ class PortfolioSolver(DeploymentSolver):
             solver_name=self.name, solve_time_s=watch.elapsed(),
             iterations=iterations, optimal=best.optimal,
             trace=merged.as_tuples(),
-            # A custom legacy member's plan may have been repaired by the
-            # base class; surface that honestly instead of defaulting to
-            # "native" (built-in members never set it).
-            repair_applied=best.repair_applied,
         )

@@ -53,7 +53,6 @@ class RandomSearch(DeploymentSolver):
     """
 
     name = "random"
-    supports_constraints = True
     supports_warm_start = True
 
     def __init__(self, num_samples: Optional[int] = 1000,

@@ -59,10 +59,6 @@ class SolverSpec:
     #: as ``|E| * |S|^2`` and stop being practical long before the
     #: lightweight solvers do.
     max_nodes: Optional[int] = None
-    #: Whether the solver enforces placement constraints natively during
-    #: the search (every built-in does); third-party legacy solvers fall
-    #: back to the base class's post-hoc repair.
-    supports_constraints: bool = False
     #: Whether the solver makes productive use of an ``initial_plan`` warm
     #: start (search solvers start from it, exact solvers seed their
     #: incumbent with it, constructive solvers bound their result by it).
@@ -101,21 +97,16 @@ class SolverSpec:
 
     def supports(self, objective: Objective,
                  num_nodes: Optional[int] = None,
-                 constrained: Optional[bool] = None,
                  warm_start: Optional[bool] = None,
                  best_improvement: Optional[bool] = None) -> bool:
-        """Capability check: objective, size, constraints, warm starts.
+        """Capability check: objective, size, warm starts.
 
-        ``constrained=True`` filters to solvers that enforce placement
-        constraints natively inside their search; ``warm_start=True``
-        filters to solvers that make productive use of an ``initial_plan``;
-        ``best_improvement=True`` filters to solvers offering the opt-in
-        best-improvement acceptance mode.  ``None`` (the default) does not
-        filter on the respective capability.
+        ``warm_start=True`` filters to solvers that make productive use of
+        an ``initial_plan``; ``best_improvement=True`` filters to solvers
+        offering the opt-in best-improvement acceptance mode.  ``None`` (the
+        default) does not filter on the respective capability.
         """
         if objective not in self.objectives:
-            return False
-        if constrained and not self.supports_constraints:
             return False
         if warm_start and not self.supports_warm_start:
             return False
@@ -137,7 +128,6 @@ class SolverSpec:
             "summary": self.summary,
             "objectives": [objective.value for objective in self.objectives],
             "max_nodes": self.max_nodes,
-            "supports_constraints": self.supports_constraints,
             "supports_warm_start": self.supports_warm_start,
             "supports_best_improvement": self.supports_best_improvement,
             "config_fields": list(self.config_fields),
@@ -169,7 +159,6 @@ class SolverRegistry:
                  *, summary: str,
                  objectives: Optional[Tuple[Objective, ...]] = None,
                  max_nodes: Optional[int] = None,
-                 supports_constraints: Optional[bool] = None,
                  supports_warm_start: Optional[bool] = None,
                  supports_best_improvement: Optional[bool] = None,
                  replace: bool = False) -> SolverSpec:
@@ -183,13 +172,10 @@ class SolverRegistry:
                 ``supported_objectives`` attribute when it is a solver
                 class.
             max_nodes: optional practical size ceiling.
-            supports_constraints: whether the solver enforces placement
-                constraints natively; defaults to the factory's
-                ``supports_constraints`` attribute (``False`` when the
-                factory carries none, e.g. a bare function).
             supports_warm_start: whether the solver makes productive use
                 of an ``initial_plan``; defaults to the factory's
-                ``supports_warm_start`` attribute, like constraints.
+                ``supports_warm_start`` attribute (``False`` when the
+                factory carries none, e.g. a bare function).
             supports_best_improvement: whether the solver offers the
                 opt-in best-improvement acceptance mode; defaults to the
                 factory's ``supports_best_improvement`` attribute.
@@ -204,9 +190,6 @@ class SolverRegistry:
                     f"cannot infer objectives for solver {key!r}; pass "
                     f"objectives= explicitly"
                 )
-        if supports_constraints is None:
-            supports_constraints = bool(
-                getattr(factory, "supports_constraints", False))
         if supports_warm_start is None:
             supports_warm_start = bool(
                 getattr(factory, "supports_warm_start", False))
@@ -215,7 +198,6 @@ class SolverRegistry:
                 getattr(factory, "supports_best_improvement", False))
         spec = SolverSpec(key=key, factory=factory, summary=summary,
                           objectives=tuple(objectives), max_nodes=max_nodes,
-                          supports_constraints=supports_constraints,
                           supports_warm_start=supports_warm_start,
                           supports_best_improvement=supports_best_improvement)
         self._specs[key] = spec
@@ -265,38 +247,34 @@ class SolverRegistry:
 
     def supporting(self, objective: Objective,
                    num_nodes: Optional[int] = None,
-                   constrained: Optional[bool] = None,
                    warm_start: Optional[bool] = None,
                    best_improvement: Optional[bool] = None
                    ) -> Tuple[str, ...]:
         """Keys of the solvers able to optimise ``objective``.
 
         When ``num_nodes`` is given, solvers whose practical size ceiling
-        is below it are filtered out as well; ``constrained=True``
-        additionally keeps only solvers that enforce placement constraints
-        natively inside their search, ``warm_start=True`` only those
-        that make productive use of an ``initial_plan``, and
-        ``best_improvement=True`` only those offering the opt-in
-        best-improvement acceptance mode.
+        is below it are filtered out as well; ``warm_start=True``
+        additionally keeps only solvers that make productive use of an
+        ``initial_plan``, and ``best_improvement=True`` only those offering
+        the opt-in best-improvement acceptance mode.
         """
         return tuple(
             key for key in self.available()
-            if self._specs[key].supports(objective, num_nodes, constrained,
-                                         warm_start, best_improvement)
+            if self._specs[key].supports(objective, num_nodes, warm_start,
+                                         best_improvement)
         )
 
     def for_problem(self, problem: DeploymentProblem,
                     warm_start: Optional[bool] = None) -> Tuple[str, ...]:
         """Keys of the solvers able to handle ``problem``.
 
-        Constrained problems are answered with natively constraint-aware
-        solvers only, so a caller picking from this list never pays the
-        repair fallback.  Pass ``warm_start=True`` when the solve will be
-        warm-started from an incumbent (as the live re-deployment watch
-        loop does), to keep only solvers where that actually helps.
+        Every registered solver enforces placement constraints inside its
+        search, so constraints do not narrow the list.  Pass
+        ``warm_start=True`` when the solve will be warm-started from an
+        incumbent (as the live re-deployment watch loop does), to keep only
+        solvers where that actually helps.
         """
         return self.supporting(problem.objective, problem.num_nodes,
-                               constrained=problem.constraints is not None,
                                warm_start=warm_start)
 
     def default_key(self, objective: Objective) -> str:
@@ -381,14 +359,12 @@ default_registry.register(
     "r1", RandomSearch.r1,
     summary="paper's R1: best of a fixed number of random plans",
     objectives=RandomSearch.supported_objectives,
-    supports_constraints=RandomSearch.supports_constraints,
     supports_warm_start=RandomSearch.supports_warm_start,
 )
 default_registry.register(
     "r2", RandomSearch.r2,
     summary="paper's R2: random search bounded by wall-clock time",
     objectives=RandomSearch.supported_objectives,
-    supports_constraints=RandomSearch.supports_constraints,
     supports_warm_start=RandomSearch.supports_warm_start,
 )
 default_registry.register(

@@ -1,25 +1,21 @@
-"""Durable SQLite-backed solver-result cache (and its JSON-cache migration).
+"""Durable SQLite-backed solver-result cache.
 
-:class:`SQLiteResultCache` is the WAL-mode replacement of the JSON
-file-per-result :class:`~repro.api.cache.ResultCache`: the same
-``get`` / ``put`` / ``stats`` surface (so :class:`~repro.api.AdvisorSession`
-consumes either interchangeably), but one database instead of a directory
-of files — concurrent readers for a serving layer, indexed queries over the
-re-deployment history (:attr:`SQLiteResultCache.history`), durable solve
-telemetry, and size/age eviction sweeps.
+:class:`SQLiteResultCache` is where solved deployments live: one WAL-mode
+database shared by sibling processes, keyed on ``(problem fingerprint,
+solver tag)``, with concurrent readers for a serving layer, indexed queries
+over the re-deployment history (:attr:`SQLiteResultCache.history`), durable
+solve telemetry, and size/age eviction sweeps.
+:class:`~repro.api.AdvisorSession` uses it to skip solves already done.
 
-The JSON cache's failure discipline carries over:
+Its failure discipline:
 
 * reads that fail for *any* reason — locked database, corrupt payload,
   mismatched key, malformed result — degrade to a cache miss, never into
   aborting a solve;
 * writes are transactional (a killed writer leaves a recoverable WAL, not
   a half-written row) and raise :class:`~repro.core.errors.StoreError` so
-  failures are loud;
-* any temporary artifact the store creates (the eviction sweeps and WAL
-  checkpoints work in-database; :func:`migrate_json_cache` is the one
-  file-level path) is cleaned up under **all** exception types, the fix
-  :meth:`ResultCache.put` also received.
+  failures are loud; callers that treat the store as an accelerator catch
+  it.
 """
 
 from __future__ import annotations
@@ -28,10 +24,10 @@ import json
 import sqlite3
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from ..api.cache import RESULT_CACHE_VERSION, ResultCache, ResultCacheStats
 from ..api.schema import SolverResponse
 from ..core.errors import ClouDiAError, StoreError
 from ..core.problem import DeploymentProblem
@@ -40,6 +36,25 @@ from .connection import DEFAULT_BUSY_TIMEOUT_MS, connect, transaction
 from .eviction import SweepStats, sweep
 from .history import WatchHistory
 from .schema import apply_schema
+
+#: Version tag stored with every result row; bumping it invalidates all
+#: previously written results at once.
+RESULT_CACHE_VERSION = 1
+
+
+@dataclass(frozen=True)
+class ResultCacheStats:
+    """Counters of one :class:`SQLiteResultCache` handle (not the database)."""
+
+    hits: int = 0
+    misses: int = 0
+    writes: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the store."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
 
 class SQLiteResultCache:
@@ -60,9 +75,13 @@ class SQLiteResultCache:
             always be called explicitly.
         busy_timeout_ms: how long writers wait on a locked database.
 
-    The ``(fingerprint, solver tag)`` key, the entry versioning, and the
-    corrupt-entry-is-a-miss semantics are identical to the JSON
-    :class:`~repro.api.cache.ResultCache` it replaces.
+    The key is ``fingerprint + solver tag``: the fingerprint covers
+    everything that influences solving (graph, costs, objective,
+    constraints — see
+    :meth:`~repro.core.problem.DeploymentProblem.fingerprint`), and the
+    solver tag keeps results of different runs apart — the watch loop and
+    the service pass the solver key qualified with a digest of its config
+    and budget, so a cached greedy plan is never served to a CP request.
     """
 
     def __init__(self, path: Union[str, Path],
@@ -90,7 +109,7 @@ class SQLiteResultCache:
         self._history = WatchHistory(self._conn, self._lock)
 
     # ------------------------------------------------------------------ #
-    # The ResultCache protocol: get / put / stats / len / clear
+    # Results: get / put / stats / len / clear
     # ------------------------------------------------------------------ #
 
     def get(self, fingerprint: str, solver: str) -> Optional[SolverResult]:
@@ -203,7 +222,7 @@ class SQLiteResultCache:
         return removed
 
     # ------------------------------------------------------------------ #
-    # Store-only surface: history, telemetry, eviction, lifecycle
+    # History, telemetry, eviction, lifecycle
     # ------------------------------------------------------------------ #
 
     @property
@@ -242,9 +261,8 @@ class SQLiteResultCache:
                     """
                     INSERT INTO telemetry (request_id, fingerprint, solver,
                         status, compile_cache_hit, compile_time_s,
-                        solve_time_s, total_time_s, repair_applied,
-                        created_at)
-                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+                        solve_time_s, total_time_s, created_at)
+                    VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
                     """,
                     (response.request_id, fingerprint, response.solver,
                      response.status,
@@ -253,8 +271,6 @@ class SQLiteResultCache:
                      None if telemetry is None else telemetry.compile_time_s,
                      None if telemetry is None else telemetry.solve_time_s,
                      None if telemetry is None else telemetry.total_time_s,
-                     None if telemetry is None
-                     else int(telemetry.repair_applied),
                      time.time()),
                 )
         except sqlite3.Error as exc:
@@ -295,39 +311,3 @@ class SQLiteResultCache:
     def __repr__(self) -> str:
         return (f"SQLiteResultCache(path={str(self.path)!r}, "
                 f"entries={len(self)})")
-
-
-def migrate_json_cache(directory: Union[str, Path],
-                       store: SQLiteResultCache) -> int:
-    """Import a JSON-file :class:`ResultCache` directory into ``store``.
-
-    The upgrade path from the PR-5 cache layout: every readable entry is
-    re-keyed into the database (existing rows win — the store may already
-    hold fresher results), unreadable entries are skipped exactly as the
-    JSON cache itself skips them, and stale ``.write-*`` temp litter from
-    crashed writers is swept.  The JSON files themselves are left in place;
-    delete the directory once the migration is verified.
-
-    Returns:
-        Number of entries imported into the store.
-    """
-    directory = Path(directory)
-    imported = 0
-    source = ResultCache(directory)
-    for entry in sorted(directory.glob("*.json")):
-        if entry.name.startswith("."):
-            continue
-        # File names are "<fingerprint>.<solver tag...>.json"; the solver
-        # tag may itself contain dots (e.g. "local-search.<digest>").
-        stem = entry.name[:-len(".json")]
-        fingerprint, _, solver = stem.partition(".")
-        if not fingerprint or not solver:
-            continue
-        result = source.get(fingerprint, solver)
-        if result is None:
-            continue
-        exists = store.get(fingerprint, solver) is not None
-        if not exists:
-            store.put(fingerprint, solver, result)
-            imported += 1
-    return imported

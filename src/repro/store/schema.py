@@ -5,10 +5,9 @@ The store holds five tables:
 * ``problems`` — one row per distinct problem content
   (:meth:`~repro.core.problem.DeploymentProblem.fingerprint`-keyed); the
   anchor every result and revision hangs off.
-* ``results`` — one solver result per ``(fingerprint, solver tag)`` pair:
-  the durable replacement of the JSON-file-per-result cache, with LRU
-  (``last_used_at``) and age (``created_at``) columns the eviction sweeps
-  order by.
+* ``results`` — one solver result per ``(fingerprint, solver tag)`` pair,
+  with LRU (``last_used_at``) and age (``created_at``) columns the eviction
+  sweeps order by.
 * ``cost_revisions`` — the re-deployment lineage: which fingerprint a
   revision was drifted from, and by how much.
 * ``telemetry`` — one row per executed solve request (status, cache hits,
@@ -31,7 +30,7 @@ from ..core.errors import StoreError
 from .connection import transaction
 
 #: Current schema version; ``len(MIGRATIONS)`` must equal it.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Individual statements (not one script): sqlite3's executescript() issues
 # an implicit COMMIT, which would escape the migration transaction.
@@ -129,8 +128,14 @@ def _migrate_v1(conn: sqlite3.Connection) -> None:
             conn.execute(statement)
 
 
+def _migrate_v2(conn: sqlite3.Connection) -> None:
+    # The constraint-repair flag went with the repair fallback it recorded
+    # (DROP COLUMN needs SQLite >= 3.35).
+    conn.execute("ALTER TABLE telemetry DROP COLUMN repair_applied")
+
+
 #: Ordered migrations; index ``i`` upgrades ``user_version`` i -> i + 1.
-MIGRATIONS = (_migrate_v1,)
+MIGRATIONS = (_migrate_v1, _migrate_v2)
 
 assert len(MIGRATIONS) == SCHEMA_VERSION
 

@@ -65,6 +65,25 @@ def mesh_graph() -> CommunicationGraph:
 
 
 @pytest.fixture
+def provider_order_solver():
+    """A solver that ignores placement constraints: it always returns the
+    provider-order default plan, so the base class's plan check fires."""
+    from repro.solvers import DeploymentSolver, SolverResult
+
+    class ProviderOrder(DeploymentSolver):
+        name = "provider-order"
+
+        def _solve(self, problem, budget=None, initial_plan=None):
+            plan = problem.default_plan()
+            return SolverResult(
+                plan=plan, cost=problem.evaluate(plan),
+                objective=problem.objective, solver_name=self.name,
+                solve_time_s=0.0, iterations=0, optimal=False)
+
+    return ProviderOrder()
+
+
+@pytest.fixture
 def tree_graph() -> CommunicationGraph:
     """A small aggregation tree (binary, depth 2 => 7 nodes)."""
     return CommunicationGraph.aggregation_tree(branching=2, depth=2)

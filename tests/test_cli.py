@@ -18,19 +18,24 @@ class TestParserAndBuilders:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["advise", "--provider", "unknown-cloud"])
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "--problem", "problem.json"],
-        ["solve-batch", "--problem", "problem.json"],
-        ["watch", "--problem", "problem.json", "--trace", "trace.json"],
-        ["serve"],
-    ], ids=["solve", "solve-batch", "watch", "serve"])
-    def test_parser_rejects_removed_eval_workers_flag(self, argv, capsys):
-        # Evaluation is serial: a script still passing the old flag fails
-        # at parse time instead of having it silently ignored.
+    @pytest.mark.parametrize("argv, removed", [
+        (["solve", "--problem", "problem.json"], ["--eval-workers", "2"]),
+        (["solve-batch", "--problem", "problem.json"],
+         ["--eval-workers", "2"]),
+        (["watch", "--problem", "problem.json", "--trace", "trace.json"],
+         ["--eval-workers", "2"]),
+        (["serve"], ["--eval-workers", "2"]),
+        (["watch", "--problem", "problem.json", "--trace", "trace.json"],
+         ["--cache-dir", "cache"]),
+    ], ids=["solve", "solve-batch", "watch", "serve", "watch-cache-dir"])
+    def test_parser_rejects_removed_flags(self, argv, removed, capsys):
+        # Evaluation is serial and the SQLite store (--store) is the only
+        # result cache: a script still passing an old flag fails at parse
+        # time instead of having it silently ignored.
         with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args([*argv, "--eval-workers", "2"])
+            build_parser().parse_args([*argv, *removed])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --eval-workers 2" in \
+        assert f"unrecognized arguments: {' '.join(removed)}" in \
             capsys.readouterr().err
 
     def test_build_graph_templates(self):
@@ -115,9 +120,10 @@ class TestCommands:
         entries = {entry["key"]: entry for entry in payload["solvers"]}
         assert {"cp", "mip", "greedy", "portfolio"} <= set(entries)
         greedy = entries["greedy"]
-        assert {"key", "summary", "objectives", "max_nodes",
-                "supports_constraints", "supports_warm_start",
-                "config_fields"} <= set(greedy)
+        assert set(greedy) == {
+            "key", "summary", "objectives", "max_nodes",
+            "supports_warm_start", "supports_best_improvement",
+            "config_fields"}
         assert isinstance(greedy["objectives"], list)
         assert isinstance(greedy["config_fields"], list)
 

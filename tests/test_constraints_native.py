@@ -8,12 +8,12 @@ allowed region.  This suite pins that contract:
 * the compiled constraint view (allowed mask, allowed-index arrays, forced
   assignments, feasible samplers) agrees with the id-keyed constraints;
 * every registry solver returns a feasible plan on a constrained problem
-  with ``repair_applied=False`` — natively, not via the repair — while the
-  exact solvers' ``use_engine=False`` reference paths still repair;
+  natively; the base class only checks the plan, and a solver returning a
+  violating plan fails with :class:`~repro.core.errors.SolverError`;
 * native constrained results are never worse than the PR 3 repair-based
   pipeline (solve unconstrained, then repair) for the deterministic and
   exact solvers;
-* the advisor session reports the repair telemetry, and a constrained CLI
+* the advisor session's telemetry round-trips, and a constrained CLI
   ``solve`` / ``solve-batch`` round-trip stays bit-identical to the
   in-process API.
 """
@@ -30,10 +30,9 @@ from repro.core import (
     Objective,
     PlacementConstraints,
 )
-from repro.core.errors import InvalidDeploymentError
+from repro.core.errors import InvalidDeploymentError, SolverError
 from repro.solvers import (
     CPLongestLinkSolver,
-    MIPLongestLinkSolver,
     PortfolioSolver,
     SearchBudget,
     SimulatedAnnealing,
@@ -163,12 +162,11 @@ class TestCompiledConstraints:
 
 class TestEverySolverIsNative:
     """Acceptance criterion: all registry solvers solve constrained
-    problems feasibly with ``repair_applied=False``."""
+    problems feasibly by themselves (the base class has no repair)."""
 
     @pytest.mark.parametrize("key", default_registry.available())
     def test_feasible_without_repair(self, key, link_problem, path_problem):
         spec = default_registry.spec(key)
-        assert spec.supports_constraints, f"{key} lost native support"
         problem = (link_problem
                    if spec.supports(Objective.LONGEST_LINK) else path_problem)
         solver = default_registry.make(
@@ -176,38 +174,17 @@ class TestEverySolverIsNative:
         budget = SearchBudget(time_limit_s=10.0, max_iterations=2000)
         result = solver.solve(problem, budget=budget)
         assert problem.constraints.violations(result.plan) == []
-        assert result.repair_applied is False
         assert result.cost == pytest.approx(problem.evaluate(result.plan))
 
-    def test_registry_filters_on_capability(self, link_problem):
-        native = default_registry.supporting(Objective.LONGEST_LINK,
-                                             constrained=True)
-        assert "cp" in native and "greedy" in native
-        assert set(default_registry.for_problem(link_problem)) <= set(native)
-
-        class LegacySolver(CPLongestLinkSolver):
-            supports_constraints = False
-
-        from repro.solvers.registry import SolverRegistry
-
-        registry = SolverRegistry()
-        spec = registry.register("legacy-cp", LegacySolver,
-                                 summary="repair-based test solver")
-        assert not spec.supports_constraints
-        assert "legacy-cp" not in registry.supporting(
-            Objective.LONGEST_LINK, constrained=True)
-        assert "legacy-cp" in registry.supporting(Objective.LONGEST_LINK)
-
-    def test_portfolio_propagates_member_repair(self, link_problem):
-        # A legacy (non-native) member's plan is repaired by the base
-        # class; the portfolio must report that honestly instead of
-        # defaulting to "native".
-        portfolio = PortfolioSolver(
-            solvers=[CPLongestLinkSolver(seed=0, use_engine=False)])
-        result = portfolio.solve(link_problem,
-                                 budget=SearchBudget.seconds(10))
-        assert link_problem.constraints.violations(result.plan) == []
-        assert result.repair_applied is True
+    def test_portfolio_fails_on_a_violating_member(
+            self, link_problem, provider_order_solver):
+        # A custom member that ignores the constraints is not repaired
+        # behind its back: its own solve() fails, and so does the portfolio.
+        assert not link_problem.constraints.satisfied_by(
+            link_problem.default_plan())
+        with pytest.raises(SolverError, match="provider-order"):
+            PortfolioSolver(solvers=[provider_order_solver]).solve(
+                link_problem, budget=SearchBudget.seconds(10))
 
     def test_annealing_terminates_when_every_node_pinned(self, mesh_graph):
         # With no admissible move at all the walk must stop on its
@@ -254,16 +231,6 @@ class TestEverySolverIsNative:
                 if problem.constraints is not None:
                     assert problem.constraints.violations(result.plan) == []
 
-    def test_oracle_paths_still_repair(self, link_problem):
-        for solver in (CPLongestLinkSolver(seed=0, use_engine=False),
-                       MIPLongestLinkSolver(seed=0, use_engine=False)):
-            result = solver.solve(link_problem,
-                                  budget=SearchBudget.seconds(10))
-            assert link_problem.constraints.violations(result.plan) == []
-            # The search itself is constraint-blind on this path, so for
-            # this instance the repair must have fired.
-            assert result.repair_applied is True
-
 
 class TestNativeNeverWorseThanRepair:
     """Searching the feasible region beats searching blind + repairing."""
@@ -308,25 +275,18 @@ class TestTelemetry:
         response = AdvisorSession().solve(SolveRequest(
             link_problem, solver="greedy"))
         assert response.ok
-        assert response.telemetry.repair_applied is False
-        assert "repair_applied" in response.telemetry.to_dict()
-
-    def test_session_reports_repair_fallback(self, link_problem):
-        response = AdvisorSession().solve(SolveRequest(
-            link_problem, solver="cp",
-            config={"seed": 0, "use_engine": False},
-            budget=SearchBudget.seconds(10),
-        ))
-        assert response.ok
-        assert response.telemetry.repair_applied is True
+        assert link_problem.constraints.violations(response.plan) == []
+        assert set(response.telemetry.to_dict()) == {
+            "compile_cache_hit", "compile_time_s", "solve_time_s",
+            "total_time_s"}
 
     def test_telemetry_round_trips(self, link_problem):
         response = AdvisorSession().solve(SolveRequest(
             link_problem, solver="greedy"))
         restored = SolverResponse.from_dict(
             json.loads(json.dumps(response.to_dict())))
-        assert restored.telemetry.repair_applied is False
-        assert restored.result.repair_applied is False
+        assert restored.telemetry == response.telemetry
+        assert restored.result == response.result
 
 
 class TestConstrainedCliRoundTrip:
@@ -353,7 +313,6 @@ class TestConstrainedCliRoundTrip:
         ))
         assert cli_response.plan == in_process.plan
         assert cli_response.cost == in_process.cost
-        assert cli_response.telemetry.repair_applied is False
         assert problem.constraints.violations(cli_response.plan) == []
 
     def test_solve_batch_bit_identical_to_api(self, problem_path, tmp_path,
@@ -373,4 +332,3 @@ class TestConstrainedCliRoundTrip:
             problem, solver="greedy", budget=SearchBudget.seconds(5)))
         assert cli_response.plan == in_process.plan
         assert cli_response.cost == in_process.cost
-        assert cli_response.telemetry.repair_applied is False

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CommunicationGraph, Objective
+from repro.core import CommunicationGraph, DeploymentProblem, Objective
 from repro.core.objectives import longest_link_cost
 from repro.solvers import CPLongestLinkSolver, GreedyG2, RandomSearch, SearchBudget
 
@@ -15,7 +15,7 @@ class TestCPLongestLinkSolver:
         costs = deterministic_cost_matrix(6, seed=1)
         _, optimal_cost = brute_force_optimum(graph, costs, Objective.LONGEST_LINK)
         result = CPLongestLinkSolver(k_clusters=None, seed=0).solve(
-            graph, costs, budget=SearchBudget.seconds(10)
+            DeploymentProblem(graph, costs), budget=SearchBudget.seconds(10)
         )
         assert result.cost == pytest.approx(optimal_cost, abs=1e-9)
         assert result.optimal
@@ -25,14 +25,14 @@ class TestCPLongestLinkSolver:
         costs = deterministic_cost_matrix(7, seed=2)
         _, optimal_cost = brute_force_optimum(graph, costs, Objective.LONGEST_LINK)
         result = CPLongestLinkSolver(k_clusters=None, seed=0).solve(
-            graph, costs, budget=SearchBudget.seconds(20)
+            DeploymentProblem(graph, costs), budget=SearchBudget.seconds(20)
         )
         assert result.cost == pytest.approx(optimal_cost, abs=1e-9)
 
     def test_cost_matches_plan(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=3)
         result = CPLongestLinkSolver(seed=0).solve(
-            mesh_graph, costs, budget=SearchBudget.seconds(5)
+            DeploymentProblem(mesh_graph, costs), budget=SearchBudget.seconds(5)
         )
         assert result.cost == pytest.approx(
             longest_link_cost(result.plan, mesh_graph, costs)
@@ -40,20 +40,21 @@ class TestCPLongestLinkSolver:
 
     def test_beats_random_and_greedy(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=4)
-        cp = CPLongestLinkSolver(seed=0).solve(mesh_graph, costs,
+        problem = DeploymentProblem(mesh_graph, costs)
+        cp = CPLongestLinkSolver(seed=0).solve(problem,
                                                budget=SearchBudget.seconds(5))
-        random_result = RandomSearch(num_samples=500, seed=0).solve(mesh_graph, costs)
-        greedy_result = GreedyG2().solve(mesh_graph, costs)
+        random_result = RandomSearch(num_samples=500, seed=0).solve(problem)
+        greedy_result = GreedyG2().solve(problem)
         assert cp.cost <= random_result.cost + 1e-9
         assert cp.cost <= greedy_result.cost + 1e-9
 
     def test_clustering_speeds_convergence_but_bounds_quality(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=5)
         exact = CPLongestLinkSolver(k_clusters=None, seed=0).solve(
-            mesh_graph, costs, budget=SearchBudget.seconds(10)
+            DeploymentProblem(mesh_graph, costs), budget=SearchBudget.seconds(10)
         )
         clustered = CPLongestLinkSolver(k_clusters=5, seed=0).solve(
-            mesh_graph, costs, budget=SearchBudget.seconds(10)
+            DeploymentProblem(mesh_graph, costs), budget=SearchBudget.seconds(10)
         )
         # Coarse clustering needs no more threshold iterations than the exact
         # run and cannot find a better deployment than the true optimum.
@@ -62,7 +63,7 @@ class TestCPLongestLinkSolver:
 
     def test_trace_is_monotone(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=6)
-        result = CPLongestLinkSolver(seed=0).solve(mesh_graph, costs,
+        result = CPLongestLinkSolver(seed=0).solve(DeploymentProblem(mesh_graph, costs),
                                                    budget=SearchBudget.seconds(5))
         trace_costs = [cost for _, cost in result.trace]
         assert trace_costs == sorted(trace_costs, reverse=True)
@@ -70,16 +71,17 @@ class TestCPLongestLinkSolver:
 
     def test_warm_start_respected(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=7)
-        warm = GreedyG2().solve(mesh_graph, costs)
+        problem = DeploymentProblem(mesh_graph, costs)
+        warm = GreedyG2().solve(problem)
         result = CPLongestLinkSolver(seed=0).solve(
-            mesh_graph, costs, budget=SearchBudget.seconds(5), initial_plan=warm.plan
+            problem, budget=SearchBudget.seconds(5), initial_plan=warm.plan
         )
         assert result.cost <= warm.cost + 1e-9
 
     def test_tight_budget_still_returns_plan(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=8)
         result = CPLongestLinkSolver(seed=0).solve(
-            mesh_graph, costs, budget=SearchBudget.seconds(0.01)
+            DeploymentProblem(mesh_graph, costs), budget=SearchBudget.seconds(0.01)
         )
         assert result.plan.covers(mesh_graph)
         assert not result.optimal
@@ -93,7 +95,7 @@ class TestCPLongestLinkSolver:
         graph = CommunicationGraph.mesh_2d(2, 3)
         costs = deterministic_cost_matrix(6, seed=9)
         result = CPLongestLinkSolver(k_clusters=None, seed=0).solve(
-            graph, costs, budget=SearchBudget.seconds(10)
+            DeploymentProblem(graph, costs), budget=SearchBudget.seconds(10)
         )
         _, optimal_cost = brute_force_optimum(graph, costs, Objective.LONGEST_LINK)
         assert result.cost == pytest.approx(optimal_cost, abs=1e-9)

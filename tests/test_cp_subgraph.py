@@ -3,7 +3,6 @@
 import time
 
 import numpy as np
-import pytest
 
 from repro.core import CommunicationGraph
 from repro.solvers.cp.subgraph import SubgraphMonomorphismSearch

@@ -1,6 +1,5 @@
 """Tests for deployment plans (injective node -> instance mappings)."""
 
-import numpy as np
 import pytest
 
 from repro.core import CommunicationGraph, DeploymentPlan, InvalidDeploymentError

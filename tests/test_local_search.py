@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CommunicationGraph, Objective
+from repro.core import CommunicationGraph, DeploymentProblem, Objective
 from repro.core.objectives import deployment_cost
 from repro.solvers import RandomSearch, SearchBudget, SimulatedAnnealing, SwapLocalSearch
 
@@ -19,7 +19,7 @@ def problem():
 class TestSwapLocalSearch:
     def test_valid_result(self, problem):
         graph, costs = problem
-        result = SwapLocalSearch(seed=0).solve(graph, costs,
+        result = SwapLocalSearch(seed=0).solve(DeploymentProblem(graph, costs),
                                                budget=SearchBudget.seconds(0.5))
         assert result.plan.covers(graph)
         assert result.cost == pytest.approx(
@@ -28,24 +28,27 @@ class TestSwapLocalSearch:
 
     def test_improves_on_initial_plan(self, problem):
         graph, costs = problem
-        initial = RandomSearch(num_samples=1, seed=5).solve(graph, costs)
+        problem = DeploymentProblem(graph, costs)
+        initial = RandomSearch(num_samples=1, seed=5).solve(problem)
         refined = SwapLocalSearch(seed=0).solve(
-            graph, costs, budget=SearchBudget.seconds(0.5), initial_plan=initial.plan
+            problem, budget=SearchBudget.seconds(0.5), initial_plan=initial.plan
         )
         assert refined.cost <= initial.cost
 
     def test_beats_small_random_search(self, problem):
         graph, costs = problem
-        random_result = RandomSearch(num_samples=50, seed=2).solve(graph, costs)
+        problem = DeploymentProblem(graph, costs)
+        random_result = RandomSearch(num_samples=50, seed=2).solve(problem)
         local_result = SwapLocalSearch(seed=2).solve(
-            graph, costs, budget=SearchBudget.seconds(0.5)
+            problem, budget=SearchBudget.seconds(0.5)
         )
         assert local_result.cost <= random_result.cost * 1.05
 
     def test_iteration_budget(self, problem):
         graph, costs = problem
         result = SwapLocalSearch(seed=1).solve(
-            graph, costs, budget=SearchBudget(time_limit_s=5.0, max_iterations=100)
+            DeploymentProblem(graph, costs),
+            budget=SearchBudget(time_limit_s=5.0, max_iterations=100)
         )
         assert result.iterations <= 100
 
@@ -57,7 +60,7 @@ class TestSwapLocalSearch:
         graph = CommunicationGraph.aggregation_tree(2, 2)
         costs = deterministic_cost_matrix(8, seed=6)
         result = SwapLocalSearch(seed=0).solve(
-            graph, costs, objective=Objective.LONGEST_PATH,
+            DeploymentProblem(graph, costs, objective=Objective.LONGEST_PATH),
             budget=SearchBudget.seconds(0.3),
         )
         assert result.cost == pytest.approx(
@@ -68,7 +71,7 @@ class TestSwapLocalSearch:
 class TestSimulatedAnnealing:
     def test_valid_result(self, problem):
         graph, costs = problem
-        result = SimulatedAnnealing(seed=0).solve(graph, costs,
+        result = SimulatedAnnealing(seed=0).solve(DeploymentProblem(graph, costs),
                                                   budget=SearchBudget.seconds(0.5))
         assert result.plan.covers(graph)
         assert result.cost == pytest.approx(
@@ -77,7 +80,7 @@ class TestSimulatedAnnealing:
 
     def test_trace_monotone(self, problem):
         graph, costs = problem
-        result = SimulatedAnnealing(seed=3).solve(graph, costs,
+        result = SimulatedAnnealing(seed=3).solve(DeploymentProblem(graph, costs),
                                                   budget=SearchBudget.seconds(0.3))
         trace_costs = [cost for _, cost in result.trace]
         assert trace_costs == sorted(trace_costs, reverse=True)
@@ -90,9 +93,10 @@ class TestSimulatedAnnealing:
 
     def test_improves_over_initial(self, problem):
         graph, costs = problem
-        initial = RandomSearch(num_samples=1, seed=8).solve(graph, costs)
+        problem = DeploymentProblem(graph, costs)
+        initial = RandomSearch(num_samples=1, seed=8).solve(problem)
         result = SimulatedAnnealing(seed=1).solve(
-            graph, costs, budget=SearchBudget.seconds(0.5), initial_plan=initial.plan
+            problem, budget=SearchBudget.seconds(0.5), initial_plan=initial.plan
         )
         assert result.cost <= initial.cost
 
@@ -103,10 +107,10 @@ class TestTargetCost:
     def test_stops_once_target_reached(self, problem):
         graph, costs = problem
         unbounded = SwapLocalSearch(seed=6, restarts=1).solve(
-            graph, costs, budget=SearchBudget(max_iterations=2000))
+            DeploymentProblem(graph, costs), budget=SearchBudget(max_iterations=2000))
         target = unbounded.cost * 1.05  # a cost the descent passes through
         bounded = SwapLocalSearch(seed=6, restarts=1).solve(
-            graph, costs,
+            DeploymentProblem(graph, costs),
             budget=SearchBudget(max_iterations=2000, target_cost=target))
         assert bounded.cost <= target
         assert bounded.iterations < unbounded.iterations
@@ -114,9 +118,9 @@ class TestTargetCost:
     def test_warm_start_meeting_target_returns_immediately(self, problem):
         graph, costs = problem
         incumbent = SwapLocalSearch(seed=7, restarts=1).solve(
-            graph, costs, budget=SearchBudget(max_iterations=2000))
+            DeploymentProblem(graph, costs), budget=SearchBudget(max_iterations=2000))
         warm = SwapLocalSearch(seed=7, restarts=3).solve(
-            graph, costs,
+            DeploymentProblem(graph, costs),
             budget=SearchBudget(max_iterations=2000,
                                 target_cost=incumbent.cost),
             initial_plan=incumbent.plan)
@@ -126,8 +130,9 @@ class TestTargetCost:
     def test_no_target_keeps_historical_iteration_counts(self, problem):
         graph, costs = problem
         budget = SearchBudget(max_iterations=500)
-        first = SwapLocalSearch(seed=8).solve(graph, costs, budget=budget)
-        second = SwapLocalSearch(seed=8).solve(graph, costs, budget=budget)
+        problem = DeploymentProblem(graph, costs)
+        first = SwapLocalSearch(seed=8).solve(problem, budget=budget)
+        second = SwapLocalSearch(seed=8).solve(problem, budget=budget)
         assert first.iterations == second.iterations == 500
         assert first.cost == second.cost
         assert first.plan.as_dict() == second.plan.as_dict()

@@ -1,9 +1,8 @@
 """Tests for the LLNDP and LPNDP MIP encodings and solvers."""
 
-import numpy as np
 import pytest
 
-from repro.core import CommunicationGraph, DeploymentPlan, Objective
+from repro.core import CommunicationGraph, DeploymentPlan, DeploymentProblem, Objective
 from repro.core.objectives import deployment_cost, longest_link_cost, longest_path_cost
 from repro.core.errors import InvalidGraphError
 from repro.solvers import (
@@ -85,7 +84,7 @@ class TestMIPLongestLinkSolver:
     def test_bnb_produces_valid_plan(self, tiny_ll_problem):
         graph, costs = tiny_ll_problem
         result = MIPLongestLinkSolver(backend="bnb").solve(
-            graph, costs, budget=SearchBudget.seconds(10)
+            DeploymentProblem(graph, costs), budget=SearchBudget.seconds(10)
         )
         assert result.plan.covers(graph)
         assert result.cost == pytest.approx(
@@ -96,7 +95,7 @@ class TestMIPLongestLinkSolver:
         graph, costs = tiny_ll_problem
         _, optimum = brute_force_optimum(graph, costs, Objective.LONGEST_LINK)
         result = MIPLongestLinkSolver(backend="milp").solve(
-            graph, costs, budget=SearchBudget.seconds(30)
+            DeploymentProblem(graph, costs), budget=SearchBudget.seconds(30)
         )
         assert result.cost == pytest.approx(optimum, abs=1e-6)
 
@@ -104,13 +103,13 @@ class TestMIPLongestLinkSolver:
         with pytest.raises(ValueError):
             MIPLongestLinkSolver(backend="cplex")
 
-    def test_rejects_longest_path_objective(self, tiny_ll_problem):
-        graph, costs = tiny_ll_problem
+    def test_rejects_longest_path_objective(self, tiny_lp_problem):
+        graph, costs = tiny_lp_problem
         from repro.core.errors import SolverError
 
         with pytest.raises(SolverError):
-            MIPLongestLinkSolver().solve(graph, costs,
-                                         objective=Objective.LONGEST_PATH)
+            MIPLongestLinkSolver().solve(
+                DeploymentProblem(graph, costs, objective=Objective.LONGEST_PATH))
 
 
 class TestLPNDPEncoding:
@@ -153,7 +152,8 @@ class TestMIPLongestPathSolver:
     def test_bnb_produces_valid_plan(self, tiny_lp_problem):
         graph, costs = tiny_lp_problem
         result = MIPLongestPathSolver(backend="bnb").solve(
-            graph, costs, budget=SearchBudget.seconds(10)
+            DeploymentProblem(graph, costs, objective=Objective.LONGEST_PATH),
+            budget=SearchBudget.seconds(10)
         )
         assert result.plan.covers(graph)
         assert result.cost == pytest.approx(
@@ -165,17 +165,18 @@ class TestMIPLongestPathSolver:
         costs = deterministic_cost_matrix(4, seed=15)
         _, optimum = brute_force_optimum(graph, costs, Objective.LONGEST_PATH)
         result = MIPLongestPathSolver(backend="milp").solve(
-            graph, costs, budget=SearchBudget.seconds(30)
+            DeploymentProblem(graph, costs, objective=Objective.LONGEST_PATH),
+            budget=SearchBudget.seconds(30)
         )
         assert result.cost == pytest.approx(optimum, abs=1e-6)
 
     def test_warm_start_never_hurts(self, tiny_lp_problem):
         graph, costs = tiny_lp_problem
-        warm = RandomSearch(num_samples=500, seed=0).solve(
-            graph, costs, objective=Objective.LONGEST_PATH
-        )
+        problem = DeploymentProblem(graph, costs,
+                                    objective=Objective.LONGEST_PATH)
+        warm = RandomSearch(num_samples=500, seed=0).solve(problem)
         result = MIPLongestPathSolver(backend="bnb").solve(
-            graph, costs, budget=SearchBudget.seconds(5), initial_plan=warm.plan
+            problem, budget=SearchBudget.seconds(5), initial_plan=warm.plan
         )
         assert result.cost <= warm.cost + 1e-9 or result.cost == pytest.approx(
             deployment_cost(result.plan, graph, costs, Objective.LONGEST_PATH)
@@ -186,5 +187,5 @@ class TestMIPLongestPathSolver:
         from repro.core.errors import SolverError
 
         with pytest.raises(SolverError):
-            MIPLongestPathSolver().solve(graph, costs,
-                                         objective=Objective.LONGEST_LINK)
+            MIPLongestPathSolver().solve(
+                DeploymentProblem(graph, costs, objective=Objective.LONGEST_LINK))

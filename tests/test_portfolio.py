@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import Objective
+from repro.core import DeploymentProblem, Objective
 from repro.core.objectives import deployment_cost
 from repro.solvers import (
     GreedyG1,
@@ -19,7 +19,7 @@ class TestPortfolioSolver:
     def test_default_portfolio_longest_link(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=21)
         result = PortfolioSolver(seed=0).solve(
-            mesh_graph, costs, budget=SearchBudget.seconds(3)
+            DeploymentProblem(mesh_graph, costs), budget=SearchBudget.seconds(3)
         )
         assert result.plan.covers(mesh_graph)
         assert result.cost == pytest.approx(
@@ -29,7 +29,7 @@ class TestPortfolioSolver:
     def test_default_portfolio_longest_path(self, tree_graph):
         costs = deterministic_cost_matrix(9, seed=22)
         result = PortfolioSolver(seed=0).solve(
-            tree_graph, costs, objective=Objective.LONGEST_PATH,
+            DeploymentProblem(tree_graph, costs, objective=Objective.LONGEST_PATH),
             budget=SearchBudget.seconds(3),
         )
         assert result.cost == pytest.approx(
@@ -40,10 +40,10 @@ class TestPortfolioSolver:
         costs = deterministic_cost_matrix(12, seed=23)
         members = [GreedyG1(), GreedyG2(), RandomSearch(num_samples=100, seed=0)]
         portfolio = PortfolioSolver(solvers=members, seed=0).solve(
-            mesh_graph, costs, budget=SearchBudget.seconds(2)
+            DeploymentProblem(mesh_graph, costs), budget=SearchBudget.seconds(2)
         )
         individual_costs = [
-            member.solve(mesh_graph, costs).cost
+            member.solve(DeploymentProblem(mesh_graph, costs)).cost
             for member in [GreedyG1(), GreedyG2(), RandomSearch(num_samples=100, seed=0)]
         ]
         assert portfolio.cost <= min(individual_costs) + 1e-9
@@ -51,7 +51,7 @@ class TestPortfolioSolver:
     def test_merged_trace_monotone(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=24)
         result = PortfolioSolver(seed=1).solve(
-            mesh_graph, costs, budget=SearchBudget.seconds(2)
+            DeploymentProblem(mesh_graph, costs), budget=SearchBudget.seconds(2)
         )
         trace_costs = [cost for _, cost in result.trace]
         assert trace_costs == sorted(trace_costs, reverse=True)
@@ -64,7 +64,7 @@ class TestPortfolioSolver:
         costs = deterministic_cost_matrix(12, seed=25)
         members = [RandomSearch(num_samples=10, seed=0)]
         result = PortfolioSolver(solvers=members, seed=0).solve(
-            mesh_graph, costs, budget=SearchBudget.seconds(1)
+            DeploymentProblem(mesh_graph, costs), budget=SearchBudget.seconds(1)
         )
         assert result.plan.covers(mesh_graph)
         assert result.iterations >= 10

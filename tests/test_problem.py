@@ -181,12 +181,10 @@ class TestConstraintEnforcement:
         assert result.cost == pytest.approx(problem.evaluate(result.plan))
 
     def test_unconstrained_result_untouched(self, mesh_graph):
-        costs = deterministic_cost_matrix(12)
-        plain = RandomSearch(num_samples=20, seed=0).solve(
-            DeploymentProblem(mesh_graph, costs))
-        legacy = RandomSearch(num_samples=20, seed=0)
-        with pytest.warns(DeprecationWarning):
-            reference = legacy.solve(mesh_graph, costs)
+        """The public entry point returns the search's own plan and cost."""
+        problem = DeploymentProblem(mesh_graph, deterministic_cost_matrix(12))
+        plain = RandomSearch(num_samples=20, seed=0).solve(problem)
+        reference = RandomSearch(num_samples=20, seed=0)._solve(problem)
         assert plain.plan == reference.plan
         assert plain.cost == reference.cost
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DeploymentProblem, Objective
+from repro.core import DeploymentProblem, Objective, PlacementConstraints
 from repro.solvers import (
     CPLongestLinkSolver,
     DeploymentSolver,
@@ -133,10 +133,17 @@ class TestCapabilities:
         assert "mip-ll" not in large
         assert "cp" in large
 
-    def test_for_problem(self, mesh_graph):
-        problem = DeploymentProblem(mesh_graph, deterministic_cost_matrix(10))
+    @pytest.mark.parametrize("constraints", [
+        None, PlacementConstraints(pinned={0: 7}, forbidden={1: {0, 1}}),
+    ], ids=["unconstrained", "constrained"])
+    def test_for_problem(self, mesh_graph, constraints):
+        problem = DeploymentProblem(mesh_graph, deterministic_cost_matrix(10),
+                                    constraints=constraints)
         keys = default_registry.for_problem(problem)
         assert "cp" in keys and "mip" not in keys
+        # Every solver is constraint-aware, so constraints never narrow it.
+        assert keys == default_registry.supporting(Objective.LONGEST_LINK,
+                                                   problem.num_nodes)
 
     def test_default_keys_match_paper(self):
         assert default_registry.default_key(Objective.LONGEST_LINK) == "cp"
@@ -202,7 +209,7 @@ class TestWarmStartCapability:
         assert registry.supporting(Objective.LONGEST_LINK) == ("cp", "legacy")
         assert registry.supporting(Objective.LONGEST_LINK,
                                    warm_start=True) == ("cp",)
-        # warm_start=None / False do not filter, mirroring `constrained`.
+        # warm_start=None / False do not filter.
         assert registry.supporting(Objective.LONGEST_LINK,
                                    warm_start=False) == ("cp", "legacy")
 

@@ -11,8 +11,10 @@ wall-clock limit, so the runs are deterministic on any host).
 Solvers whose search runs on HiGHS LP relaxations (``mip``, ``mip-ll``, and
 ``portfolio`` on longest path, whose exact member is the MIP) are left out:
 another SciPy release may break ties between degenerate LP optima
-differently.  The engine-vs-oracle tests in ``test_exact_engine_agreement.py``
-pin those instead.
+differently.  ``test_exact_engine_agreement.py`` pins the MIP solvers
+instead, against an oracle it rebuilds in the same process (the same
+encoding, scalar branch-and-bound roundings and the pure-Python
+objective), so both sides see the same LP solutions.
 
 To record new results after a change that is meant to move them::
 

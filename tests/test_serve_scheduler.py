@@ -4,6 +4,7 @@ back-pressure, the job table, and the metrics reservoir."""
 from __future__ import annotations
 
 import json
+import random
 import threading
 
 import pytest
@@ -376,14 +377,23 @@ class TestJobTable:
 
 
 class TestLatencyReservoir:
-    def test_percentiles_over_window(self):
+    @pytest.mark.parametrize("stale, shuffled", [(0, False), (50, True)],
+                             ids=["in-order", "wrapped-shuffled"])
+    def test_percentiles_over_window(self, stale, shuffled):
         reservoir = LatencyReservoir(max_samples=100)
-        for value in range(1, 101):
-            reservoir.record(value / 100.0)
+        for value in range(1000, 1000 + stale):  # evicted as the window wraps
+            reservoir.record(float(value))
+        window = [value / 100.0 for value in range(1, 101)]
+        if shuffled:
+            random.Random(5).shuffle(window)
+        for value in window:
+            reservoir.record(value)
         snapshot = reservoir.to_dict()
-        assert snapshot["count"] == 100
-        assert snapshot["p50_s"] == pytest.approx(0.5, abs=0.02)
-        assert snapshot["p99_s"] == pytest.approx(0.99, abs=0.02)
+        assert snapshot["count"] == 100 + stale
+        # Nearest rank: index round(q * 99) of the sorted window.
+        assert snapshot["p50_s"] == 0.51
+        assert snapshot["p90_s"] == 0.90
+        assert snapshot["p99_s"] == 0.99
 
     def test_empty_reservoir_serialises_none(self):
         snapshot = LatencyReservoir().to_dict()

@@ -359,6 +359,14 @@ class TestAppDispatch:
         status, payload = app.handle("POST", "/v1/solve", body=b"{oops")
         assert status == 400 and "JSON" in payload["error"]
 
+    def test_unknown_config_field_is_400_listing_accepted_fields(self, app):
+        body = solve_body(solver="cp", config={"use_engine": False})
+        status, payload = app.handle("POST", "/v1/solve",
+                                     body=json.dumps(body).encode())
+        assert status == 400
+        assert "use_engine" in payload["error"]
+        assert "accepted fields: k_clusters, round_to" in payload["error"]
+
     def test_infinite_cost_is_400_before_any_solve(self, app):
         body = solve_body()
         body["problem"]["costs"]["matrix"][0][1] = float("inf")

@@ -4,7 +4,12 @@ import time
 
 import pytest
 
-from repro.core import CommunicationGraph, DeploymentProblem, Objective
+from repro.core import (
+    CommunicationGraph,
+    DeploymentProblem,
+    Objective,
+    PlacementConstraints,
+)
 from repro.core.errors import InfeasibleProblemError, SolverError
 from repro.core.objectives import deployment_cost
 from repro.solvers import GreedyG2, RandomSearch, SearchBudget
@@ -96,15 +101,16 @@ class TestHelpers:
         costs = deterministic_cost_matrix(4)
         solver = RandomSearch(num_samples=5, seed=0)
         with pytest.raises(InfeasibleProblemError):
-            solver.solve(graph, costs)
+            solver.solve(DeploymentProblem(graph, costs))
 
-    def test_unsupported_objective_rejected(self, mesh_graph):
+    def test_unsupported_objective_rejected(self, tree_graph):
         from repro.solvers import CPLongestLinkSolver
 
         costs = deterministic_cost_matrix(10)
+        problem = DeploymentProblem(tree_graph, costs,
+                                    objective=Objective.LONGEST_PATH)
         with pytest.raises(SolverError):
-            CPLongestLinkSolver().solve(mesh_graph, costs,
-                                        objective=Objective.LONGEST_PATH)
+            CPLongestLinkSolver().solve(problem)
 
 
 class TestImprovementOver:
@@ -135,43 +141,40 @@ class TestImprovementOver:
             result.improvement_over(-1.0)
 
 
-class TestSolveShim:
-    def test_legacy_positional_form_warns(self, mesh_graph):
+class TestSolveEntryPoint:
+    @pytest.mark.parametrize("extra", [(), (Objective.LONGEST_LINK,)],
+                             ids=["graph-costs", "graph-costs-objective"])
+    def test_graph_and_costs_form_is_a_type_error(self, mesh_graph, extra):
         costs = deterministic_cost_matrix(12)
-        with pytest.warns(DeprecationWarning, match="DeploymentProblem"):
-            result = GreedyG2().solve(mesh_graph, costs)
-        assert result.plan.covers(mesh_graph)
+        with pytest.raises(TypeError):
+            GreedyG2().solve(mesh_graph, costs, *extra)
 
-    def test_new_form_matches_legacy_form(self, mesh_graph):
+    @pytest.mark.parametrize("second", ["costs", "budget"])
+    def test_second_positional_argument_rejected(self, mesh_graph, second):
+        # Costs belong to the problem; budget and initial_plan are
+        # keyword-only.
         costs = deterministic_cost_matrix(12)
         problem = DeploymentProblem(mesh_graph, costs)
-        modern = RandomSearch(num_samples=50, seed=3).solve(problem)
-        with pytest.warns(DeprecationWarning):
-            legacy = RandomSearch(num_samples=50, seed=3).solve(
-                mesh_graph, costs)
-        assert modern.plan == legacy.plan
-        assert modern.cost == legacy.cost
+        extra = costs if second == "costs" else SearchBudget(max_iterations=5)
+        with pytest.raises(TypeError):
+            GreedyG2().solve(problem, extra)
 
-    def test_new_form_does_not_warn(self, mesh_graph, recwarn):
+    def test_solve_does_not_warn(self, mesh_graph, recwarn):
         costs = deterministic_cost_matrix(12)
         GreedyG2().solve(DeploymentProblem(mesh_graph, costs))
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_problem_plus_costs_rejected(self, mesh_graph):
+    def test_violating_plan_is_a_solver_error(self, mesh_graph,
+                                              provider_order_solver):
+        """The base class refuses a plan that breaks the constraints."""
         costs = deterministic_cost_matrix(12)
-        problem = DeploymentProblem(mesh_graph, costs)
-        with pytest.raises(TypeError):
-            GreedyG2().solve(problem, costs)
-
-    def test_legacy_form_without_costs_rejected(self, mesh_graph):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                GreedyG2().solve(mesh_graph)
-
-    def test_legacy_objective_positional(self, tree_graph):
-        costs = deterministic_cost_matrix(8)
-        with pytest.warns(DeprecationWarning):
-            result = GreedyG2().solve(tree_graph, costs,
-                                      Objective.LONGEST_PATH)
-        assert result.objective is Objective.LONGEST_PATH
+        free = DeploymentProblem(mesh_graph, costs)
+        assert provider_order_solver.solve(free).plan == free.default_plan()
+        # The provider-order plan puts node 0 on instance 0.
+        pinned = DeploymentProblem(
+            mesh_graph, costs,
+            constraints=PlacementConstraints(pinned={0: 11}))
+        with pytest.raises(SolverError,
+                           match="provider-order.*must run on instance 11"):
+            provider_order_solver.solve(pinned)

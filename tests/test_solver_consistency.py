@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import CommunicationGraph, DeploymentPlan, Objective, compile_problem
+from repro.core import (
+    CommunicationGraph,
+    DeploymentPlan,
+    DeploymentProblem,
+    Objective,
+    compile_problem,
+)
 from repro.core.objectives import deployment_cost
 from repro.solvers import (
     CPLongestLinkSolver,
@@ -41,10 +47,10 @@ class TestLongestLinkConsistency:
     def test_exact_solvers_reach_optimum(self, tiny_ll):
         graph, costs, optimum = tiny_ll
         cp = CPLongestLinkSolver(k_clusters=None, seed=0).solve(
-            graph, costs, budget=SearchBudget.seconds(10)
+            DeploymentProblem(graph, costs), budget=SearchBudget.seconds(10)
         )
         mip = MIPLongestLinkSolver(backend="milp").solve(
-            graph, costs, budget=SearchBudget.seconds(30)
+            DeploymentProblem(graph, costs), budget=SearchBudget.seconds(30)
         )
         assert cp.cost == pytest.approx(optimum, abs=1e-9)
         assert mip.cost == pytest.approx(optimum, abs=1e-6)
@@ -60,7 +66,7 @@ class TestLongestLinkConsistency:
             PortfolioSolver(seed=0),
         ]
         for solver in solvers:
-            result = solver.solve(graph, costs, budget=SearchBudget.seconds(1))
+            result = solver.solve(DeploymentProblem(graph, costs), budget=SearchBudget.seconds(1))
             assert result.cost >= optimum - 1e-9
             # All returned costs are consistent with their own plan.
             assert result.cost == pytest.approx(
@@ -70,7 +76,7 @@ class TestLongestLinkConsistency:
     def test_exhaustive_random_search_reaches_optimum(self, tiny_ll):
         """With 6 instances and 4 nodes there are only 360 plans."""
         graph, costs, optimum = tiny_ll
-        result = RandomSearch(num_samples=5000, seed=1).solve(graph, costs)
+        result = RandomSearch(num_samples=5000, seed=1).solve(DeploymentProblem(graph, costs))
         assert result.cost == pytest.approx(optimum, abs=1e-9)
 
 
@@ -78,23 +84,26 @@ class TestLongestPathConsistency:
     def test_mip_reaches_optimum(self, tiny_lp):
         graph, costs, optimum = tiny_lp
         result = MIPLongestPathSolver(backend="milp").solve(
-            graph, costs, budget=SearchBudget.seconds(30)
+            DeploymentProblem(graph, costs, objective=Objective.LONGEST_PATH),
+            budget=SearchBudget.seconds(30)
         )
         assert result.cost == pytest.approx(optimum, abs=1e-6)
 
     def test_bnb_not_worse_than_random_baseline(self, tiny_lp):
         graph, costs, optimum = tiny_lp
         bnb = MIPLongestPathSolver(backend="bnb").solve(
-            graph, costs, budget=SearchBudget.seconds(10)
+            DeploymentProblem(graph, costs, objective=Objective.LONGEST_PATH),
+            budget=SearchBudget.seconds(10)
         )
         assert bnb.cost >= optimum - 1e-9
 
     def test_heuristics_never_beat_optimum(self, tiny_lp):
         graph, costs, optimum = tiny_lp
+        problem = DeploymentProblem(graph, costs,
+                                    objective=Objective.LONGEST_PATH)
         for solver in (GreedyG2(), RandomSearch(num_samples=200, seed=2),
                        SwapLocalSearch(seed=1)):
-            result = solver.solve(graph, costs, objective=Objective.LONGEST_PATH,
-                                  budget=SearchBudget.seconds(1))
+            result = solver.solve(problem, budget=SearchBudget.seconds(1))
             assert result.cost >= optimum - 1e-9
 
 

@@ -1,12 +1,11 @@
-"""The durable SQLite result + history store: pragmas, the ResultCache
-protocol, eviction sweeps, crash recovery, cross-process concurrency, the
-persisted watch history, and the JSON-cache migration path."""
+"""The durable SQLite result + history store: pragmas, schema migrations,
+the get / put / stats surface, eviction sweeps, crash recovery,
+cross-process concurrency, and the persisted watch history."""
 
 from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import subprocess
 import sys
 import threading
@@ -16,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import AdvisorSession, ResultCache, WatchPolicy
+from repro.api import AdvisorSession, SolverResponse, SolveTelemetry, WatchPolicy
 from repro.core import (
     CommunicationGraph,
     DeploymentProblem,
@@ -28,10 +27,11 @@ from repro.store import (
     SCHEMA_VERSION,
     SQLiteResultCache,
     connect,
-    migrate_json_cache,
     schema_version,
     sweep,
+    transaction,
 )
+from repro.store.schema import MIGRATIONS
 from repro.store.connection import pragma_value
 from repro.testing import deterministic_cost_matrix
 
@@ -116,9 +116,57 @@ class TestConnectionDiscipline:
         with pytest.raises(StoreError, match="newer"):
             SQLiteResultCache(path)
 
+    def test_version_1_store_migrates_and_keeps_its_rows(self, tmp_path,
+                                                        problem):
+        """A store written before the repair flag went still opens.
+
+        Opening migrates schema v1 to v2 (dropping the telemetry table's
+        ``repair_applied`` column), keeps the telemetry and result rows,
+        and serves the old result, whose payload still carries the flag.
+        """
+        path = tmp_path / "store.db"
+        fingerprint = problem.fingerprint()
+        payload = dict(make_result(problem).to_dict(), repair_applied=False)
+        conn = connect(path)
+        with transaction(conn):
+            MIGRATIONS[0](conn)
+            conn.execute("PRAGMA user_version = 1")
+        with transaction(conn):
+            conn.execute(
+                "INSERT INTO problems (fingerprint, objective, created_at) "
+                "VALUES (?, 'longest_link', 0)", (fingerprint,))
+            conn.execute(
+                "INSERT INTO results (fingerprint, solver, version, cost, "
+                "payload, created_at, last_used_at) "
+                "VALUES (?, 'greedy', 1, 1.25, ?, 0, 0)",
+                (fingerprint, json.dumps(payload)))
+            conn.execute(
+                "INSERT INTO telemetry (request_id, fingerprint, solver, "
+                "status, repair_applied, created_at) "
+                "VALUES ('req-0000', ?, 'greedy', 'ok', 0, 0)",
+                (fingerprint,))
+        conn.close()
+
+        with SQLiteResultCache(path) as store:
+            assert schema_version(store._conn) == SCHEMA_VERSION == 2
+            columns = [row[1] for row in store._conn.execute(
+                "PRAGMA table_info(telemetry)")]
+            assert "repair_applied" not in columns
+            assert store._conn.execute(
+                "SELECT request_id, solver, status FROM telemetry"
+            ).fetchall() == [("req-0000", "greedy", "ok")]
+            restored = store.get(fingerprint, "greedy")
+            assert restored == make_result(problem)
+            # New telemetry rows land in the migrated table.
+            store.record_telemetry(fingerprint, SolverResponse(
+                request_id="req-0001", solver="greedy", status="ok",
+                result=restored, telemetry=SolveTelemetry()))
+            assert store._conn.execute(
+                "SELECT COUNT(*) FROM telemetry").fetchone()[0] == 2
+
 
 class TestResultCacheProtocol:
-    """The same surface the JSON ResultCache exposes, same semantics."""
+    """get / put / stats / len / clear, and how failures degrade."""
 
     def test_put_get_round_trip(self, tmp_path, problem):
         store = SQLiteResultCache(tmp_path / "store.db")
@@ -521,51 +569,6 @@ class TestSessionIntegration:
             problem, [], fast_policy(config={"seed": 99}))
         assert report.cache_hits == 0 and report.resolves == 1
 
-    def test_json_and_sqlite_replays_agree(self, tmp_path, problem):
-        """Same watch, either cache backend: identical recommendation."""
-        revisions = [drifted(problem.costs, seed=9, sigma=0.4)]
-        json_session = AdvisorSession(result_cache=tmp_path / "json-cache")
-        sqlite_session = AdvisorSession(
-            result_cache=SQLiteResultCache(tmp_path / "store.db"))
-        json_report = json_session.watch(problem, revisions, fast_policy())
-        sqlite_report = sqlite_session.watch(problem, revisions,
-                                             fast_policy())
-        assert json_report.cost == sqlite_report.cost
-        assert (json_report.plan.as_dict()
-                == sqlite_report.plan.as_dict())
-
-
-class TestJsonCacheMigration:
-    def test_migrates_entries_and_sweeps_litter(self, tmp_path, problem):
-        directory = tmp_path / "json-cache"
-        cache = ResultCache(directory)
-        fingerprint = problem.fingerprint()
-        cache.put(fingerprint, "greedy.abc123", make_result(problem))
-        cache.put(fingerprint, "cp", make_result(problem, cost=2.0))
-        # Crashed-writer litter (old) plus a corrupt entry to skip.
-        litter = directory / ".write-stale.json"
-        litter.write_text("{", encoding="utf-8")
-        os.utime(litter, (1, 1))
-        (directory / f"{fingerprint}.broken.json").write_text(
-            "{not json", encoding="utf-8")
-
-        store = SQLiteResultCache(tmp_path / "store.db")
-        imported = migrate_json_cache(directory, store)
-        assert imported == 2
-        assert not litter.exists()
-        assert store.get(fingerprint, "greedy.abc123").cost == 1.25
-        assert store.get(fingerprint, "cp").cost == 2.0
-
-    def test_existing_store_rows_win(self, tmp_path, problem):
-        directory = tmp_path / "json-cache"
-        cache = ResultCache(directory)
-        fingerprint = problem.fingerprint()
-        cache.put(fingerprint, "greedy", make_result(problem, cost=9.0))
-        store = SQLiteResultCache(tmp_path / "store.db")
-        store.put(fingerprint, "greedy", make_result(problem, cost=1.0))
-        assert migrate_json_cache(directory, store) == 0
-        assert store.get(fingerprint, "greedy").cost == 1.0
-
 
 class TestStoreCli:
     def _artifacts(self, tmp_path):
@@ -605,15 +608,3 @@ class TestStoreCli:
 
         with SQLiteResultCache(store_path) as store:
             assert len(store.history.runs()) == 2
-
-    def test_watch_rejects_both_cache_flags(self, tmp_path, capsys):
-        from repro.cli import main as cli_main
-        problem_path, trace_path = self._artifacts(tmp_path)
-        code = cli_main([
-            "watch", "--problem", str(problem_path),
-            "--trace", str(trace_path),
-            "--store", str(tmp_path / "s.db"),
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
-        assert code == 2
-        assert "--store and --cache-dir" in capsys.readouterr().err

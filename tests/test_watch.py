@@ -1,5 +1,5 @@
 """The live re-deployment loop: AdvisorSession.watch, its policy, the
-persistent result cache, and the CLI ``make-trace`` / ``watch`` commands."""
+durable result store, and the CLI ``make-trace`` / ``watch`` commands."""
 
 from __future__ import annotations
 
@@ -9,11 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import (
-    AdvisorSession,
-    ResultCache,
-    WatchPolicy,
-)
+from repro.api import AdvisorSession, WatchPolicy
 from repro.api.watch import (
     REASON_DEGRADATION,
     REASON_DRIFT,
@@ -27,11 +23,12 @@ from repro.core import (
     CommunicationGraph,
     CostMatrix,
     DeploymentProblem,
-    Objective,
     PlacementConstraints,
 )
+from repro.core.errors import StoreError
 from repro.netmeasure import MeasurementStream
-from repro.solvers import SearchBudget, SolverResult
+from repro.solvers import SearchBudget
+from repro.store import SQLiteResultCache
 from repro.testing import deterministic_cost_matrix
 
 
@@ -204,68 +201,16 @@ class TestWatchLoop:
         assert second.cost <= first.cost
 
 
-class TestResultCache:
-    def test_put_get_round_trip(self, tmp_path, watch_problem):
-        cache = ResultCache(tmp_path / "cache")
-        result = SolverResult(
-            plan=watch_problem.default_plan(), cost=1.25,
-            objective=Objective.LONGEST_LINK, solver_name="G2",
-            solve_time_s=0.1, iterations=3, optimal=False,
-        )
-        fingerprint = watch_problem.fingerprint()
-        assert cache.get(fingerprint, "greedy") is None
-        cache.put(fingerprint, "greedy", result)
-        restored = cache.get(fingerprint, "greedy")
-        assert restored.cost == result.cost
-        assert restored.plan.as_dict() == result.plan.as_dict()
-        assert len(cache) == 1
-        stats = cache.stats
-        assert (stats.hits, stats.misses, stats.writes) == (1, 1, 1)
-
-    def test_solver_keys_are_isolated(self, tmp_path, watch_problem):
-        cache = ResultCache(tmp_path)
-        result = SolverResult(
-            plan=watch_problem.default_plan(), cost=1.0,
-            objective=Objective.LONGEST_LINK, solver_name="G2",
-            solve_time_s=0.0, iterations=1, optimal=False,
-        )
-        cache.put(watch_problem.fingerprint(), "greedy", result)
-        assert cache.get(watch_problem.fingerprint(), "cp") is None
-
-    def test_corrupt_entries_degrade_to_misses(self, tmp_path, watch_problem):
-        cache = ResultCache(tmp_path)
-        result = SolverResult(
-            plan=watch_problem.default_plan(), cost=1.0,
-            objective=Objective.LONGEST_LINK, solver_name="G2",
-            solve_time_s=0.0, iterations=1, optimal=False,
-        )
-        fingerprint = watch_problem.fingerprint()
-        cache.put(fingerprint, "greedy", result)
-        for entry in cache.path.glob("*.json"):
-            entry.write_text("{not json", encoding="utf-8")
-        assert cache.get(fingerprint, "greedy") is None
-
-    def test_clear_removes_entries(self, tmp_path, watch_problem):
-        cache = ResultCache(tmp_path)
-        result = SolverResult(
-            plan=watch_problem.default_plan(), cost=1.0,
-            objective=Objective.LONGEST_LINK, solver_name="G2",
-            solve_time_s=0.0, iterations=1, optimal=False,
-        )
-        cache.put(watch_problem.fingerprint(), "greedy", result)
-        assert cache.clear() == 1
-        assert len(cache) == 0
-
-
 class TestPersistentWatchCache:
     def test_sibling_sessions_skip_solved_revisions(self, tmp_path,
                                                     watch_problem):
         revisions = [drifted(watch_problem.costs, seed=13, sigma=0.4)]
-        first = AdvisorSession(result_cache=tmp_path / "cache")
+        path = tmp_path / "store.db"
+        first = AdvisorSession(result_cache=SQLiteResultCache(path))
         report = first.watch(watch_problem, revisions, fast_policy())
         assert report.resolves == 2 and report.cache_hits == 0
 
-        second = AdvisorSession(result_cache=tmp_path / "cache")
+        second = AdvisorSession(result_cache=SQLiteResultCache(path))
         replay = second.watch(watch_problem, revisions, fast_policy())
         assert replay.resolves == 0
         assert replay.cache_hits == 2
@@ -276,7 +221,8 @@ class TestPersistentWatchCache:
                    if event.cache_hit)
 
     def test_cache_entries_are_per_fingerprint(self, tmp_path, watch_problem):
-        session = AdvisorSession(result_cache=tmp_path / "cache")
+        session = AdvisorSession(
+            result_cache=SQLiteResultCache(tmp_path / "store.db"))
         session.watch(watch_problem,
                       [drifted(watch_problem.costs, seed=14, sigma=0.4)],
                       fast_policy())
@@ -285,22 +231,22 @@ class TestPersistentWatchCache:
 
     def test_different_policies_do_not_share_entries(self, tmp_path,
                                                      watch_problem):
-        cache_dir = tmp_path / "cache"
-        first = AdvisorSession(result_cache=cache_dir)
+        path = tmp_path / "store.db"
+        first = AdvisorSession(result_cache=SQLiteResultCache(path))
         first.watch(watch_problem, [], fast_policy())
         # Same solver, different seed: must re-solve, not reuse seed-3's plan.
-        second = AdvisorSession(result_cache=cache_dir)
+        second = AdvisorSession(result_cache=SQLiteResultCache(path))
         report = second.watch(watch_problem, [],
                               fast_policy(config={"seed": 99}))
         assert report.cache_hits == 0 and report.resolves == 1
         # Different budget, same seed: also a distinct cache entry.
-        third = AdvisorSession(result_cache=cache_dir)
+        third = AdvisorSession(result_cache=SQLiteResultCache(path))
         report = third.watch(
             watch_problem, [],
             fast_policy(budget=SearchBudget(max_iterations=301)))
         assert report.cache_hits == 0 and report.resolves == 1
         # The original policy still hits its own entry.
-        fourth = AdvisorSession(result_cache=cache_dir)
+        fourth = AdvisorSession(result_cache=SQLiteResultCache(path))
         assert fourth.watch(watch_problem, [], fast_policy()).cache_hits == 1
 
     def test_infeasible_cache_entries_are_ignored(self, tmp_path):
@@ -310,7 +256,7 @@ class TestPersistentWatchCache:
         constrained = DeploymentProblem(
             graph, costs,
             constraints=PlacementConstraints(pinned={0: 7}))
-        cache = ResultCache(tmp_path)
+        cache = SQLiteResultCache(tmp_path / "store.db")
         session = AdvisorSession(result_cache=cache)
         free_report = session.watch(unconstrained, [], fast_policy())
         if free_report.plan.instance_for(0) != 7:
@@ -322,6 +268,47 @@ class TestPersistentWatchCache:
                       dataclasses.replace(free_report.result))
             report = session.watch(constrained, [], fast_policy())
             assert report.plan.instance_for(0) == 7
+
+
+class _FailingPut(SQLiteResultCache):
+    """A store whose result writes fail as a locked database would."""
+
+    def put(self, fingerprint, solver, result):
+        raise StoreError("database is locked")
+
+
+class _FailingHistory:
+    def record_report(self, *args, **kwargs):
+        raise StoreError("database is locked")
+
+
+class _FailingReport(SQLiteResultCache):
+    """A store whose watch-history writes fail."""
+
+    @property
+    def history(self):
+        return _FailingHistory()
+
+
+class TestStoreWriteBackFaults:
+    """A failing store write degrades the watch; it never aborts it."""
+
+    @pytest.mark.parametrize("store_cls", [_FailingPut, _FailingReport],
+                             ids=["put", "record_report"])
+    def test_watch_returns_every_event(self, tmp_path, watch_problem,
+                                       store_cls):
+        revisions = [drifted(watch_problem.costs, seed=13, sigma=0.4),
+                     drifted(watch_problem.costs, seed=14, sigma=0.4)]
+        plain = AdvisorSession().watch(watch_problem, revisions,
+                                       fast_policy())
+        store = store_cls(tmp_path / "store.db")
+        report = AdvisorSession(result_cache=store).watch(
+            watch_problem, revisions, fast_policy())
+        assert len(report.events) == 3
+        assert [e.reason for e in report.events] == \
+            [e.reason for e in plain.events]
+        assert report.cost == plain.cost
+        assert report.plan.as_dict() == plain.plan.as_dict()
 
 
 class TestWatchCli:
@@ -351,7 +338,7 @@ class TestWatchCli:
             "watch", "--problem", str(problem_path),
             "--trace", str(trace_path), "--solver", "local-search",
             "--seed", "7", "--time-limit", "0.5",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--store", str(tmp_path / "store.db"),
             "--out", str(log_path),
         ])
         captured = capsys.readouterr()
@@ -361,12 +348,12 @@ class TestWatchCli:
         assert len(log["events"]) == 5  # initial + 4 windows
         assert log["events"][0]["reason"] == "initial"
 
-        # Replaying with the same cache directory skips every solve.
+        # Replaying against the same store skips every solve.
         code = cli_main([
             "watch", "--problem", str(problem_path),
             "--trace", str(trace_path), "--solver", "local-search",
             "--seed", "7", "--time-limit", "0.5",
-            "--cache-dir", str(tmp_path / "cache"),
+            "--store", str(tmp_path / "store.db"),
         ])
         captured = capsys.readouterr()
         assert code == 0
@@ -435,64 +422,3 @@ class TestStrictJsonLogs:
     def test_json_to_float_inverts_null(self):
         assert json_to_float(None) == float("inf")
         assert json_to_float(1.5) == 1.5
-
-
-class TestCacheTempFileHygiene:
-    """Regression: ``put`` failures must not leak ``.write-*`` litter."""
-
-    def _unserializable_result(self, watch_problem):
-        return SolverResult(
-            plan=watch_problem.default_plan(), cost=object(),  # type: ignore[arg-type]
-            objective=Objective.LONGEST_LINK, solver_name="G2",
-            solve_time_s=0.0, iterations=1, optimal=False,
-        )
-
-    def test_failed_dump_leaves_no_temp_file(self, tmp_path, watch_problem):
-        cache = ResultCache(tmp_path / "cache")
-        with pytest.raises(TypeError):
-            cache.put(watch_problem.fingerprint(), "greedy",
-                      self._unserializable_result(watch_problem))
-        assert list(cache.path.glob(".write-*")) == []
-        assert len(cache) == 0
-
-    def test_non_finite_result_rejected_without_litter(self, tmp_path,
-                                                       watch_problem):
-        cache = ResultCache(tmp_path / "cache")
-        bad = SolverResult(
-            plan=watch_problem.default_plan(), cost=float("inf"),
-            objective=Objective.LONGEST_LINK, solver_name="G2",
-            solve_time_s=0.0, iterations=1, optimal=False,
-        )
-        with pytest.raises(ValueError):
-            cache.put(watch_problem.fingerprint(), "greedy", bad)
-        assert list(cache.path.glob(".write-*")) == []
-
-    def test_cache_still_works_after_failed_put(self, tmp_path,
-                                                watch_problem):
-        cache = ResultCache(tmp_path / "cache")
-        with pytest.raises(TypeError):
-            cache.put(watch_problem.fingerprint(), "greedy",
-                      self._unserializable_result(watch_problem))
-        good = SolverResult(
-            plan=watch_problem.default_plan(), cost=1.0,
-            objective=Objective.LONGEST_LINK, solver_name="G2",
-            solve_time_s=0.0, iterations=1, optimal=False,
-        )
-        cache.put(watch_problem.fingerprint(), "greedy", good)
-        assert cache.get(watch_problem.fingerprint(), "greedy").cost == 1.0
-
-    def test_stale_litter_swept_on_open(self, tmp_path):
-        import os as _os
-        import time as _time
-        directory = tmp_path / "cache"
-        directory.mkdir()
-        stale = directory / ".write-stale.json"
-        stale.write_text("{", encoding="utf-8")
-        _os.utime(stale, (1.0, 1.0))  # ancient: a crashed writer's litter
-        fresh = directory / ".write-fresh.json"
-        fresh.write_text("{", encoding="utf-8")
-        now = _time.time()
-        _os.utime(fresh, (now, now))  # recent: may be a live sibling write
-        ResultCache(directory)
-        assert not stale.exists()
-        assert fresh.exists()

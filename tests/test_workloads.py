@@ -1,9 +1,8 @@
 """Tests for the three application workloads and deployment comparisons."""
 
-import numpy as np
 import pytest
 
-from repro.core import DeploymentPlan, Objective
+from repro.core import DeploymentPlan, DeploymentProblem, Objective
 from repro.solvers import CPLongestLinkSolver, SearchBudget, default_plan
 from repro.workloads import (
     AggregationQueryWorkload,
@@ -148,7 +147,7 @@ class TestComparisons:
         costs = small_cloud.true_cost_matrix(ids)
         baseline = default_plan(graph, costs)
         optimized = CPLongestLinkSolver(seed=0).solve(
-            graph, costs, budget=SearchBudget.seconds(5)
+            DeploymentProblem(graph, costs), budget=SearchBudget.seconds(5)
         ).plan
         comparison = compare_deployments(workload, baseline, optimized, small_cloud,
                                          seed=0, repetitions=2)
