@@ -44,6 +44,7 @@ from .core import (
     DeploymentProblem,
     LatencyMetric,
     Objective,
+    PROBLEM_SCHEMA_VERSION,
 )
 from .core.advisor import AdvisorConfig, ClouDiA, MeasurementConfig
 from .core.errors import ClouDiAError
@@ -392,7 +393,10 @@ def command_make_trace(args: argparse.Namespace) -> int:
             for a, b in spiked:
                 matrix[a, b] *= args.spike_factor
         windows.append(CostMatrix(ids, matrix).to_dict())
-    _write_json(args.out, {"version": 1, "windows": windows})
+    # Windows are cost matrices in the problem schema's encoding, so a
+    # trace shares the problem schema's version.
+    _write_json(args.out, {"version": PROBLEM_SCHEMA_VERSION,
+                           "windows": windows})
     print(format_table(
         ["quantity", "value"],
         [
@@ -414,6 +418,13 @@ def command_watch(args: argparse.Namespace) -> int:
     problem = DeploymentProblem.from_dict(_read_json(args.problem))
     payload = _read_json(args.trace)
     if isinstance(payload, dict):
+        version = payload.get("version", PROBLEM_SCHEMA_VERSION)
+        if version != PROBLEM_SCHEMA_VERSION:
+            raise ClouDiAError(
+                f"unsupported trace version {version!r} in {args.trace} "
+                f"(this library reads version {PROBLEM_SCHEMA_VERSION}; "
+                f"regenerate it with make-trace)"
+            )
         entries = payload.get("windows")
         if entries is None:
             raise ClouDiAError(

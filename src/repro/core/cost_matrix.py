@@ -10,6 +10,7 @@ deviation, or the 99th percentile).
 
 from __future__ import annotations
 
+import base64
 import enum
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -220,30 +221,56 @@ class CostMatrix:
     # Serialization
     # ------------------------------------------------------------------ #
 
-    def to_dict(self) -> Dict[str, list]:
-        """JSON-serializable representation.
+    def to_dict(self) -> Dict[str, object]:
+        """JSON-serializable representation (problem schema version 2).
 
-        Costs are emitted as plain Python floats; ``json`` round-trips
-        float64 values exactly (``repr`` produces the shortest string that
-        parses back to the same bits), so a serialized matrix reproduces
-        bit-identical deployment costs.
+        ``matrix`` is one base64 string of the row-major little-endian
+        float64 bytes; its shape is ``len(instance_ids)`` squared.  The
+        bytes round-trip exactly, so a serialized matrix reproduces
+        bit-identical deployment costs and content fingerprints, and the
+        string decodes an order of magnitude faster than the equivalent
+        nested JSON float lists.
         """
+        raw = self._matrix.astype("<f8", copy=False).tobytes()
         return {
             "instance_ids": list(self._ids),
-            "matrix": self._matrix.tolist(),
+            "matrix": base64.b64encode(raw).decode("ascii"),
         }
 
     @classmethod
     def from_dict(cls, payload) -> "CostMatrix":
-        """Rebuild a matrix from :meth:`to_dict` output."""
+        """Rebuild a matrix from :meth:`to_dict` output.
+
+        Raises:
+            InvalidCostMatrixError: if ``matrix`` is not a strict base64
+                string of exactly ``8 * m * m`` bytes for the ``m``
+                instance ids, or the decoded costs fail validation.
+        """
         try:
-            ids = payload["instance_ids"]
-            matrix = payload["matrix"]
+            ids = list(payload["instance_ids"])
+            encoded = payload["matrix"]
         except (KeyError, TypeError) as exc:
             raise InvalidCostMatrixError(
                 "cost matrix payload must contain 'instance_ids' and 'matrix'"
             ) from exc
-        return cls(ids, np.asarray(matrix, dtype=float))
+        if not isinstance(encoded, str):
+            raise InvalidCostMatrixError(
+                f"cost matrix 'matrix' must be a base64 string of row-major "
+                f"little-endian float64 bytes, got {type(encoded).__name__}"
+            )
+        try:
+            raw = base64.b64decode(encoded, validate=True)
+        except ValueError as exc:  # binascii.Error, or non-ASCII text
+            raise InvalidCostMatrixError(
+                f"cost matrix 'matrix' is not valid base64: {exc}"
+            ) from None
+        m = len(ids)
+        if len(raw) != 8 * m * m:
+            raise InvalidCostMatrixError(
+                f"cost matrix 'matrix' holds {len(raw)} bytes; {m} instances "
+                f"need {8 * m * m} ({m} x {m} float64)"
+            )
+        return cls(ids, np.frombuffer(raw, dtype="<f8").reshape(m, m))
 
     # ------------------------------------------------------------------ #
     # Transformations

@@ -51,9 +51,11 @@ from .evaluation import (
 from .objectives import Objective
 from .types import InstanceId, NodeId
 
-#: Version tag embedded in every serialized problem payload so future
-#: schema changes can stay backwards compatible.
-PROBLEM_SCHEMA_VERSION = 1
+#: Version tag embedded in every serialized problem payload.  Version 2
+#: carries the cost matrix as base64 float64 bytes
+#: (:meth:`CostMatrix.to_dict`); version 1 files, whose matrices were
+#: nested float lists, are refused and must be regenerated.
+PROBLEM_SCHEMA_VERSION = 2
 
 
 class PlacementConstraints:

@@ -201,7 +201,8 @@ class AdvisorApp:
             return None
         try:
             return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as exc:  # RecursionError: nested too deep
             raise HttpError(400, f"request body is not valid JSON: {exc}"
                             ) from None
 

@@ -46,6 +46,15 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
 
     server: AdvisorHTTPServer
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY: a response goes out as two writes (headers, body), and
+    #: with Nagle the body would wait for the client's delayed ACK of the
+    #: headers, ~40 ms per response on a keep-alive connection.
+    disable_nagle_algorithm = True
+    #: Socket timeout in seconds.  A client that stalls mid-body or idles
+    #: on a keep-alive connection this long is dropped
+    #: (``handle_one_request`` closes on ``TimeoutError``), so it cannot
+    #: pin a connection thread forever.
+    timeout = 30.0
 
     # ------------------------------------------------------------------ #
 
@@ -85,10 +94,22 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         try:
             length = int(raw_length)
         except ValueError:
-            raise HttpError(400, "malformed Content-Length header") from None
+            length = -1
         if length < 0:
+            # Where this body ends is unknown, so no further request can
+            # be read from the connection.
+            self.close_connection = True
             raise HttpError(400, "malformed Content-Length header")
         if length > max_bytes:
+            # Read the body off the socket without keeping it: a client
+            # still sending would otherwise get a reset instead of the
+            # 413, and the connection stays usable.
+            while length > 0:
+                chunk = self.rfile.read(min(length, 1 << 16))
+                if not chunk:
+                    self.close_connection = True
+                    break
+                length -= len(chunk)
             raise HttpError(
                 413, f"request body exceeds the {max_bytes}-byte limit")
         return self.rfile.read(length)
@@ -101,6 +122,8 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 

@@ -3,14 +3,19 @@
 Every ``from_dict(to_dict(x))`` must reconstruct an equal object *through
 an actual JSON wire format* (``json.dumps`` / ``json.loads``), and plan
 costs evaluated on a round-tripped problem must be bit-identical to the
-original — floats survive JSON because ``repr`` emits the shortest string
-that parses back to the same float64.
+original.  Cost matrices cross the wire as base64 strings of their
+little-endian float64 bytes, so every value (subnormals and signed zeros
+included) survives bit for bit, and the content keys a persistent store
+is indexed by are pinned to fixed hex values.
 """
 
+import base64
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import SolveRequest, SolverResponse, SolveTelemetry
 from repro.core import (
@@ -22,7 +27,8 @@ from repro.core import (
     PlacementConstraints,
 )
 from repro.core.errors import ClouDiAError
-from repro.solvers import RandomSearch, SearchBudget
+from repro.serve.scheduler import coalesce_key
+from repro.solvers import RandomSearch, SearchBudget, default_registry
 
 from conftest import deterministic_cost_matrix
 
@@ -85,7 +91,43 @@ class TestGraphRoundTrip:
             assert restored.evaluate(plan) == problem.evaluate(plan)
 
 
+#: Float64 values at the edges of what a valid cost may be: both zeros,
+#: the smallest subnormal, a mid-range subnormal, the smallest normal and
+#: a value near the largest finite double.
+EDGE_COSTS = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7e308]
+
+
+@st.composite
+def wire_cost_matrices(draw):
+    """A valid cost matrix with 1-12 unique, non-contiguous instance ids."""
+    m = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(0, 10 ** 9), min_size=m, max_size=m,
+                        unique=True))
+    value = st.one_of(
+        st.sampled_from(EDGE_COSTS),
+        st.floats(min_value=0.0, max_value=1.7e308, allow_nan=False,
+                  allow_infinity=False),
+    )
+    flat = draw(st.lists(value, min_size=m * m, max_size=m * m))
+    return CostMatrix(ids, np.array(flat, dtype=float).reshape(m, m))
+
+
 class TestCostMatrixRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(costs=wire_cost_matrices())
+    @example(costs=CostMatrix([7, 3, 40], np.array(
+        [[0.0, -0.0, 5e-324], [1.7e308, 0.0, 1e-310],
+         [2.2250738585072014e-308, 0.0, 0.0]])))
+    def test_any_valid_matrix_survives_the_wire(self, costs):
+        payload = wire(costs.to_dict())
+        assert isinstance(payload["matrix"], str)
+        restored = CostMatrix.from_dict(payload)
+        assert restored.instance_ids == costs.instance_ids
+        assert restored.as_array().tobytes() == costs.as_array().tobytes()
+        graph = CommunicationGraph([0], [])
+        assert (DeploymentProblem(graph, restored).fingerprint()
+                == DeploymentProblem(graph, costs).fingerprint())
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matrix_bits_survive(self, seed):
         costs = deterministic_cost_matrix(9, seed=seed)
@@ -103,6 +145,75 @@ class TestCostMatrixRoundTrip:
     def test_malformed_payload_rejected(self):
         with pytest.raises(ClouDiAError):
             CostMatrix.from_dict({"matrix": [[0.0]]})
+
+    def test_wire_form_is_base64_of_row_major_little_endian_float64(self):
+        costs = CostMatrix([4, 9], np.array([[0.0, 1.5], [2.25, 0.0]]))
+        payload = costs.to_dict()
+        assert set(payload) == {"instance_ids", "matrix"}
+        assert payload["instance_ids"] == [4, 9]
+        assert base64.b64decode(payload["matrix"]) == np.array(
+            [0.0, 1.5, 2.25, 0.0], dtype="<f8").tobytes()
+
+
+def _key_pin_problems():
+    mesh = CommunicationGraph.mesh_2d(3, 3)
+    relabel = {i: 100 + 3 * i for i in range(8)}
+    return {
+        "longest-link-mesh": DeploymentProblem(
+            mesh, deterministic_cost_matrix(10, seed=1)),
+        "longest-path-tree": DeploymentProblem(
+            CommunicationGraph.aggregation_tree(2, 2),
+            deterministic_cost_matrix(9, seed=2),
+            objective=Objective.LONGEST_PATH),
+        "constrained": DeploymentProblem(
+            mesh, deterministic_cost_matrix(12, seed=3),
+            constraints=PlacementConstraints(pinned={0: 3},
+                                             forbidden={1: {4, 5}})),
+        "non-contiguous-ids": DeploymentProblem(
+            CommunicationGraph.ring(6),
+            deterministic_cost_matrix(8, seed=4).relabeled(relabel)),
+    }
+
+
+#: ``(instance_key, fingerprint)`` per problem, recorded when cost
+#: matrices still crossed the wire as nested float lists.  Results in a
+#: persistent store are keyed by these values, so a store written by an
+#: older release keeps serving only while they hold.
+KEY_PINS = {
+    "longest-link-mesh": (
+        "4ea8167eaa4ac08795acd25779a376a5b1ef42ad6c4f7d1f67ca294628b32568",
+        "bbe6d94bbb074ea3839b4c4b7400a6a219dbd8b08f1ed53372351f5008bc643e"),
+    "longest-path-tree": (
+        "b5d06bc5ec2b1575d22ca64d97a64ca039e9f6092aafad07a656ac854598b784",
+        "08110d9534ad7dfaf495be2e77f5200cc8df019295a04a1837ef63abe3000384"),
+    "constrained": (
+        "7351fcfe6510658a3af2cc82c803ff16c8ce1f2f00a070de28d9342a7bc33167",
+        "fd38b4746df7e72a1579923fbe53b8ceb4bd6997ce78d900a86ef21c7eaa6aeb"),
+    "non-contiguous-ids": (
+        "64ff597136a6ee01e74aa7cee3972b2f768f5bcdafcac34251612ec4f88a42fb",
+        "7afe3facf2f4ec25b5ccf6d9108ea90c67273bc1d945ba85e2796519a7119e45"),
+}
+
+
+class TestStoreKeysUnchanged:
+    @pytest.mark.parametrize("name", sorted(KEY_PINS))
+    def test_problem_keys_are_pinned(self, name):
+        problem = _key_pin_problems()[name]
+        restored = DeploymentProblem.from_dict(wire(problem.to_dict()))
+        for candidate in (problem, restored):
+            assert (candidate.instance_key(),
+                    candidate.fingerprint()) == KEY_PINS[name]
+
+    def test_coalesce_key_is_pinned(self):
+        request = SolveRequest(
+            problem=_key_pin_problems()["longest-link-mesh"],
+            solver="local-search", config={"seed": 3},
+            budget=SearchBudget(max_iterations=200))
+        restored = SolveRequest.from_dict(wire(request.to_dict()))
+        for candidate in (request, restored):
+            assert coalesce_key(default_registry, candidate) == (
+                KEY_PINS["longest-link-mesh"][1],
+                "local-search.ad4b61f07cf22c66")
 
 
 class TestProblemRoundTrip:

@@ -4,22 +4,29 @@ transport on a loopback socket."""
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
+import socket
+import statistics
 import threading
 import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.api import SolveRequest, WatchPolicy
-from repro.core import CommunicationGraph, DeploymentProblem
+from repro.core import CommunicationGraph, CostMatrix, DeploymentProblem
+from repro.core.errors import InvalidCostMatrixError
 from repro.serve import (
     PRIORITY_INTERACTIVE,
     ServeConfig,
     create_app,
     create_server,
 )
+from repro.serve.http import AdvisorRequestHandler
 from repro.solvers import SearchBudget
 from repro.store import SQLiteResultCache
 from repro.testing import deterministic_cost_matrix
@@ -40,6 +47,33 @@ def solve_body(seed=0, **extra):
     body = make_request(seed).to_dict()
     body.update(extra)
     return body
+
+
+def encode_matrix(matrix) -> str:
+    """The wire form of a cost matrix: base64 little-endian float64."""
+    return base64.b64encode(np.asarray(matrix, "<f8").tobytes()).decode()
+
+
+def _matrix_bytes(body) -> bytes:
+    return base64.b64decode(body["problem"]["costs"]["matrix"])
+
+
+#: Malformed ``costs.matrix`` values for the 7-instance body of
+#: :func:`solve_body`, each a function of that body.
+MALFORMED_MATRICES = {
+    "nested-list": lambda body: np.frombuffer(
+        _matrix_bytes(body)).reshape(7, 7).tolist(),
+    "number": lambda body: 3.5,
+    "object": lambda body: {"shape": [7, 7]},
+    "null": lambda body: None,
+    # Decodes to the right bytes if the stray characters are dropped.
+    "non-base64": lambda body: "!*" + body["problem"]["costs"]["matrix"],
+    "non-ascii": lambda body: "\u00e9" + body["problem"]["costs"]["matrix"],
+    "one-float-short": lambda body: base64.b64encode(
+        _matrix_bytes(body)[:-8]).decode(),
+    "one-byte-long": lambda body: base64.b64encode(
+        _matrix_bytes(body) + b"\0").decode(),
+}
 
 
 def quick_config(**overrides):
@@ -367,14 +401,57 @@ class TestAppDispatch:
         assert "use_engine" in payload["error"]
         assert "accepted fields: k_clusters, round_to" in payload["error"]
 
-    def test_infinite_cost_is_400_before_any_solve(self, app):
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0],
+                             ids=["inf", "nan", "negative"])
+    def test_infinite_cost_is_400_before_any_solve(self, app, value):
         body = solve_body()
-        body["problem"]["costs"]["matrix"][0][1] = float("inf")
-        encoded = json.dumps(body).encode()  # the bare Infinity token
-        assert b"Infinity" in encoded
-        status, payload = app.handle("POST", "/v1/solve", body=encoded)
+        matrix = np.frombuffer(_matrix_bytes(body)).reshape(7, 7).copy()
+        matrix[0, 1] = value  # in the encoded bytes, not a JSON token
+        body["problem"]["costs"]["matrix"] = encode_matrix(matrix)
+        status, payload = app.handle("POST", "/v1/solve",
+                                     body=json.dumps(body).encode())
         assert status == 400
         assert "non-negative and finite" in payload["error"]
+        assert app.metrics.solver_invocations == 0
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+    def test_malformed_cost_matrix_is_400_before_any_solve(self, app, case):
+        body = solve_body()
+        costs = body["problem"]["costs"]
+        costs["matrix"] = MALFORMED_MATRICES[case](body)
+        with pytest.raises(InvalidCostMatrixError) as raised:
+            CostMatrix.from_dict(json.loads(json.dumps(costs)))
+        if case == "nested-list":
+            assert "base64" in str(raised.value)
+            assert "float64" in str(raised.value)
+        status, payload = app.handle("POST", "/v1/solve",
+                                     body=json.dumps(body).encode())
+        assert status == 400
+        assert str(raised.value) in payload["error"]
+        assert app.metrics.solver_invocations == 0
+
+    def test_version_1_problem_is_400_by_its_version(self, app):
+        body = solve_body()
+        assert body["problem"]["version"] == 2
+        # A version-1 problem: nested float lists under version 1.
+        body["problem"]["version"] = 1
+        costs = body["problem"]["costs"]
+        costs["matrix"] = MALFORMED_MATRICES["nested-list"](body)
+        with pytest.raises(InvalidCostMatrixError, match="base64"):
+            CostMatrix.from_dict(json.loads(json.dumps(costs)))
+        status, payload = app.handle("POST", "/v1/solve",
+                                     body=json.dumps(body).encode())
+        assert status == 400
+        assert "unsupported problem schema version 1" in payload["error"]
+        assert app.metrics.solver_invocations == 0
+
+    @pytest.mark.parametrize("body", [
+        b"[" * 5000, b"[" * 100000, b'{"a": ' * 100000,
+    ], ids=["list-5000", "list-100000", "object-100000"])
+    def test_deeply_nested_body_is_400(self, app, body):
+        status, payload = app.handle("POST", "/v1/solve", body=body)
+        assert status == 400
+        assert payload["error"].startswith("request body is not valid JSON")
         assert app.metrics.solver_invocations == 0
 
     def test_tenant_header_lands_on_the_job(self, app):
@@ -483,20 +560,49 @@ class TestHistoryEndpoints:
                           query_string="limit=banana")[0] == 400
 
 
+@pytest.fixture(scope="module")
+def mesh_1000_body() -> bytes:
+    """An n = 1000 mesh solve body over m = 1100 instances."""
+    problem = DeploymentProblem(CommunicationGraph.mesh_2d(25, 40),
+                                deterministic_cost_matrix(1100, seed=2))
+    request = SolveRequest(problem=problem, solver="local-search",
+                           budget=SearchBudget(max_iterations=10))
+    return json.dumps(dict(request.to_dict(), mode="async")).encode()
+
+
 class TestHttpTransport:
     """The real socket path: ThreadingHTTPServer on a loopback port."""
 
     @pytest.fixture
-    def service(self, tmp_path):
-        app = create_app(store=tmp_path / "serve.db", config=quick_config())
-        server = create_server(app, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.server_address[1]}"
-        yield base, app
-        server.shutdown()
-        server.server_close()
-        app.close(timeout=5.0)
+    def serve(self, tmp_path):
+        """Start servers on demand: ``serve(start_workers=..., **config)``."""
+        running = []
+
+        def start(start_workers=True, **overrides):
+            app = create_app(store=tmp_path / f"serve-{len(running)}.db",
+                             config=quick_config(**overrides),
+                             start_workers=start_workers)
+            server = create_server(app, port=0)
+            thread = threading.Thread(target=server.serve_forever,
+                                      daemon=True)
+            thread.start()
+            running.append((server, app))
+            return f"http://127.0.0.1:{server.server_address[1]}", app
+
+        yield start
+        for server, app in running:
+            server.shutdown()
+            server.server_close()
+            app.close(timeout=5.0)
+
+    @pytest.fixture
+    def service(self, serve):
+        return serve()
+
+    @staticmethod
+    def _connection(base) -> http.client.HTTPConnection:
+        host, port = base.rsplit("/", 1)[1].split(":")
+        return http.client.HTTPConnection(host, int(port), timeout=30)
 
     def _call(self, base, path, body=None, headers=None, method=None):
         data = None if body is None else json.dumps(body).encode()
@@ -575,6 +681,98 @@ class TestHttpTransport:
         assert status == 400
         status, payload = self._call(base, "/v1/solve", method="DELETE")
         assert status == 405
+
+    def test_keep_alive_responses_do_not_stall(self, service):
+        # urllib opens a connection per call; only a reused connection
+        # shows a response waiting on the client's delayed ACK (Nagle).
+        base, _ = service
+        conn = self._connection(base)
+        timings = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                timings.append(time.perf_counter() - started)
+        finally:
+            conn.close()
+        assert statistics.median(timings) < 0.010, timings
+
+    def test_n1000_request_fits_the_default_body_limit(self, serve,
+                                                        mesh_1000_body):
+        assert len(mesh_1000_body) < ServeConfig().max_body_bytes
+        base, app = serve(start_workers=False)
+        conn = self._connection(base)
+        try:
+            conn.request("POST", "/v1/solve", body=mesh_1000_body)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 202, payload
+        assert payload["source"] == "solver"
+
+    def test_over_limit_body_is_413_on_a_usable_connection(
+            self, serve, mesh_1000_body):
+        base, app = serve(start_workers=False, max_body_bytes=1 << 20)
+        conn = self._connection(base)
+        try:
+            conn.request("POST", "/v1/solve", body=mesh_1000_body)
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 413
+            assert payload["status"] == 413
+            assert "1048576-byte limit" in payload["error"]
+            # The body was read off the socket, so the connection still
+            # carries the next request.
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+        assert app.metrics.solver_invocations == 0
+
+    def test_stalled_and_idle_clients_are_dropped(self, serve, monkeypatch):
+        # The stdlib default is no timeout at all: a client stalled
+        # mid-body, or idle on a keep-alive connection, pins its thread.
+        assert 0 < AdvisorRequestHandler.timeout <= 60
+        monkeypatch.setattr(AdvisorRequestHandler, "timeout", 0.2)
+        base, _ = serve()
+        address = ("127.0.0.1", int(base.rsplit(":", 1)[1]))
+        before = set(threading.enumerate())
+        stalled = socket.create_connection(address)
+        stalled.sendall(b"POST /v1/solve HTTP/1.1\r\nHost: test\r\n"
+                        b"Content-Length: 1000\r\n\r\n[1, 2")
+        idle = socket.create_connection(address)
+        for client in (stalled, idle):
+            client.settimeout(10.0)
+            try:
+                assert client.recv(1024) == b""  # the server hung up
+            finally:
+                client.close()
+        for thread in set(threading.enumerate()) - before:
+            thread.join(5.0)
+            assert not thread.is_alive(), thread.name
+        status, payload = self._call(base, "/healthz")
+        assert status == 200 and payload["status"] == "ok"
+
+    def test_malformed_content_length_closes_the_connection(self, service):
+        base, _ = service
+        address = ("127.0.0.1", int(base.rsplit(":", 1)[1]))
+        with socket.create_connection(address, timeout=10.0) as client:
+            client.sendall(b"POST /v1/solve HTTP/1.1\r\nHost: test\r\n"
+                           b"Content-Length: twelve\r\n\r\n{}")
+            response = b""
+            while True:
+                chunk = client.recv(4096)
+                if not chunk:
+                    break
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"] == "malformed Content-Length header"
 
 
 class TestServeCli:

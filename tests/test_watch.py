@@ -331,7 +331,10 @@ class TestWatchCli:
         ])
         assert code == 0
         payload = json.loads(trace_path.read_text())
+        assert payload["version"] == 2
         assert len(payload["windows"]) == 4
+        assert all(isinstance(window["matrix"], str)
+                   for window in payload["windows"])
 
         log_path = tmp_path / "log.json"
         code = cli_main([
@@ -369,6 +372,27 @@ class TestWatchCli:
         ])
         assert code == 2
         assert "windows" in capsys.readouterr().err
+
+    def test_watch_refuses_other_trace_versions(self, tmp_path, capsys):
+        problem_path = self._make_problem(tmp_path)
+        trace_path = tmp_path / "trace.json"
+        assert cli_main([
+            "make-trace", "--problem", str(problem_path),
+            "--out", str(trace_path), "--windows", "2",
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(trace_path.read_text())
+        for version in (1, 3):
+            payload["version"] = version
+            trace_path.write_text(json.dumps(payload))
+            code = cli_main([
+                "watch", "--problem", str(problem_path),
+                "--trace", str(trace_path),
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"unsupported trace version {version}" in err
+            assert "make-trace" in err
 
     def test_make_trace_without_spikes(self, tmp_path, capsys):
         problem_path = self._make_problem(tmp_path)
