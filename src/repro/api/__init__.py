@@ -6,8 +6,7 @@ submits a :class:`SolveRequest` — a serialized
 :class:`~repro.core.problem.DeploymentProblem` plus a solver key and typed
 config — and receives a :class:`SolverResponse` with the plan, cost and
 per-request telemetry.  :class:`AdvisorSession` executes requests,
-deduplicating problem compilations across a batch and running independent
-requests on a worker pool.
+deduplicating problem compilations across a batch.
 
 Everything round-trips through plain dictionaries / JSON, so the full
 pipeline can be driven from serialized artifacts (see the CLI's ``solve``
@@ -15,7 +14,7 @@ and ``solve-batch`` commands).
 """
 
 from .schema import AUTO_SOLVER, SolveRequest, SolverResponse, SolveTelemetry
-from .session import AdvisorSession, SessionStats, solve_requests
+from .session import AdvisorSession, SessionStats
 from .watch import WatchEvent, WatchPolicy, WatchReport
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "WatchEvent",
     "WatchPolicy",
     "WatchReport",
-    "solve_requests",
 ]

@@ -15,6 +15,8 @@ JSON artifacts and lets responses be archived next to benchmark results.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional
 
@@ -29,6 +31,18 @@ AUTO_SOLVER = "auto"
 
 #: Version tag embedded in serialized requests / responses.
 API_SCHEMA_VERSION = 1
+
+
+def solver_tag(solver_key: str, run: Mapping[str, Any]) -> str:
+    """The solver half of a coalesce or store key: ``"<key>.<digest>"``.
+
+    ``run`` holds what else decides the solve (config, budget dict and,
+    for the service, the warm-start plan).  The digest is the first 16 hex
+    digits of the SHA-256 of its key-sorted JSON, so two runs share a tag
+    exactly when they would execute the same solve.
+    """
+    payload = json.dumps(run, sort_keys=True, default=repr)
+    return f"{solver_key}.{hashlib.sha256(payload.encode()).hexdigest()[:16]}"
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,10 @@ things the paper's service framing needs at scale:
   of requests over the same instance — different solvers, objectives,
   budgets, or problems deserialized from separate JSON files — lowers the
   instance into the vectorized engine exactly once.
-* **An opt-in worker pool** — :meth:`AdvisorSession.solve_many` can run
-  independent requests on a thread pool (``max_workers``); response order
-  matches request order regardless of scheduling.  The default is
-  sequential, because the exact solvers are GIL-bound searches under
-  wall-clock budgets — threading them degrades each request's effective
-  budget; the pool pays off for engine-dominated (NumPy) request mixes.
+* **Batches** — :meth:`AdvisorSession.solve_many` runs independent
+  requests one after another, compiling each distinct instance once and
+  capturing failures per request.  The service's worker pool runs several
+  threads against one session, so compilation is guarded per instance.
 * **Telemetry** — every response carries per-request
   :class:`~repro.api.schema.SolveTelemetry` (compile cache hit, compile /
   solve / total time), and the session aggregates :class:`SessionStats` so
@@ -24,22 +22,11 @@ things the paper's service framing needs at scale:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import (
-    TYPE_CHECKING,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
 from ..core.communication_graph import CommunicationGraph
 from ..core.cost_matrix import CostMatrix
@@ -54,9 +41,15 @@ from ..core.evaluation import (
 from ..core.deployment import DeploymentPlan
 from ..core.problem import DeploymentProblem
 from ..netmeasure.stream import CostRevision, relative_link_drift
-from ..solvers.base import SearchBudget, SolverResult
+from ..solvers.base import SolverResult
 from ..solvers.registry import SolverRegistry, default_registry
-from .schema import AUTO_SOLVER, SolveRequest, SolverResponse, SolveTelemetry
+from .schema import (
+    AUTO_SOLVER,
+    SolveRequest,
+    SolverResponse,
+    SolveTelemetry,
+    solver_tag,
+)
 from .watch import (
     REASON_DEGRADATION,
     REASON_DRIFT,
@@ -69,10 +62,6 @@ from .watch import (
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a cycle
     from ..store import SQLiteResultCache
-
-#: Hard cap on worker threads; solving is CPU-bound, so more threads than
-#: a small multiple of the core count only adds contention.
-_MAX_WORKERS = 8
 
 
 @dataclass(frozen=True)
@@ -139,9 +128,6 @@ class AdvisorSession:
     Args:
         registry: solver registry to resolve solver keys through; defaults
             to the process-wide :data:`~repro.solvers.registry.default_registry`.
-        max_workers: worker threads for :meth:`solve_many`; the default of
-            ``None`` runs requests sequentially (see :meth:`solve_many` for
-            why that is the reproducibility-preserving choice).
         max_cached_problems: bound on the number of distinct problem
             instances whose canonical graph / costs (and thereby compiled
             engines) the session keeps alive; least-recently-used entries
@@ -155,34 +141,14 @@ class AdvisorSession:
             plus solver key, so restarted sessions resume where they left
             off.  The store also receives the watch history and the
             telemetry of every executed request.
-        peek_block: session-wide default for the neighborhood block-size
-            knob of :class:`~repro.solvers.base.SearchBudget` — how many
-            candidate moves the block-scored search solvers draw and
-            batch-peek per pass (``1`` disables batching).  Applied to
-            every request whose budget does not set ``peek_block`` itself;
-            an explicit request value wins.  Under the default
-            first-improvement acceptance this only changes wall-clock:
-            trajectories are bit-identical at any block size.  Under
-            ``acceptance="best"`` the block is the candidate set each
-            committed move is picked from, so results depend on it.
     """
 
     def __init__(self, registry: Optional[SolverRegistry] = None,
-                 max_workers: Optional[int] = None,
                  max_cached_problems: int = 128,
-                 result_cache: Optional["SQLiteResultCache"] = None,
-                 peek_block: Optional[int] = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
+                 result_cache: Optional["SQLiteResultCache"] = None):
         if max_cached_problems < 1:
             raise ValueError("max_cached_problems must be >= 1")
-        if peek_block is not None and (
-                not isinstance(peek_block, int)
-                or isinstance(peek_block, bool) or peek_block < 1):
-            raise ValueError("peek_block must be a positive integer")
         self.registry = registry if registry is not None else default_registry
-        self.max_workers = max_workers
-        self.peek_block = peek_block
         self.max_cached_problems = max_cached_problems
         self.result_cache = result_cache
         self._lock = threading.Lock()
@@ -194,9 +160,9 @@ class AdvisorSession:
             OrderedDict()
         )
         #: Per-instance-key locks serialising the (expensive) first
-        #: compilation of each distinct pair across worker threads, so
-        #: distinct instances compile in parallel while the same instance
-        #: still compiles exactly once.
+        #: compilation of each distinct pair across the service's worker
+        #: threads, so distinct instances compile in parallel while the
+        #: same instance still compiles exactly once.
         self._compile_locks: dict = {}
         self._requests = 0
         self._compilations = 0
@@ -237,8 +203,8 @@ class AdvisorSession:
         Canonicalization is cheap (a content hash plus dictionary
         bookkeeping); the expensive lowering happens lazily at
         ``problem.compiled()`` under the returned per-instance lock, which
-        lets a batch compile *distinct* instances in parallel on the worker
-        pool while still compiling each distinct instance exactly once.
+        lets the service's worker threads compile *distinct* instances in
+        parallel while still compiling each distinct instance exactly once.
 
         Returns:
             ``(canonical_problem, cache_hit, compile_lock)`` where
@@ -280,27 +246,18 @@ class AdvisorSession:
         prepared = self.prepare(request.problem)
         return self._execute(request, prepared, capture_errors=False)
 
-    def solve_many(self, requests: Iterable[SolveRequest],
-                   max_workers: Optional[int] = None
+    def solve_many(self, requests: Iterable[SolveRequest]
                    ) -> List[SolverResponse]:
-        """Execute a batch of independent requests.
+        """Execute a batch of independent requests, in order.
 
-        Problems are canonicalized up front, then the worker pool compiles
-        and solves them — each distinct ``(graph, costs)`` pair is compiled
-        exactly once within the batch (a per-instance lock serialises
-        same-instance compiles; distinct instances compile concurrently).
-        A per-batch memo upholds that guarantee even when the batch holds
-        more distinct instances than ``max_cached_problems``, where the
-        session-level LRU alone would evict and recompile.  Failures are
-        captured per request as ``"error"`` responses instead of aborting
-        the batch, and response order matches request order.
-
-        Requests run **sequentially by default**: the exact solvers are
-        GIL-bound Python searches under *wall-clock* budgets, so splitting
-        one interpreter across threads silently degrades every request's
-        effective budget and makes seeded runs irreproducible across batch
-        sizes.  Opt into threads with ``max_workers`` when the requests
-        are dominated by engine (NumPy) work or are not time-budgeted.
+        Problems are canonicalized up front, then each request is compiled
+        and solved in turn, so every request gets its whole wall-clock
+        budget.  Each distinct ``(graph, costs)`` pair is compiled exactly
+        once within the batch: a per-batch memo upholds that even when the
+        batch holds more distinct instances than ``max_cached_problems``,
+        where the session-level LRU alone would evict and recompile.
+        Failures are captured per request as ``"error"`` responses instead
+        of aborting the batch, and response order matches request order.
         """
         batch: List[SolveRequest] = [
             self._with_assigned_id(request) for request in requests
@@ -324,21 +281,10 @@ class AdvisorSession:
                 item = self.prepare(request.problem)
                 memo[key] = (item[0], item[2])
                 prepared.append(item)
-        workers = max_workers if max_workers is not None else self.max_workers
-        if workers is None:
-            workers = 1
-        workers = max(1, min(workers, len(batch), _MAX_WORKERS))
-        if workers == 1:
-            return [
-                self._execute(request, prep, capture_errors=True)
-                for request, prep in zip(batch, prepared)
-            ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda pair: self._execute(pair[0], pair[1],
-                                           capture_errors=True),
-                zip(batch, prepared),
-            ))
+        return [
+            self._execute(request, prep, capture_errors=True)
+            for request, prep in zip(batch, prepared)
+        ]
 
     # ------------------------------------------------------------------ #
     # Live re-deployment
@@ -531,22 +477,18 @@ class AdvisorSession:
         """The solver component of the persistent cache key.
 
         The problem fingerprint covers everything solver-independent; this
-        tag covers the run configuration — solver key plus a digest of the
-        policy's solver config (seed included) and budget — so watches
-        sharing a store only reuse each other's results when they would
-        have executed the same solve.
+        tag covers the run configuration — solver key plus the policy's
+        solver config (seed included) and budget — so watches sharing a
+        store only reuse each other's results when they would have
+        executed the same solve.  Unlike the service's coalesce key it
+        leaves the warm-start plan out: a watch warm-starts from its
+        incumbent, which changes with every step.
         """
-        payload = json.dumps(
-            {
-                "config": {key: policy.config[key]
-                           for key in sorted(policy.config)},
-                "budget": None if policy.budget is None
-                else policy.budget.to_dict(),
-            },
-            sort_keys=True, default=repr,
-        )
-        digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        return f"{solver_key}.{digest}"
+        return solver_tag(solver_key, {
+            "config": dict(policy.config),
+            "budget": None if policy.budget is None
+            else policy.budget.to_dict(),
+        })
 
     def write_back(self, problem: DeploymentProblem, fingerprint: str,
                    cache_tag: str, result: SolverResult) -> None:
@@ -582,26 +524,6 @@ class AdvisorSession:
 
     # ------------------------------------------------------------------ #
 
-    def _effective_budget(self,
-                          budget: Optional[SearchBudget]
-                          ) -> Optional[SearchBudget]:
-        """Fold the session's ``peek_block`` default into a request budget.
-
-        A budget that already pins ``peek_block`` keeps its value, and
-        everything passes through untouched when the session has no
-        default.  A ``None`` budget becomes a budget carrying only the
-        knob; solvers default the missing limits through
-        :func:`~repro.solvers.base.default_limits`, which recognises a
-        knob-only budget and keeps their usual time caps in place.
-        """
-        if self.peek_block is None:
-            return budget
-        if budget is None:
-            return SearchBudget(peek_block=self.peek_block)
-        if budget.peek_block is None:
-            return replace(budget, peek_block=self.peek_block)
-        return budget
-
     def _with_assigned_id(self, request: SolveRequest) -> SolveRequest:
         with self._lock:
             sequence = self._requests
@@ -624,8 +546,7 @@ class AdvisorSession:
                 compile_time = time.perf_counter() - compile_started
             solver_key = request.resolved_solver_key(self.registry)
             solver = self.registry.make(solver_key, **dict(request.config))
-            result = solver.solve(problem,
-                                  budget=self._effective_budget(request.budget),
+            result = solver.solve(problem, budget=request.budget,
                                   initial_plan=request.initial_plan)
             telemetry = SolveTelemetry(
                 compile_cache_hit=cache_hit,
@@ -668,10 +589,3 @@ class AdvisorSession:
         except StoreError:
             pass
 
-
-def solve_requests(requests: Sequence[SolveRequest],
-                   registry: Optional[SolverRegistry] = None,
-                   max_workers: Optional[int] = None) -> List[SolverResponse]:
-    """One-shot convenience wrapper around a throwaway session."""
-    session = AdvisorSession(registry=registry, max_workers=max_workers)
-    return session.solve_many(requests, max_workers=max_workers)

@@ -259,17 +259,6 @@ def _budget_from_flag(time_limit: float) -> Optional[SearchBudget]:
     return SearchBudget.seconds(time_limit)
 
 
-def _peek_block_flag(value: Optional[int]) -> Optional[int]:
-    """``--peek-block`` semantics: a positive block size (1 disables
-    batching), or unset to keep each solver's default."""
-    if value is None:
-        return None
-    if value < 1:
-        raise ClouDiAError(
-            f"--peek-block must be a positive integer, got {value}")
-    return value
-
-
 def command_solve(args: argparse.Namespace) -> int:
     """Solve a serialized problem JSON and optionally write the response."""
     problem = DeploymentProblem.from_dict(_read_json(args.problem))
@@ -280,7 +269,7 @@ def command_solve(args: argparse.Namespace) -> int:
         config=default_registry.seeded_config(args.solver, args.seed, extra),
         budget=_budget_from_flag(args.time_limit),
     )
-    session = AdvisorSession(peek_block=_peek_block_flag(args.peek_block))
+    session = AdvisorSession()
     try:
         response = session.solve(request)
     except (ClouDiAError, ValueError, TypeError) as exc:
@@ -328,8 +317,7 @@ def command_solve_batch(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    session = AdvisorSession(max_workers=args.workers,
-                             peek_block=_peek_block_flag(args.peek_block))
+    session = AdvisorSession()
     responses = session.solve_many(requests)
 
     rows = []
@@ -549,11 +537,9 @@ def command_solvers(args: argparse.Namespace) -> int:
         objectives = ", ".join(obj.value for obj in spec.objectives)
         size = "-" if spec.max_nodes is None else f"<= {spec.max_nodes} nodes"
         warm = "yes" if spec.supports_warm_start else "no"
-        best = "yes" if spec.supports_best_improvement else "no"
-        rows.append((spec.key, objectives, size, warm, best, spec.summary))
+        rows.append((spec.key, objectives, size, warm, spec.summary))
     print(format_table(
-        ["key", "objectives", "practical size", "warm start",
-         "best improve", "description"],
+        ["key", "objectives", "practical size", "warm start", "description"],
         rows, title="registered solvers",
     ))
     return 0
@@ -697,12 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(0 = solver default budget)")
     solve.add_argument("--solver-config", default=None,
                        help="extra solver config as a JSON object")
-    solve.add_argument("--peek-block", type=int, default=None,
-                       help="candidate moves batch-scored per local-search/"
-                            "annealing pass (1 disables batching; default: "
-                            "solver-specific; results are bit-identical at "
-                            "any setting under the default first-improvement "
-                            "acceptance)")
     solve.add_argument("--out", default=None,
                        help="path of the response JSON to write")
     solve.set_defaults(handler=command_solve)
@@ -724,17 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "from --problem flags, in seconds "
                                   "(0 = solver default budget); --requests "
                                   "entries keep their own budgets")
-    solve_batch.add_argument("--workers", type=int, default=None,
-                             help="worker threads (default: sequential, "
-                                  "which keeps wall-clock solver budgets "
-                                  "reproducible)")
-    solve_batch.add_argument("--peek-block", type=int, default=None,
-                             help="candidate moves batch-scored per "
-                                  "local-search/annealing pass (1 disables "
-                                  "batching; default: solver-specific; "
-                                  "results are bit-identical at any "
-                                  "setting under the default "
-                                  "first-improvement acceptance)")
     solve_batch.add_argument("--out", default=None,
                              help="path of the responses JSON to write")
     solve_batch.set_defaults(handler=command_solve_batch)

@@ -49,6 +49,15 @@ from .scheduler import (
 from .workers import WorkerPool
 
 
+def _reject_constant(token: str):
+    """``json.loads`` hook for ``NaN`` / ``Infinity`` / ``-Infinity``.
+
+    RFC 8259 has no such tokens; accepting them would let a NaN time limit
+    never expire and pin a worker.
+    """
+    raise ValueError(f"{token} is not a JSON number")
+
+
 class AdvisorApp:
     """One advisor service process (transport-agnostic).
 
@@ -200,9 +209,11 @@ class AdvisorApp:
         if not body:
             return None
         try:
-            return json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError,
-                RecursionError) as exc:  # RecursionError: nested too deep
+            return json.loads(body.decode("utf-8"),
+                              parse_constant=_reject_constant)
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad UTF-8, malformed JSON or a NaN / Infinity
+            # token; RecursionError: nested too deep.
             raise HttpError(400, f"request body is not valid JSON: {exc}"
                             ) from None
 

@@ -26,9 +26,7 @@ drain has begun (mapped to ``503``).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import threading
 import time
 import uuid
@@ -36,7 +34,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
-from ..api.schema import SolveRequest, SolverResponse
+from ..api.schema import SolveRequest, SolverResponse, solver_tag
 from ..core.errors import ClouDiAError
 from ..solvers.registry import SolverRegistry
 
@@ -98,26 +96,24 @@ def coalesce_key(registry: SolverRegistry, request: SolveRequest
     """``(fingerprint, solver tag)`` identifying one unit of solving work.
 
     The fingerprint covers the problem content (graph, costs, objective,
-    constraints); the tag covers the resolved solver key plus a digest of
-    its config, budget and warm-start plan — the same shape
-    :meth:`AdvisorSession._solver_cache_tag` uses for the persistent
-    result cache, so the scheduler's dedup key and the store's cache key
-    agree on what "the same solve" means.
+    constraints); the tag is :func:`~repro.api.schema.solver_tag` over the
+    resolved solver key, config, budget and warm-start plan.  It is also
+    the key the service stores results under.  The watch loop's store tag
+    (:meth:`AdvisorSession._solver_cache_tag`) leaves the warm-start plan
+    out on purpose, because a watch's warm start changes with every
+    incumbent.
     """
     solver_key = request.resolved_solver_key(registry)
-    payload = json.dumps(
+    return request.problem.fingerprint(), solver_tag(
+        solver_key,
         {
-            "config": {key: request.config[key]
-                       for key in sorted(request.config)},
+            "config": dict(request.config),
             "budget": None if request.budget is None
             else request.budget.to_dict(),
             "initial_plan": None if request.initial_plan is None
             else request.initial_plan.to_dict(),
         },
-        sort_keys=True, default=repr,
     )
-    digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-    return request.problem.fingerprint(), f"{solver_key}.{digest}"
 
 
 @dataclass

@@ -9,7 +9,6 @@ from .base import (
     best_constrained_random_plan,
     best_random_plan,
     constrained_warm_start,
-    default_limits,
     default_plan,
     random_plans,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "best_constrained_random_plan",
     "best_random_plan",
     "constrained_warm_start",
-    "default_limits",
     "default_plan",
     "default_registry",
     "random_plans",

@@ -15,8 +15,10 @@ problem object and keyword-only ``budget`` / ``initial_plan``.
 from __future__ import annotations
 
 import abc
+import math
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -33,49 +35,23 @@ from ..core.types import make_rng
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits on how long a solver may search, plus execution knobs.
+    """Limits on how long a solver may search.
 
     Attributes:
         time_limit_s: wall-clock limit in seconds (``None`` = unlimited).
         max_iterations: iteration limit whose meaning is solver-specific
             (random plans generated, branch-and-bound nodes, CP backtracks).
         target_cost: stop early once a plan at or below this cost is found.
-        peek_block: neighborhood block size for the move-based searches
-            (local search, annealing): how many candidate moves are drawn
-            and scored per :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many`
-            batch.  ``None`` keeps each solver's default, ``1`` disables
-            batching (the pure per-move loop).  Under the default
-            first-improvement acceptance trajectories are bit-identical at
-            any setting — the solvers select the serial-order-first
-            admissible move and re-synchronise their RNG stream — so there
-            the knob only moves wall-clock.  Under
-            ``SwapLocalSearch(acceptance="best")`` the block is the
-            candidate set the committed move is picked from, so the block
-            size changes the trajectory.
     """
 
     time_limit_s: Optional[float] = None
     max_iterations: Optional[int] = None
     target_cost: Optional[float] = None
-    peek_block: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.peek_block is not None:
-            if (not isinstance(self.peek_block, int)
-                    or isinstance(self.peek_block, bool)
-                    or self.peek_block < 1):
-                raise SolverError("peek_block must be a positive integer")
 
     @classmethod
     def unlimited(cls) -> "SearchBudget":
         """A budget with no limits (use with care)."""
         return cls()
-
-    def has_limits(self) -> bool:
-        """Whether any stopping limit (time, iterations, target) is set."""
-        return (self.time_limit_s is not None
-                or self.max_iterations is not None
-                or self.target_cost is not None)
 
     @classmethod
     def seconds(cls, seconds: float) -> "SearchBudget":
@@ -88,23 +64,49 @@ class SearchBudget:
             "time_limit_s": self.time_limit_s,
             "max_iterations": self.max_iterations,
             "target_cost": self.target_cost,
-            "peek_block": self.peek_block,
+            "peek_block": None,  # retired knob; coalesce and store keys digest this dict
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SearchBudget":
-        """Rebuild a budget from :meth:`to_dict` output."""
+        """Rebuild a budget from :meth:`to_dict` output, checking each limit.
+
+        ``time_limit_s`` must be a finite number >= 0, ``max_iterations``
+        an integer >= 0 and ``target_cost`` a finite number; booleans are
+        refused.  Unknown keys, such as retired execution knobs, are
+        ignored.
+
+        Raises:
+            SolverError: naming the first field that breaks its rule.
+        """
         if not isinstance(payload, Mapping):
             raise SolverError(
                 f"search budget payload must be a JSON object, got "
                 f"{type(payload).__name__}"
             )
         return cls(
-            time_limit_s=payload.get("time_limit_s"),
-            max_iterations=payload.get("max_iterations"),
-            target_cost=payload.get("target_cost"),
-            peek_block=payload.get("peek_block"),
+            time_limit_s=_limit(payload, "time_limit_s", numbers.Real, 0),
+            max_iterations=_limit(payload, "max_iterations",
+                                  numbers.Integral, 0),
+            target_cost=_limit(payload, "target_cost", numbers.Real, None),
         )
+
+
+def _limit(payload: Mapping[str, Any], name: str, kind: type,
+           minimum: Optional[int]) -> Any:
+    """``payload[name]`` when absent, null or a valid limit of ``kind``."""
+    value = payload.get(name)
+    if value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or (kind is numbers.Real and not math.isfinite(value))
+            or (minimum is not None and value < minimum)):
+        rule = "an integer" if kind is numbers.Integral else "a finite number"
+        if minimum is not None:
+            rule += f" >= {minimum}"
+        raise SolverError(f"budget field {name!r} must be {rule}, "
+                          f"got {value!r}")
+    return value
 
 
 class Stopwatch:
@@ -260,13 +262,6 @@ class DeploymentSolver(abc.ABC):
     #: this ``False`` so the watch loop knows a warm start buys nothing.
     supports_warm_start: bool = False
 
-    #: Whether this solver class offers an opt-in best-improvement
-    #: acceptance mode (scanning a whole candidate block and committing
-    #: the best improving move instead of the serial-order first one).
-    #: Registered through :class:`~repro.solvers.registry.SolverSpec` as a
-    #: capability so clients can discover it before configuring a solver.
-    supports_best_improvement: bool = False
-
     def check_problem(self, problem: DeploymentProblem) -> None:
         """Validate that this solver can work on ``problem``.
 
@@ -336,25 +331,6 @@ def random_plans(graph: CommunicationGraph, costs: CostMatrix, count: int,
         DeploymentPlan.random(graph.nodes, instances, generator)
         for _ in range(count)
     ]
-
-
-def default_limits(budget: Optional[SearchBudget],
-                   default: SearchBudget) -> SearchBudget:
-    """Solver-side budget defaulting, aware of the ``peek_block`` knob.
-
-    Replaces the ``budget or default`` idiom: a missing budget becomes
-    ``default`` as before, and a budget carrying *only* ``peek_block`` (no
-    time / iteration / target limit) adopts ``default``'s limits while
-    keeping the knob — otherwise a session-level ``peek_block`` default
-    would silently disable a solver's default time cap (and purely
-    time-bounded searches such as simulated annealing would never stop).
-    A budget with any explicit limit passes through untouched.
-    """
-    if budget is None:
-        return default
-    if budget.peek_block is not None and not budget.has_limits():
-        return replace(default, peek_block=budget.peek_block)
-    return budget
 
 
 def best_random_plan(graph: CommunicationGraph, costs: CostMatrix,

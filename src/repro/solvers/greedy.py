@@ -58,7 +58,6 @@ from .base import (
     SolverResult,
     Stopwatch,
     constrained_warm_start,
-    default_limits,
 )
 
 
@@ -334,7 +333,7 @@ class _Greedy(DeploymentSolver):
                budget: SearchBudget | None = None,
                initial_plan: DeploymentPlan | None = None) -> SolverResult:
         graph, costs, objective = problem.graph, problem.costs, problem.objective
-        budget = default_limits(budget, SearchBudget.unlimited())
+        budget = budget or SearchBudget.unlimited()
         watch = Stopwatch(budget)
         engine = self.compiled(graph, costs)
         view = problem.compiled_constraints()

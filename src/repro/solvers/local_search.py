@@ -8,11 +8,12 @@ extension (DESIGN.md, experiment A3).  Moves preserve injectivity:
 * *relocate* — move a node to a currently unused (over-allocated) instance.
 
 Candidate moves are scored through the incremental
-:class:`~repro.core.evaluation.DeltaEvaluator`.  The hot loop is *blocked*:
-each pass draws up to ``peek_block`` proposals, scores them in one
-vectorized :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` batch,
-and then replays the serial bookkeeping over the cached costs — selecting
-the serial-order-first admissible improvement, so trajectories are
+:class:`~repro.core.evaluation.DeltaEvaluator`.  The local-search hot loop
+is *blocked*: each pass draws up to :data:`DEFAULT_PEEK_BLOCK` proposals,
+scores them in one vectorized
+:meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` batch, and then
+replays the serial bookkeeping over the cached costs — selecting the
+serial-order-first admissible improvement, so trajectories are
 bit-identical seed for seed to the historical per-move loop at any block
 size.  Bit-identity rests on two invariants:
 
@@ -25,18 +26,11 @@ size.  Bit-identity rests on two invariants:
   a block is cut short — an accepted move, a stall limit, an iteration
   cap — the generator is rewound to the block's start state and the
   consumed prefix of proposals is re-drawn, leaving the stream exactly
-  where the serial loop would have left it.  Simulated annealing
-  additionally rewinds before every Metropolis acceptance draw so
-  ``rng.random()`` lands at its serial stream position; since an accepted
-  *or* rejected uphill candidate consumes that draw, annealing's usable
-  lookahead is one scored candidate per block (the block machinery still
-  amortises runs of inadmissible proposals).
+  where the serial loop would have left it.
 
-:class:`SwapLocalSearch` additionally offers an opt-in *best-improvement*
-acceptance mode (``acceptance="best"``): each block commits the best
-improving candidate instead of the first one.  That mode trades the serial
-trajectory contract for deeper block utilisation and is surfaced as a
-registry capability (``supports_best_improvement``).
+Simulated annealing keeps the per-move loop: Metropolis draws
+``rng.random()`` after every scored uphill candidate, so a pre-drawn block
+could never look ahead more than one move.
 
 On constrained problems the search is natively constraint-aware: it starts
 from a feasible plan (constrained sampling, or the warm start repaired up
@@ -68,18 +62,17 @@ from .base import (
     best_constrained_random_plan,
     best_random_plan,
     constrained_warm_start,
-    default_limits,
 )
 
 #: A proposed move in engine coordinates: ``("swap", node_idx, node_idx)``
 #: or ``("relocate", node_idx, instance_idx)``.
 Move = Tuple[str, int, int]
 
-#: Default number of candidate moves drawn and batch-scored per block by
-#: :class:`SwapLocalSearch` when the budget does not pin ``peek_block``.
-#: Plateau scanning (long runs of rejected proposals) batches perfectly;
-#: accepted moves cut a block short with only a cheap RNG replay, so a
-#: moderate default wins on both phases.
+#: Number of candidate moves :class:`SwapLocalSearch` draws and
+#: batch-scores per block.  It only moves wall-clock time: trajectories are
+#: bit-identical at any block size.  Plateau scanning (long runs of
+#: rejected proposals) batches perfectly; accepted moves cut a block short
+#: with only a cheap RNG replay, so a moderate block wins on both phases.
 DEFAULT_PEEK_BLOCK = 32
 
 
@@ -232,33 +225,24 @@ class SwapLocalSearch(DeploymentSolver):
         seed: RNG seed.
         max_moves_without_improvement: stop a descent after this many
             consecutive non-improving proposals.
-        acceptance: ``"first"`` (default) commits the serial-order-first
-            improving move of each block — trajectories bit-identical to
-            the historical per-move loop; ``"best"`` commits the best
-            improving move of each block (opt-in, different trajectories).
     """
 
     name = "local-search"
     supports_warm_start = True
-    supports_best_improvement = True
 
     def __init__(self, restarts: int = 3, seed: int | None = None,
-                 max_moves_without_improvement: int = 2000,
-                 acceptance: str = "first"):
+                 max_moves_without_improvement: int = 2000):
         if restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if acceptance not in ("first", "best"):
-            raise ValueError("acceptance must be 'first' or 'best'")
         self.restarts = restarts
         self.max_moves_without_improvement = max_moves_without_improvement
-        self.acceptance = acceptance
         self._seed = seed
 
     def _solve(self, problem: DeploymentProblem,
                budget: SearchBudget | None = None,
                initial_plan: DeploymentPlan | None = None) -> SolverResult:
         graph, costs, objective = problem.graph, problem.costs, problem.objective
-        budget = default_limits(budget, SearchBudget.seconds(2.0))
+        budget = budget or SearchBudget.seconds(2.0)
         rng = make_rng(self._seed)
         watch = Stopwatch(budget)
         trace = ConvergenceTrace()
@@ -267,7 +251,6 @@ class SwapLocalSearch(DeploymentSolver):
         mask = None if view is None else view.allowed_mask
         constrained = view is not None
         initial_plan = constrained_warm_start(problem, initial_plan)
-        peek_block = budget.peek_block or DEFAULT_PEEK_BLOCK
 
         best_plan: Optional[DeploymentPlan] = initial_plan
         best_cost = (
@@ -303,7 +286,7 @@ class SwapLocalSearch(DeploymentSolver):
             while (not exit_inner
                    and stall < self.max_moves_without_improvement
                    and not watch.expired()):
-                block = peek_block
+                block = DEFAULT_PEEK_BLOCK
                 if budget.max_iterations is not None:
                     block = min(block, budget.max_iterations - iterations)
                 block = max(1, block)
@@ -311,42 +294,11 @@ class SwapLocalSearch(DeploymentSolver):
                 proposals = _draw_proposals(evaluator, rng, constrained, block)
                 costs_block = _block_costs(evaluator, proposals)
 
-                if self.acceptance == "best":
-                    # Opt-in best-improvement: every proposal counts one
-                    # iteration, the best improving candidate (serial order
-                    # breaks ties) is committed.  No RNG replay — this mode
-                    # has no serial-trajectory contract to preserve.
-                    iterations += len(proposals)
-                    accept_idx: Optional[int] = None
-                    accept_cost = cost
-                    for j, move in enumerate(proposals):
-                        if move is None:
-                            continue
-                        if costs_block[j] < accept_cost:
-                            accept_idx, accept_cost = j, costs_block[j]
-                    if accept_idx is None:
-                        stall += len(proposals)
-                    else:
-                        move = proposals[accept_idx]
-                        _peek_move(evaluator, move)  # prime the commit memo
-                        _apply_move(evaluator, move)
-                        cost = accept_cost
-                        stall = 0
-                        if cost < best_cost:
-                            best_plan, best_cost = evaluator.plan(), cost
-                            trace.record(watch.elapsed(), cost)
-                            if target_reached():
-                                exit_inner = True
-                    if budget.max_iterations is not None \
-                            and iterations >= budget.max_iterations:
-                        exit_inner = True
-                    continue
-
-                # First-improvement: replay the serial loop's bookkeeping
-                # over the batch costs, stopping at the first accepted move
-                # (later peeks would be stale) or wherever the serial loop
-                # would have stopped; then re-synchronise the RNG stream.
-                accept_idx = None
+                # Replay the serial loop's bookkeeping over the batch
+                # costs, stopping at the first accepted move (later peeks
+                # would be stale) or wherever the serial loop would have
+                # stopped; then re-synchronise the RNG stream.
+                accept_idx: Optional[int] = None
                 consumed = 0
                 for j, move in enumerate(proposals):
                     if j > 0 and (
@@ -439,7 +391,7 @@ class SimulatedAnnealing(DeploymentSolver):
                budget: SearchBudget | None = None,
                initial_plan: DeploymentPlan | None = None) -> SolverResult:
         graph, costs, objective = problem.graph, problem.costs, problem.objective
-        budget = default_limits(budget, SearchBudget.seconds(2.0))
+        budget = budget or SearchBudget.seconds(2.0)
         rng = make_rng(self._seed)
         watch = Stopwatch(budget)
         trace = ConvergenceTrace()
@@ -448,14 +400,6 @@ class SimulatedAnnealing(DeploymentSolver):
         mask = None if view is None else view.allowed_mask
         constrained = view is not None
         initial_plan = constrained_warm_start(problem, initial_plan)
-        # Metropolis interleaves an acceptance draw after every scored
-        # candidate, so a pre-drawn block invalidates at the first real
-        # proposal; the usable lookahead is one scored candidate per block
-        # and the serial per-move loop is the fastest bit-identical
-        # schedule.  peek_block > 1 still runs the block machinery (and
-        # stays bit-identical through the rewind/replay), it just cannot
-        # help — see the module docstring.
-        peek_block = budget.peek_block or 1
 
         if initial_plan is not None:
             plan = initial_plan
@@ -471,69 +415,25 @@ class SimulatedAnnealing(DeploymentSolver):
         temperature = self.initial_temperature * max(cost, 1e-9)
         iterations = 0
         no_move_streak = 0
-        exit_walk = False
-        while not exit_walk and not watch.expired():
+        while not watch.expired():
             if budget.max_iterations is not None and iterations >= budget.max_iterations:
                 break
-            block = peek_block
-            if budget.max_iterations is not None:
-                block = min(block, budget.max_iterations - iterations)
-            if block <= 1:
-                # Fast serial path for the default lookahead-1 schedule:
-                # the block machinery's per-iteration list allocations are
-                # measurable in this hot loop, and a 1-wide block buys
-                # nothing.  Same RNG stream and bookkeeping by construction.
-                move = (_propose_constrained_move(evaluator, rng)
-                        if constrained else _propose_move(evaluator, rng))
-                iterations += 1
-                if move is None:
-                    # Heavily constrained walks can run out of admissible
-                    # moves entirely (e.g. every node pinned); stop instead
-                    # of spinning through the remaining wall-clock budget.
-                    no_move_streak += 1
-                    if no_move_streak >= 100:
-                        break
-                    continue
-                no_move_streak = 0
-                candidate_cost = _peek_move(evaluator, move)
-                primed = True  # the serial peek just filled the commit memo
-            else:
-                snapshot = rng.bit_generator.state
-                proposals = _draw_proposals(evaluator, rng, constrained, block)
-                costs_block = _block_costs(evaluator, proposals)
-
-                consumed = 0
-                scored: Optional[int] = None
-                for j, move in enumerate(proposals):
-                    if j > 0 and (
-                            watch.expired()
-                            or (budget.max_iterations is not None
-                                and iterations >= budget.max_iterations)):
-                        break
-                    consumed = j + 1
-                    iterations += 1
-                    if move is None:
-                        # See the no-admissible-moves note on the serial
-                        # path above.
-                        no_move_streak += 1
-                        if no_move_streak >= 100:
-                            exit_walk = True
-                            break
-                        continue
-                    no_move_streak = 0
-                    scored = j
-                    break  # the acceptance decision consumes the RNG stream
-                _resync_rng(rng, snapshot, evaluator, constrained,
-                            consumed, len(proposals))
-                if scored is None:
-                    continue
-                move = proposals[scored]
-                candidate_cost = costs_block[scored]
-                primed = False  # batch peeks bypass the serial commit memo
+            move = (_propose_constrained_move(evaluator, rng)
+                    if constrained else _propose_move(evaluator, rng))
+            iterations += 1
+            if move is None:
+                # Heavily constrained walks can run out of admissible moves
+                # entirely (e.g. every node pinned); stop instead of
+                # spinning through the remaining wall-clock budget.
+                no_move_streak += 1
+                if no_move_streak >= 100:
+                    break
+                continue
+            no_move_streak = 0
+            # The serial peek also fills the commit memo _apply_move reuses.
+            candidate_cost = _peek_move(evaluator, move)
             delta = candidate_cost - cost
             if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-12)):
-                if not primed:
-                    _peek_move(evaluator, move)  # prime the commit memo
                 _apply_move(evaluator, move)
                 cost = candidate_cost
                 temperature *= self.cooling

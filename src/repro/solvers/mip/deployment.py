@@ -42,7 +42,6 @@ from ..base import (
     best_constrained_random_plan,
     best_random_plan,
     constrained_warm_start,
-    default_limits,
 )
 from .branch_and_bound import (
     BranchAndBound,
@@ -262,7 +261,7 @@ class MipDeploymentSolver(DeploymentSolver):
                budget: SearchBudget | None = None,
                initial_plan: DeploymentPlan | None = None) -> SolverResult:
         graph, costs, objective = problem.graph, problem.costs, problem.objective
-        budget = default_limits(budget, SearchBudget.seconds(30.0))
+        budget = budget or SearchBudget.seconds(30.0)
         watch = Stopwatch(budget)
         trace = ConvergenceTrace()
         constraints = problem.constraints

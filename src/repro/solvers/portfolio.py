@@ -20,7 +20,6 @@ from .base import (
     SearchBudget,
     SolverResult,
     Stopwatch,
-    default_limits,
 )
 from .random_search import RandomSearch
 
@@ -67,7 +66,7 @@ class PortfolioSolver(DeploymentSolver):
                budget: SearchBudget | None = None,
                initial_plan: DeploymentPlan | None = None) -> SolverResult:
         graph, costs, objective = problem.graph, problem.costs, problem.objective
-        budget = default_limits(budget, SearchBudget.seconds(10.0))
+        budget = budget or SearchBudget.seconds(10.0)
         # Lower the instance once before starting the clock on members: the
         # compilation is cached process-wide, so every engine-backed member
         # (greedy, random search, local search) reuses this single lowering.

@@ -27,7 +27,6 @@ from .base import (
     SolverResult,
     Stopwatch,
     constrained_warm_start,
-    default_limits,
 )
 
 #: Batch sizes for vectorized plan evaluation.  Chunks start small so a
@@ -83,7 +82,7 @@ class RandomSearch(DeploymentSolver):
                budget: SearchBudget | None = None,
                initial_plan: DeploymentPlan | None = None) -> SolverResult:
         graph, costs, objective = problem.graph, problem.costs, problem.objective
-        budget = default_limits(budget, SearchBudget.unlimited())
+        budget = budget or SearchBudget.unlimited()
         if self.num_samples is None and budget.time_limit_s is None \
                 and budget.max_iterations is None:
             raise ValueError(

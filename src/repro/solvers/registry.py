@@ -65,12 +65,6 @@ class SolverSpec:
     #: The live re-deployment watch loop filters on this so drift
     #: re-solves are only warm-started where that actually helps.
     supports_warm_start: bool = False
-    #: Whether the solver offers an opt-in best-improvement acceptance
-    #: mode (``acceptance="best"``) on top of its default serial-order
-    #: first-improvement contract.  Introduced with the vectorized
-    #: neighborhood kernels: block-scored solvers can commit the best
-    #: candidate of each batch instead of the first improving one.
-    supports_best_improvement: bool = False
     _parameters: Tuple[str, ...] = field(init=False, repr=False, default=())
     _has_kwargs: bool = field(init=False, repr=False, default=False)
 
@@ -97,20 +91,15 @@ class SolverSpec:
 
     def supports(self, objective: Objective,
                  num_nodes: Optional[int] = None,
-                 warm_start: Optional[bool] = None,
-                 best_improvement: Optional[bool] = None) -> bool:
+                 warm_start: Optional[bool] = None) -> bool:
         """Capability check: objective, size, warm starts.
 
         ``warm_start=True`` filters to solvers that make productive use of
-        an ``initial_plan``; ``best_improvement=True`` filters to solvers
-        offering the opt-in best-improvement acceptance mode.  ``None`` (the
-        default) does not filter on the respective capability.
+        an ``initial_plan``; ``None`` (the default) does not filter on it.
         """
         if objective not in self.objectives:
             return False
         if warm_start and not self.supports_warm_start:
-            return False
-        if best_improvement and not self.supports_best_improvement:
             return False
         if num_nodes is not None and self.max_nodes is not None:
             return num_nodes <= self.max_nodes
@@ -129,7 +118,6 @@ class SolverSpec:
             "objectives": [objective.value for objective in self.objectives],
             "max_nodes": self.max_nodes,
             "supports_warm_start": self.supports_warm_start,
-            "supports_best_improvement": self.supports_best_improvement,
             "config_fields": list(self.config_fields),
         }
 
@@ -160,7 +148,6 @@ class SolverRegistry:
                  objectives: Optional[Tuple[Objective, ...]] = None,
                  max_nodes: Optional[int] = None,
                  supports_warm_start: Optional[bool] = None,
-                 supports_best_improvement: Optional[bool] = None,
                  replace: bool = False) -> SolverSpec:
         """Register a solver factory under ``key``.
 
@@ -176,9 +163,6 @@ class SolverRegistry:
                 of an ``initial_plan``; defaults to the factory's
                 ``supports_warm_start`` attribute (``False`` when the
                 factory carries none, e.g. a bare function).
-            supports_best_improvement: whether the solver offers the
-                opt-in best-improvement acceptance mode; defaults to the
-                factory's ``supports_best_improvement`` attribute.
             replace: allow overwriting an existing key (default refuses).
         """
         if key in self._specs and not replace:
@@ -193,13 +177,9 @@ class SolverRegistry:
         if supports_warm_start is None:
             supports_warm_start = bool(
                 getattr(factory, "supports_warm_start", False))
-        if supports_best_improvement is None:
-            supports_best_improvement = bool(
-                getattr(factory, "supports_best_improvement", False))
         spec = SolverSpec(key=key, factory=factory, summary=summary,
                           objectives=tuple(objectives), max_nodes=max_nodes,
-                          supports_warm_start=supports_warm_start,
-                          supports_best_improvement=supports_best_improvement)
+                          supports_warm_start=supports_warm_start)
         self._specs[key] = spec
         return spec
 
@@ -247,21 +227,17 @@ class SolverRegistry:
 
     def supporting(self, objective: Objective,
                    num_nodes: Optional[int] = None,
-                   warm_start: Optional[bool] = None,
-                   best_improvement: Optional[bool] = None
-                   ) -> Tuple[str, ...]:
+                   warm_start: Optional[bool] = None) -> Tuple[str, ...]:
         """Keys of the solvers able to optimise ``objective``.
 
         When ``num_nodes`` is given, solvers whose practical size ceiling
         is below it are filtered out as well; ``warm_start=True``
         additionally keeps only solvers that make productive use of an
-        ``initial_plan``, and ``best_improvement=True`` only those offering
-        the opt-in best-improvement acceptance mode.
+        ``initial_plan``.
         """
         return tuple(
             key for key in self.available()
-            if self._specs[key].supports(objective, num_nodes, warm_start,
-                                         best_improvement)
+            if self._specs[key].supports(objective, num_nodes, warm_start)
         )
 
     def for_problem(self, problem: DeploymentProblem,

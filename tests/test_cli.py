@@ -27,11 +27,18 @@ class TestParserAndBuilders:
         (["serve"], ["--eval-workers", "2"]),
         (["watch", "--problem", "problem.json", "--trace", "trace.json"],
          ["--cache-dir", "cache"]),
-    ], ids=["solve", "solve-batch", "watch", "serve", "watch-cache-dir"])
+        (["solve", "--problem", "problem.json"], ["--peek-block", "8"]),
+        (["solve-batch", "--problem", "problem.json"],
+         ["--peek-block", "8"]),
+        (["solve-batch", "--problem", "problem.json"], ["--workers", "2"]),
+    ], ids=["solve", "solve-batch", "watch", "serve", "watch-cache-dir",
+            "solve-peek-block", "solve-batch-peek-block",
+            "solve-batch-workers"])
     def test_parser_rejects_removed_flags(self, argv, removed, capsys):
-        # Evaluation is serial and the SQLite store (--store) is the only
-        # result cache: a script still passing an old flag fails at parse
-        # time instead of having it silently ignored.
+        # Evaluation is serial, batches run in order, the local-search
+        # block size is a constant and the SQLite store (--store) is the
+        # only result cache: a script still passing an old flag fails at
+        # parse time instead of having it silently ignored.
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args([*argv, *removed])
         assert exit_info.value.code == 2
@@ -122,8 +129,7 @@ class TestCommands:
         greedy = entries["greedy"]
         assert set(greedy) == {
             "key", "summary", "objectives", "max_nodes",
-            "supports_warm_start", "supports_best_improvement",
-            "config_fields"}
+            "supports_warm_start", "config_fields"}
         assert isinstance(greedy["objectives"], list)
         assert isinstance(greedy["config_fields"], list)
 
@@ -295,6 +301,19 @@ class TestJsonWorkflow:
         assert exit_code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_bad_budget_in_requests_file_exits_cleanly(self, problem_path,
+                                                       tmp_path, capsys):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({"requests": [{
+            "problem": json.loads(problem_path.read_text()),
+            "solver": "greedy", "budget": {"time_limit_s": "5"},
+        }]}))
+        exit_code = main(["solve-batch", "--requests", str(path)])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "time_limit_s" in err
+
     def test_non_object_problem_file_exits_cleanly(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps([1, 2, 3]))
@@ -314,13 +333,6 @@ class TestJsonWorkflow:
     def test_missing_problem_file_exits_cleanly(self, tmp_path, capsys):
         exit_code = main([
             "solve", "--problem", str(tmp_path / "nope.json"),
-        ])
-        assert exit_code == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_bad_workers_value_exits_cleanly(self, problem_path, capsys):
-        exit_code = main([
-            "solve-batch", "--problem", str(problem_path), "--workers", "0",
         ])
         assert exit_code == 2
         assert "error" in capsys.readouterr().err

@@ -1,25 +1,25 @@
 """Vectorized neighborhood kernels: batch-peek scoring and blocked solvers.
 
-Four contracts are pinned here:
+Three contracts are pinned here:
 
 * :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` returns
   bit-identical costs to the sequential per-move ``swap_cost`` /
   ``relocate_cost`` peeks — for both objectives, constrained and
   unconstrained instances, and mid-walk after commits;
-* the blocked solver loops are bit-identical seed for seed to the
-  historical per-move loops: the committed golden trajectories in
+* the search loops are bit-identical seed for seed to the historical
+  per-move loops: the committed golden trajectories in
   ``tests/data/golden_trajectories.json`` (captured from the pre-batching
-  implementation) must keep reproducing exactly, at any ``peek_block``;
+  implementation) must keep reproducing exactly, and local search's
+  blocked loop at any ``DEFAULT_PEEK_BLOCK``;
 * :class:`~repro.core.evaluation.MoveBatch` validates like the serial
   move API (occupied relocate targets, constraint masks, stale cost
   epochs) and the batch counters surface through ``parallel_stats()`` /
-  ``SessionStats``;
-* the ``peek_block`` knob round-trips through budgets and sessions, and
-  the opt-in best-improvement acceptance mode is registry-visible.
+  ``SessionStats``.
 """
 
 import json
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,17 +44,12 @@ from repro.core.evaluation import (
     parallel_stats,
     reset_parallel_stats,
 )
-from repro.solvers import (
-    SearchBudget,
-    SimulatedAnnealing,
-    SwapLocalSearch,
-    default_limits,
-)
+from repro.solvers import SearchBudget, SimulatedAnnealing, SwapLocalSearch
+from repro.solvers import local_search
 from repro.solvers.local_search import (
     _propose_constrained_move,
     _propose_move,
 )
-from repro.solvers.registry import default_registry
 from repro.testing import deterministic_cost_matrix
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_trajectories.json"
@@ -333,14 +328,22 @@ def test_golden_trajectories_bit_identical(case):
 
 @pytest.mark.parametrize("peek_block", [1, 5, 64])
 def test_golden_trajectories_stable_across_block_sizes(peek_block):
-    # Every golden case, re-run with an explicit block size: the blocked
-    # loop's rewind/replay keeps the trajectory bit-identical no matter
-    # how much lookahead it buys.
-    for case in GOLDEN_CASES[::3]:
-        result = _golden_solver(case).solve(
-            _golden_problem(case),
-            budget=SearchBudget(time_limit_s=30.0, max_iterations=400,
-                                peek_block=peek_block))
+    # Every local-search golden case, re-run at another block size: the
+    # blocked loop's rewind/replay keeps the trajectory bit-identical no
+    # matter how much lookahead it buys.
+    cases = [case for case in GOLDEN_CASES
+             if case["solver"] == "local-search"]
+    batch_calls = delta_counters()[2]
+    with mock.patch.object(local_search, "DEFAULT_PEEK_BLOCK", peek_block):
+        results = [_golden_solver(case).solve(
+                       _golden_problem(case),
+                       budget=SearchBudget(time_limit_s=30.0,
+                                           max_iterations=400))
+                   for case in cases]
+    # The patched size reached the loop: a block of one takes the serial
+    # peek and never calls peek_many.
+    assert (delta_counters()[2] == batch_calls) == (peek_block == 1)
+    for case, result in zip(cases, results):
         assert result.cost == case["cost"], case
         assert result.iterations == case["iterations"], case
         assert [list(kv) for kv in sorted(result.plan.as_dict().items())] \
@@ -355,11 +358,10 @@ def test_constrained_trajectory_stable_across_block_sizes(seed, peek_block):
     rng = np.random.default_rng(seed)
     problem = _constrained_problem(graph, costs, rng,
                                    Objective.LONGEST_LINK)
-    budget = SearchBudget(time_limit_s=30.0, max_iterations=150,
-                          peek_block=peek_block)
-    baseline = SwapLocalSearch(seed=seed).solve(
-        problem, budget=SearchBudget(time_limit_s=30.0, max_iterations=150))
-    blocked = SwapLocalSearch(seed=seed).solve(problem, budget=budget)
+    budget = SearchBudget(time_limit_s=30.0, max_iterations=150)
+    baseline = SwapLocalSearch(seed=seed).solve(problem, budget=budget)
+    with mock.patch.object(local_search, "DEFAULT_PEEK_BLOCK", peek_block):
+        blocked = SwapLocalSearch(seed=seed).solve(problem, budget=budget)
     assert blocked.cost == baseline.cost
     assert blocked.iterations == baseline.iterations
     assert blocked.plan.as_dict() == baseline.plan.as_dict()
@@ -419,119 +421,6 @@ def test_unconstrained_proposal_rng_contract_unchanged():
              for _ in range(1)][0]
     again = _propose_move(evaluator, np.random.default_rng(42))
     assert first == again
-
-
-# --------------------------------------------------------------------------- #
-# Best-improvement acceptance mode
-# --------------------------------------------------------------------------- #
-
-def test_best_improvement_mode_validates_and_runs():
-    with pytest.raises(ValueError):
-        SwapLocalSearch(acceptance="steepest")
-    graph = CommunicationGraph.mesh_2d(3, 3)
-    costs = deterministic_cost_matrix(12, seed=4)
-    problem = DeploymentProblem(graph, costs,
-                                objective=Objective.LONGEST_LINK)
-    budget = SearchBudget(time_limit_s=30.0, max_iterations=300)
-    result = SwapLocalSearch(seed=4, acceptance="best").solve(
-        problem, budget=budget)
-    assert result.iterations == 300
-    # Never worse than the start the first-improvement run also gets, and
-    # a valid plan either way.
-    assert result.plan is not None
-    assert result.cost == pytest.approx(
-        problem.evaluate(result.plan), abs=0.0)
-
-
-def test_best_improvement_respects_iteration_budget():
-    graph = CommunicationGraph.mesh_2d(3, 3)
-    costs = deterministic_cost_matrix(12, seed=6)
-    problem = DeploymentProblem(graph, costs,
-                                objective=Objective.LONGEST_LINK)
-    result = SwapLocalSearch(seed=6, acceptance="best").solve(
-        problem,
-        budget=SearchBudget(time_limit_s=30.0, max_iterations=70,
-                            peek_block=32))
-    assert result.iterations <= 70 + 31  # at most one trailing block
-
-
-def test_best_improvement_block_is_the_candidate_set():
-    # Under first-improvement the block size only moves wall-clock; under
-    # best-improvement the block is the candidate set the committed move
-    # is picked from, so the trajectory moves with it.  A block of one is
-    # the per-move loop in both modes.
-    graph = CommunicationGraph.mesh_2d(3, 3)
-    costs = deterministic_cost_matrix(12, seed=5)
-    problem = DeploymentProblem(graph, costs,
-                                objective=Objective.LONGEST_LINK)
-
-    def costs_by_block(acceptance):
-        return [SwapLocalSearch(seed=5, acceptance=acceptance).solve(
-                    problem,
-                    budget=SearchBudget(time_limit_s=30.0,
-                                        max_iterations=200,
-                                        peek_block=block)).cost
-                for block in (1, 4, 32)]
-
-    first, best = costs_by_block("first"), costs_by_block("best")
-    assert len(set(first)) == 1
-    assert best[0] == first[0]
-    assert len(set(best)) == 3
-
-
-def test_best_improvement_is_registry_visible():
-    spec = default_registry.spec("local-search")
-    assert spec.supports_best_improvement
-    assert spec.describe()["supports_best_improvement"] is True
-    assert not default_registry.spec("annealing").supports_best_improvement
-    assert "local-search" in default_registry.supporting(
-        Objective.LONGEST_LINK, best_improvement=True)
-    assert "annealing" not in default_registry.supporting(
-        Objective.LONGEST_LINK, best_improvement=True)
-    solver = default_registry.spec("local-search").make(acceptance="best")
-    assert solver.acceptance == "best"
-
-
-# --------------------------------------------------------------------------- #
-# peek_block knob: validation, JSON round-trip, session folding
-# --------------------------------------------------------------------------- #
-
-def test_peek_block_validation_and_round_trip():
-    budget = SearchBudget(time_limit_s=1.0, peek_block=16)
-    assert SearchBudget.from_dict(budget.to_dict()) == budget
-    assert SearchBudget.from_dict(
-        SearchBudget(time_limit_s=1.0).to_dict()).peek_block is None
-    for bad in (0, -3, True, 2.5):
-        with pytest.raises(SolverError):
-            SearchBudget(time_limit_s=1.0, peek_block=bad)
-
-
-def test_peek_block_only_budget_adopts_default_limits():
-    default = SearchBudget.seconds(2.0)
-    assert default_limits(None, default) is default
-    adopted = default_limits(SearchBudget(peek_block=8), default)
-    assert adopted.time_limit_s == 2.0
-    assert adopted.peek_block == 8
-    explicit = SearchBudget(max_iterations=50, peek_block=8)
-    assert default_limits(explicit, default) is explicit
-    unlimited = SearchBudget.unlimited()
-    assert default_limits(unlimited, default) is unlimited
-    assert not unlimited.has_limits()
-    assert explicit.has_limits()
-
-
-def test_session_peek_block_folds_into_budgets():
-    with pytest.raises(ValueError):
-        AdvisorSession(peek_block=0)
-    session = AdvisorSession(peek_block=16)
-    assert session._effective_budget(None) == SearchBudget(peek_block=16)
-    folded = session._effective_budget(SearchBudget(time_limit_s=1.0))
-    assert folded.peek_block == 16 and folded.time_limit_s == 1.0
-    pinned = SearchBudget(time_limit_s=1.0, peek_block=4)
-    assert session._effective_budget(pinned) is pinned  # the request wins
-    assert AdvisorSession()._effective_budget(None) is None
-    untouched = SearchBudget(time_limit_s=1.0)
-    assert AdvisorSession()._effective_budget(untouched) is untouched
 
 
 # --------------------------------------------------------------------------- #

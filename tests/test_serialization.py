@@ -17,7 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import SolveRequest, SolverResponse, SolveTelemetry
+from repro.api import (
+    AdvisorSession,
+    SolveRequest,
+    SolverResponse,
+    SolveTelemetry,
+    WatchPolicy,
+)
 from repro.core import (
     CommunicationGraph,
     CostMatrix,
@@ -26,7 +32,7 @@ from repro.core import (
     Objective,
     PlacementConstraints,
 )
-from repro.core.errors import ClouDiAError
+from repro.core.errors import ClouDiAError, SolverError
 from repro.serve.scheduler import coalesce_key
 from repro.solvers import RandomSearch, SearchBudget, default_registry
 
@@ -215,6 +221,12 @@ class TestStoreKeysUnchanged:
                 KEY_PINS["longest-link-mesh"][1],
                 "local-search.ad4b61f07cf22c66")
 
+    def test_watch_tag_is_pinned(self):
+        policy = WatchPolicy(solver="local-search", config={"seed": 7},
+                             budget=SearchBudget(max_iterations=100))
+        assert AdvisorSession._solver_cache_tag("local-search", policy) \
+            == "local-search.1355ae07daf99122"
+
 
 class TestProblemRoundTrip:
     def test_full_problem_with_constraints_and_metadata(self, mesh_graph):
@@ -283,3 +295,28 @@ class TestRequestResponseRoundTrip:
         budget = SearchBudget(time_limit_s=1.25, max_iterations=7,
                               target_cost=3.5)
         assert SearchBudget.from_dict(wire(budget.to_dict())) == budget
+
+    @pytest.mark.parametrize("field, value", [
+        ("time_limit_s", "5"), ("time_limit_s", True),
+        ("time_limit_s", -1.0), ("time_limit_s", float("nan")),
+        ("time_limit_s", float("inf")), ("max_iterations", "300"),
+        ("max_iterations", 2.5), ("max_iterations", 300.0),
+        ("max_iterations", -1), ("max_iterations", True),
+        ("target_cost", "low"), ("target_cost", float("-inf")),
+        ("target_cost", False),
+    ])
+    def test_budget_from_dict_checks_each_limit(self, field, value):
+        with pytest.raises(SolverError, match=field):
+            SearchBudget.from_dict({field: value})
+
+    def test_budget_from_dict_keeps_valid_limits_and_drops_retired_keys(
+            self):
+        budget = SearchBudget(time_limit_s=0, max_iterations=0,
+                              target_cost=-2.5)
+        assert SearchBudget.from_dict(wire(budget.to_dict())) == budget
+        assert SearchBudget.from_dict(
+            {"max_iterations": 300, "peek_block": 8, "workers": 2}
+        ) == SearchBudget(max_iterations=300)
+        # The key form every coalesce and store key digests.
+        assert budget.to_dict() == {"time_limit_s": 0, "max_iterations": 0,
+                                    "target_cost": -2.5, "peek_block": None}

@@ -204,13 +204,12 @@ class TestCoalescing:
         assert scheduler.depth() == 2
 
     def test_leftover_budget_workers_key_shares_keys(self):
-        """A stale ``"workers"`` budget key is ignored like any unknown
-        key: the body coalesces with, and is served the stored result of,
-        the same body without it.  ``peek_block`` still separates keys."""
+        """Stale ``"workers"`` and ``"peek_block"`` budget keys are ignored
+        like any unknown key: the body coalesces with, and is served the
+        stored result of, the same body without them."""
         assert request_keys(workers=2) == request_keys()
-        coalesce, store_tag = request_keys(peek_block=8)
-        assert coalesce != request_keys()[0]
-        assert store_tag != request_keys()[1]
+        assert request_keys(peek_block=8) == request_keys()
+        assert request_keys(peek_block=8, workers=2) == request_keys()
 
     @pytest.mark.parametrize("workers", [
         None, "auto", 3, "procs", "procs:auto", "procs:4",

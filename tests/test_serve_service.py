@@ -244,12 +244,15 @@ class TestAppDispatch:
         assert payload["source"] == "store"
         assert app.metrics.solver_invocations == 1
 
-    def test_leftover_workers_budget_key_served_from_store(self, app):
-        # A body still carrying the removed "workers" budget key is
-        # accepted and served the stored result of the body without it.
+    @pytest.mark.parametrize("leftover", [{"workers": "procs:2"},
+                                          {"peek_block": 8}],
+                             ids=["workers", "peek_block"])
+    def test_leftover_workers_budget_key_served_from_store(self, app,
+                                                           leftover):
+        # A body still carrying a removed budget key is accepted and
+        # served the stored result of the body without it.
         plain = solve_body(budget={"max_iterations": 200})
-        legacy = solve_body(budget={"max_iterations": 200,
-                                    "workers": "procs:2"})
+        legacy = solve_body(budget=dict({"max_iterations": 200}, **leftover))
         _, first = app.handle("POST", "/v1/solve",
                               body=json.dumps(plain).encode())
         status, second = app.handle("POST", "/v1/solve",
@@ -393,13 +396,57 @@ class TestAppDispatch:
         status, payload = app.handle("POST", "/v1/solve", body=b"{oops")
         assert status == 400 and "JSON" in payload["error"]
 
-    def test_unknown_config_field_is_400_listing_accepted_fields(self, app):
-        body = solve_body(solver="cp", config={"use_engine": False})
+    @pytest.mark.parametrize("solver, config, accepted", [
+        ("cp", {"use_engine": False}, "k_clusters, round_to"),
+        ("local-search", {"acceptance": "best"},
+         "restarts, seed, max_moves_without_improvement"),
+    ], ids=["cp-use_engine", "local-search-acceptance"])
+    def test_unknown_config_field_is_400_listing_accepted_fields(
+            self, app, solver, config, accepted):
+        body = solve_body(solver=solver, config=config)
         status, payload = app.handle("POST", "/v1/solve",
                                      body=json.dumps(body).encode())
         assert status == 400
-        assert "use_engine" in payload["error"]
-        assert "accepted fields: k_clusters, round_to" in payload["error"]
+        assert next(iter(config)) in payload["error"]
+        assert f"accepted fields: {accepted}" in payload["error"]
+
+    @pytest.mark.parametrize("budget", [
+        {"time_limit_s": "5"}, {"time_limit_s": True},
+        {"time_limit_s": -1.0}, {"max_iterations": "300"},
+        {"max_iterations": 2.5}, {"max_iterations": -1},
+        {"max_iterations": False}, {"target_cost": "low"},
+    ], ids=lambda budget: "-".join(f"{k}={v!r}" for k, v in budget.items()))
+    def test_malformed_budget_is_400_before_any_solve(self, app, budget):
+        status, payload = app.handle(
+            "POST", "/v1/solve",
+            body=json.dumps(solve_body(budget=budget)).encode())
+        assert status == 400
+        assert next(iter(budget)) in payload["error"]
+        assert app.metrics.solver_invocations == 0
+
+    @pytest.mark.parametrize("solver, field, token", [
+        ("r2", "budget", b'{"time_limit_s": NaN}'),
+        ("annealing", "budget", b'{"time_limit_s": Infinity}'),
+        ("r1", "config", b'{"num_samples": NaN}'),
+    ], ids=["r2-nan-time-limit", "annealing-infinite-time-limit",
+            "r1-nan-samples"])
+    def test_non_finite_json_tokens_are_400_and_never_pin_a_worker(
+            self, app, solver, field, token):
+        body = solve_body(solver=solver, mode="async")
+        body.pop("budget")
+        body.pop("config")
+        raw = json.dumps(body).encode()
+        raw = raw[:-1] + b', "' + field.encode() + b'": ' + token + b"}"
+        status, payload = app.handle("POST", "/v1/solve", body=raw)
+        assert status == 400
+        assert "not valid JSON" in payload["error"]
+        assert app.metrics.solver_invocations == 0
+        # The single worker is free: a later request completes.
+        status, payload = app.handle("POST", "/v1/solve", body=json.dumps(
+            solve_body(solver="r1", config={"num_samples": 20, "seed": 1},
+                       budget=None)).encode())
+        assert status == 200
+        assert payload["response"]["status"] == "ok"
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0],
                              ids=["inf", "nan", "negative"])

@@ -1,4 +1,4 @@
-"""Tests for the batch advisor session (compile dedup, pool, telemetry)."""
+"""Tests for the batch advisor session (compile dedup, batches, telemetry)."""
 
 import json
 
@@ -158,7 +158,7 @@ class TestCompilationDedup:
 class TestBatches:
     def test_order_preserved_with_worker_pool(self):
         problems = [_problem(seed=s) for s in range(6)]
-        session = AdvisorSession(max_workers=4)
+        session = AdvisorSession()
         responses = session.solve_many([
             SolveRequest(p, solver="greedy", request_id=f"job-{i}")
             for i, p in enumerate(problems)
@@ -168,16 +168,17 @@ class TestBatches:
         ]
         assert all(r.ok for r in responses)
 
-    def test_pool_matches_sequential_results(self):
-        problems = [_problem(seed=s) for s in range(4)]
-        requests = [SolveRequest(p, solver="r1",
-                                 config={"num_samples": 50, "seed": 1})
-                    for p in problems]
-        parallel = AdvisorSession(max_workers=4).solve_many(requests)
-        sequential = AdvisorSession(max_workers=1).solve_many(requests)
-        for fast, slow in zip(parallel, sequential):
-            assert fast.plan == slow.plan
-            assert fast.cost == slow.cost
+    def test_removed_execution_options_are_type_errors(self):
+        # Batches run in order and the block size is a solver constant: a
+        # caller still passing the old options fails loudly instead of
+        # having them silently ignored.
+        with pytest.raises(TypeError):
+            AdvisorSession(peek_block=8)
+        with pytest.raises(TypeError):
+            AdvisorSession(max_workers=2)
+        requests = [SolveRequest(_problem(), solver="greedy")]
+        with pytest.raises(TypeError):
+            AdvisorSession().solve_many(requests, max_workers=2)
 
     def test_errors_captured_per_request(self):
         session = AdvisorSession()
