@@ -22,9 +22,6 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
 * the CP labeling bounds (compatibility domains and per-assignment cost
   lower bounds) computed from ``CompiledProblem`` index arrays versus the
   dict-walking reference implementations;
-* MIP branch-and-bound incumbent rounding scored in one ``evaluate_batch``
-  call versus per-candidate model evaluation (on a smaller instance — the
-  MIP encoding grows as ``|E| * |S|^2``);
 * the live re-deployment hot path: adopting a drifted cost matrix through
   ``CompiledProblem.refresh_costs`` versus a full recompile, and a warm
   re-solve (local search started from the incumbent plan, stopping at the
@@ -48,7 +45,7 @@ against the floors committed in ``benchmarks/thresholds.json`` (the CI
 Run via pytest (``python -m pytest benchmarks/bench_evaluation_engine.py -s``)
 or directly (``PYTHONPATH=src python benchmarks/bench_evaluation_engine.py``).
 The candidate counts can be reduced for quick runs through the
-``EVAL_BENCH_PLANS`` / ``EVAL_BENCH_MOVES`` / ``EVAL_BENCH_ROUNDINGS``
+``EVAL_BENCH_PLANS`` / ``EVAL_BENCH_MOVES`` / ``EVAL_BENCH_CONSTRAINED``
 environment variables (the problem sizes stay fixed so the tracked ratios
 remain comparable).
 """
@@ -81,18 +78,13 @@ from repro.solvers.cp.labeling import (
 )
 from repro.api.schema import SolveRequest
 from repro.serve import PRIORITY_INTERACTIVE, ServeConfig, create_app
-from repro.solvers.mip.llndp_mip import LLNDPEncoding
-from repro.solvers.mip.branch_and_bound import DeploymentRounder
 from repro.store import SQLiteResultCache
 
 NUM_NODES = 100
 NUM_INSTANCES = 110  # 10 % over-allocation, as in the paper's experiments
 NUM_PLANS = int(os.environ.get("EVAL_BENCH_PLANS", 10_000))
 NUM_MOVES = int(os.environ.get("EVAL_BENCH_MOVES", 10_000))
-NUM_ROUNDINGS = int(os.environ.get("EVAL_BENCH_ROUNDINGS", 300))
 NUM_CONSTRAINED = int(os.environ.get("EVAL_BENCH_CONSTRAINED", 500))
-MIP_NODES = 8
-MIP_INSTANCES = 12
 SEED = 2012
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "evaluation_engine.txt"
@@ -717,50 +709,6 @@ def bench_serve_dedup(repeats=5):
     return cold_s, served_s, cold_s / served_s
 
 
-def bench_mip_rounding(repeats=3):
-    """(scalar_s, batch_s, speedup) for scoring LP-candidate roundings.
-
-    Mimics what branch and bound does with every LP solution: extract an
-    injective assignment, score it, and keep the best incumbent.  The scalar
-    path builds the full solution vector and evaluates it against the model;
-    the engine path scores the whole candidate batch at once and only
-    realises the winning vector.
-    """
-    rng = np.random.default_rng(SEED + 3)
-    matrix = rng.uniform(0.2, 1.4, size=(MIP_INSTANCES, MIP_INSTANCES))
-    np.fill_diagonal(matrix, 0.0)
-    costs = CostMatrix(list(range(MIP_INSTANCES)), matrix)
-    graph = CommunicationGraph.ring(MIP_NODES)
-    encoding = LLNDPEncoding(graph, costs)
-    problem = compile_problem(graph, costs)
-    rounder = DeploymentRounder(encoding, problem, Objective.LONGEST_LINK)
-    candidates = [rng.random(encoding.model.num_variables)
-                  for _ in range(NUM_ROUNDINGS)]
-
-    def scalar_path():
-        best_cost, best_vector = np.inf, None
-        for values in candidates:
-            rounded = encoding.rounding_callback(values)
-            if rounded is None or not encoding.model.is_feasible(rounded):
-                continue
-            cost = encoding.model.evaluate_objective(rounded)
-            if cost < best_cost - 1e-12:
-                best_cost, best_vector = cost, rounded
-        return best_cost, best_vector
-
-    def batch_path():
-        costs_array, assignments = rounder.round_batch(candidates)
-        best = int(np.argmin(costs_array))
-        return float(costs_array[best]), rounder.realize(assignments[best])
-
-    scalar_s, (scalar_cost, scalar_vector) = _best_of(repeats, scalar_path)
-    batch_s, (batch_cost, batch_vector) = _best_of(repeats, batch_path)
-
-    assert scalar_cost == batch_cost, "batch rounding disagrees with oracle"
-    assert np.array_equal(scalar_vector, batch_vector)
-    return scalar_s, batch_s, scalar_s / batch_s
-
-
 def build_report():
     """Return ``(report_text, metrics)`` for the benchmark suite."""
     metrics = {}
@@ -881,15 +829,6 @@ def build_report():
     lines.append(
         f"service dedup submit path (n={NUM_NODES}): "
         f"cold   {cold_s * 1e3:7.1f} ms  served {served_s * 1e3:6.2f} ms  "
-        f"speedup {speedup:7.1f}x"
-    )
-
-    scalar_s, batch_s, speedup = bench_mip_rounding()
-    metrics["mip_rounding"] = speedup
-    lines.append(
-        f"MIP incumbent rounding (n={MIP_NODES}, m={MIP_INSTANCES}, "
-        f"{NUM_ROUNDINGS} candidates): "
-        f"scalar {scalar_s * 1e3:7.1f} ms  batch {batch_s * 1e3:7.1f} ms  "
         f"speedup {speedup:7.1f}x"
     )
 

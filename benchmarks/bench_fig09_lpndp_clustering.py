@@ -28,7 +28,7 @@ def build_figure():
     results = {}
     problem = DeploymentProblem(graph, costs, objective=Objective.LONGEST_PATH)
     for label, k in CONFIGURATIONS:
-        solver = MIPLongestPathSolver(backend="bnb", k_clusters=k)
+        solver = MIPLongestPathSolver(k_clusters=k)
         results[label] = solver.solve(problem,
                                       budget=SearchBudget.seconds(TIME_LIMIT_S))
     return baseline, results

@@ -43,7 +43,7 @@ def build_figure():
             RandomSearch.r2(seed=seed).solve(
                 problem, budget=SearchBudget.seconds(MIP_TIME_S)).cost)
         per_solver["MIP"].append(
-            MIPLongestPathSolver(backend="bnb").solve(
+            MIPLongestPathSolver().solve(
                 problem, budget=SearchBudget.seconds(MIP_TIME_S)).cost)
     return per_solver
 

@@ -69,8 +69,13 @@ class SolveRequest:
     request_id: Optional[str] = None
 
     def resolved_solver_key(self, registry: SolverRegistry) -> str:
-        """The concrete registry key this request runs under."""
-        return registry.resolve(self.solver, self.problem.objective)
+        """The concrete registry key this request runs under.
+
+        Raises:
+            SolverError: unknown key, or a problem above the solver's
+                ``max_nodes`` (see :meth:`SolverRegistry.resolve`).
+        """
+        return registry.resolve(self.solver, self.problem)
 
     def with_id(self, request_id: str) -> "SolveRequest":
         """Copy of the request with ``request_id`` set."""

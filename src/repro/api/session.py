@@ -44,7 +44,6 @@ from ..netmeasure.stream import CostRevision, relative_link_drift
 from ..solvers.base import SolverResult
 from ..solvers.registry import SolverRegistry, default_registry
 from .schema import (
-    AUTO_SOLVER,
     SolveRequest,
     SolverResponse,
     SolveTelemetry,
@@ -322,10 +321,7 @@ class AdvisorSession:
             full per-revision event log.
         """
         policy = policy if policy is not None else WatchPolicy()
-        solver_key = self.registry.resolve(
-            None if policy.solver == AUTO_SOLVER else policy.solver,
-            problem.objective,
-        )
+        solver_key = self.registry.resolve(policy.solver, problem)
         warm_capable = self.registry.spec(solver_key).supports_warm_start
         events: List[WatchEvent] = []
         #: The fingerprint the run is keyed on in durable watch history
@@ -540,11 +536,11 @@ class AdvisorSession:
         solver_key = request.solver
         compile_time = 0.0
         try:
+            solver_key = request.resolved_solver_key(self.registry)
             with compile_lock:
                 compile_started = time.perf_counter()
                 problem.compiled()
                 compile_time = time.perf_counter() - compile_started
-            solver_key = request.resolved_solver_key(self.registry)
             solver = self.registry.make(solver_key, **dict(request.config))
             result = solver.solve(problem, budget=request.budget,
                                   initial_plan=request.initial_plan)

@@ -80,8 +80,8 @@ class AdvisorConfig:
             string (resolved through
             :data:`~repro.solvers.registry.default_registry` together with
             ``solver_config``), or ``None`` for the paper default of the
-            objective (CP for longest link, MIP branch and bound for
-            longest path).
+            objective (CP for longest link, the HiGHS MIP for longest
+            path).
         solver_config: configuration passed to the registry when ``solver``
             is a string key or ``None``; the seed is filled in from
             ``seed`` when the solver accepts one and the config does not
@@ -118,15 +118,17 @@ class AdvisorConfig:
                 "a registry key instead"
             )
 
-    def build_solver(self) -> DeploymentSolver:
-        """Instantiate the configured (or default) solver via the registry.
+    def build_solver(self, problem: DeploymentProblem) -> DeploymentSolver:
+        """Instantiate the configured (or default) solver for ``problem``.
 
         ``solver=None`` and ``solver="auto"`` both resolve to the paper
-        default for the configured objective.
+        default for the problem's objective.  A registry key is resolved
+        against ``problem``, so a problem above the solver's size ceiling
+        is refused before any search.
         """
         if isinstance(self.solver, DeploymentSolver):
             return self.solver
-        key = default_registry.resolve(self.solver, self.objective)
+        key = default_registry.resolve(self.solver, problem)
         config = default_registry.seeded_config(key, self.seed,
                                                 self.solver_config)
         return default_registry.make(key, **config)
@@ -266,6 +268,6 @@ class ClouDiA:
             graph, costs, objective=self.config.objective,
             constraints=self.config.constraints,
         )
-        solver = self.config.build_solver()
+        solver = self.config.build_solver(problem)
         budget = SearchBudget.seconds(self.config.solver_time_limit_s)
         return solver.solve(problem, budget=budget)

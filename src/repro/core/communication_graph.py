@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Set, Tuple
 
-import networkx as nx
-
 from .errors import InvalidGraphError
 from .types import Edge, NodeId, make_rng
 
@@ -132,22 +130,45 @@ class CommunicationGraph:
         The longest-path objective (LPNDP) is only defined on acyclic
         communication graphs; callers should check this before using it.
         """
-        return nx.is_directed_acyclic_graph(self.to_networkx())
+        return len(self._kahn_order()) == len(self._nodes)
 
     def is_connected(self) -> bool:
         """Return ``True`` if the underlying undirected graph is connected."""
-        return nx.is_connected(self.to_networkx().to_undirected())
+        seen = {self._nodes[0]}
+        stack = [self._nodes[0]]
+        while stack:
+            for neighbor in self._neighbors[stack.pop()]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    stack.append(neighbor)
+        return len(seen) == len(self._nodes)
 
     def topological_order(self) -> List[NodeId]:
         """Return a topological ordering of the nodes.
 
+        Kahn's algorithm by generations: the sources in node order, then
+        each node's successors in edge order as their last incoming edge is
+        consumed.  Workloads draw per-node samples in this order, so it is
+        part of their seeded results.
+
         Raises:
             InvalidGraphError: if the graph contains a cycle.
         """
-        try:
-            return list(nx.topological_sort(self.to_networkx()))
-        except nx.NetworkXUnfeasible as exc:
-            raise InvalidGraphError("graph has a cycle; no topological order") from exc
+        order = self._kahn_order()
+        if len(order) != len(self._nodes):
+            raise InvalidGraphError("graph has a cycle; no topological order")
+        return order
+
+    def _kahn_order(self) -> List[NodeId]:
+        """Kahn's order of every node not on or behind a cycle."""
+        indegree = {n: len(self._pred[n]) for n in self._nodes}
+        order = [n for n in self._nodes if not indegree[n]]
+        for node in order:  # a FIFO queue: ``order`` grows while it is read
+            for successor in self._succ[node]:
+                indegree[successor] -= 1
+                if not indegree[successor]:
+                    order.append(successor)
+        return order
 
     def sources(self) -> List[NodeId]:
         """Nodes with no incoming edges."""
@@ -156,13 +177,6 @@ class CommunicationGraph:
     def sinks(self) -> List[NodeId]:
         """Nodes with no outgoing edges."""
         return [n for n in self._nodes if not self._succ[n]]
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Return an equivalent :class:`networkx.DiGraph` (copy)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._nodes)
-        graph.add_edges_from(self._edges)
-        return graph
 
     def relabeled(self, mapping: Dict[NodeId, NodeId]) -> "CommunicationGraph":
         """Return a copy with node identifiers replaced through ``mapping``."""

@@ -40,7 +40,8 @@ class SearchBudget:
     Attributes:
         time_limit_s: wall-clock limit in seconds (``None`` = unlimited).
         max_iterations: iteration limit whose meaning is solver-specific
-            (random plans generated, branch-and-bound nodes, CP backtracks).
+            (random plans generated, HiGHS branch-and-bound nodes for the
+            MIPs, CP backtracks).
         target_cost: stop early once a plan at or below this cost is found.
     """
 
@@ -175,7 +176,7 @@ class SolverResult:
     optimal: bool
     trace: Tuple[Tuple[float, float], ...] = ()
     #: Proven lower bound on the optimal cost, when the solver derives one
-    #: (the CP solver's degree-based bound, a MIP's best LP bound).
+    #: (only the CP solver does: its degree-based bound).
     lower_bound: Optional[float] = None
 
     def improvement_over(self, baseline_cost: float) -> float:
@@ -253,9 +254,9 @@ class DeploymentSolver(abc.ABC):
     )
 
     #: Whether this solver class makes productive use of ``initial_plan``:
-    #: search solvers start from it, exact solvers seed their incumbent /
-    #: initial upper bound with it, constructive solvers treat its cost as
-    #: an upper bound on the result they return.  This is what makes
+    #: search solvers start from it, CP seeds its initial upper bound with
+    #: it, the MIP and constructive solvers treat its cost as an upper
+    #: bound on the result they return.  This is what makes
     #: re-solving after a small cost drift cost a fraction of a cold solve.
     #: Registered through :class:`~repro.solvers.registry.SolverSpec` as a
     #: capability; a solver that ignores ``initial_plan`` should leave

@@ -1,17 +1,13 @@
-"""Mixed-integer programming formulations and solvers."""
+"""Mixed-integer programming formulations and the HiGHS-backed solvers."""
 
-from .branch_and_bound import BranchAndBound, BranchAndBoundResult, DeploymentRounder
 from .deployment import DeploymentEncoding, MipDeploymentSolver
 from .llndp_mip import LLNDPEncoding, MIPLongestLinkSolver
 from .lpndp_mip import LPNDPEncoding, MIPLongestPathSolver
 from .model import LinearConstraintRow, MipModel, MipSolution, Variable
-from .scipy_backend import solve_lp_relaxation, solve_milp
+from .scipy_backend import solve_milp
 
 __all__ = [
-    "BranchAndBound",
-    "BranchAndBoundResult",
     "DeploymentEncoding",
-    "DeploymentRounder",
     "LLNDPEncoding",
     "LPNDPEncoding",
     "LinearConstraintRow",
@@ -21,6 +17,5 @@ __all__ = [
     "MipModel",
     "MipSolution",
     "Variable",
-    "solve_lp_relaxation",
     "solve_milp",
 ]

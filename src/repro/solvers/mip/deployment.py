@@ -2,23 +2,24 @@
 
 The longest-link (Sect. 4.1) and longest-path (Sect. 4.4) MIPs differ only
 in their objective machinery; everything else — the padded assignment
-block, the Hungarian decode, the warm-start plumbing, the whole
-branch-and-bound / HiGHS driving logic — used to be duplicated between the
-two solver modules.  This module is the template-method factoring:
+block, the Hungarian decode, the warm-start comparison, the HiGHS driving
+logic — is shared.  This module is the template-method factoring:
 
 * :class:`DeploymentEncoding` builds the common model structure (binary
   assignment variables over the dummy-padded graph, the two assignment
   equality blocks, the solution decoding) and defers the objective
   variables / constraints to two hooks subclasses implement.
 * :class:`MipDeploymentSolver` is the common ``_solve`` body: clustering,
-  warm starts, backend selection, fallback plans and result assembly; a
-  subclass only names its encoding class and solver metadata.
+  warm starts, the HiGHS ``milp`` call, fallback plans and result assembly;
+  a subclass only names its encoding class and solver metadata.
 
 Placement constraints are lowered directly into the model through the
 variable-fixing hook: a disallowed assignment variable is fixed to 0 (and a
 pin's variable to 1) via bounds, which eliminates the disallowed block of
 the ``|E| * |S|^2`` constraint interactions from every LP relaxation — the
 MIP searches only the feasible region.
+
+The paper ran CPLEX; SciPy's HiGHS ``milp`` stands in for it.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ from ..base import (
     best_constrained_random_plan,
     best_random_plan,
     constrained_warm_start,
-)
-from .branch_and_bound import (
-    BranchAndBound,
-    DeploymentRounder,
-    warm_start_assignment,
 )
 from .model import MipModel
 from .scipy_backend import solve_milp
@@ -134,10 +130,6 @@ class DeploymentEncoding:
         """Add the objective-side constraints and set the objective (hook)."""
         raise NotImplementedError
 
-    def solution_vector(self, assignment: Dict[int, int]) -> np.ndarray:
-        """Full variable vector realising a node -> instance-index map (hook)."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------------ #
     # Constraint lowering
     # ------------------------------------------------------------------ #
@@ -187,14 +179,6 @@ class DeploymentEncoding:
         A Hungarian assignment on the ``x`` block guards against slightly
         fractional or degenerate solutions.
         """
-        return self._assignment_to_plan(self._extract_assignment(values))
-
-    def rounding_callback(self, values: np.ndarray) -> Optional[np.ndarray]:
-        """Primal heuristic: round a fractional LP solution to a deployment."""
-        assignment = self._extract_assignment(values)
-        return self.solution_vector(assignment)
-
-    def _extract_assignment(self, values: np.ndarray) -> Dict[int, int]:
         weights = np.asarray(values)[self._x_block]
         if self._decode_mask is not None:
             # Assignment weights live in [0, 1], so a penalty below
@@ -204,9 +188,7 @@ class DeploymentEncoding:
             weights = np.where(self._decode_mask, weights,
                                -float(len(self.nodes) + 1))
         rows, cols = linear_sum_assignment(-weights)
-        return {self.nodes[int(r)]: int(c) for r, c in zip(rows, cols)}
-
-    def _assignment_to_plan(self, assignment: Dict[int, int]) -> DeploymentPlan:
+        assignment = {self.nodes[int(r)]: int(c) for r, c in zip(rows, cols)}
         return DeploymentPlan({
             node: self.instance_ids[assignment[node]] for node in self.graph.nodes
         })
@@ -218,39 +200,33 @@ class MipDeploymentSolver(DeploymentSolver):
     Subclasses set :attr:`encoding_factory` (their
     :class:`DeploymentEncoding` subclass) plus the usual solver metadata;
     the whole ``_solve`` body — clustering, warm starts, constraint
-    lowering, backend dispatch, fallbacks, result assembly — lives here
-    once.
+    lowering, the HiGHS ``milp`` call, fallbacks, result assembly — lives
+    here once.  ``SolverResult.iterations`` is the number of
+    branch-and-bound nodes HiGHS explored.
 
     Args:
-        backend: ``"bnb"`` uses the pure-Python branch and bound (produces
-            an incumbent convergence trace, like reading a CPLEX log);
-            ``"milp"`` hands the model to SciPy's HiGHS MILP solver.
         k_clusters: optional cost clustering applied before encoding.
         round_to: rounding grid for clustering.
-        node_limit: branch-and-bound node limit.
-        initial_random_plans: number of random plans drawn to seed the
-            incumbent when ``seed`` is given and no warm start is supplied
+        node_limit: branch-and-bound node limit, used when the budget sets
+            no ``max_iterations`` (``None`` = unlimited).
+        initial_random_plans: number of random plans drawn as the warm
+            start when ``seed`` is given and no warm start is supplied
             (the paper seeds its solvers with the best of 10 random
             deployments, Sect. 6.3.1).
         seed: RNG seed for the random warm start.  ``None`` (the default)
-            draws no warm start, preserving the historical behaviour.
+            draws no warm start.
     """
 
     #: Encoding class instantiated per problem; set by subclasses.
     encoding_factory = None
-    #: The warm start becomes the branch-and-bound's initial incumbent
-    #: (its objective value prunes every node whose LP bound cannot beat
-    #: it), so a near-optimal incumbent after a small drift turns the
-    #: re-solve into mostly bound checks.
+    #: HiGHS takes no incumbent, so the warm start bounds the result
+    #: instead: it is returned whenever it beats the decoded MIP plan.
     supports_warm_start = True
 
-    def __init__(self, backend: str = "bnb", k_clusters: Optional[int] = None,
+    def __init__(self, k_clusters: Optional[int] = None,
                  round_to: float | None = 0.01, node_limit: int | None = 5000,
                  initial_random_plans: int = 10,
                  seed: int | None = None):
-        if backend not in ("bnb", "milp"):
-            raise ValueError("backend must be 'bnb' or 'milp'")
-        self.backend = backend
         self.k_clusters = k_clusters
         self.round_to = round_to
         self.node_limit = node_limit
@@ -292,31 +268,12 @@ class MipDeploymentSolver(DeploymentSolver):
         if initial_plan is not None:
             trace.record(watch.elapsed(), score(initial_plan))
 
-        if self.backend == "milp":
-            solution = solve_milp(encoding.model, time_limit_s=budget.time_limit_s)
-            optimal = solution.optimal
-            iterations = 1
-            incumbents: Tuple[Tuple[float, float], ...] = ()
-            values = solution.values
-        else:
-            bnb = BranchAndBound(encoding.model, batch_rounder=DeploymentRounder(
-                encoding, compile_problem(graph, clustered), objective))
-            warm_vector = None
-            if initial_plan is not None:
-                warm_vector = encoding.solution_vector(
-                    warm_start_assignment(encoding, initial_plan))
-            result = bnb.solve(time_limit_s=budget.time_limit_s,
-                               node_limit=self.node_limit
-                               if budget.max_iterations is None
-                               else budget.max_iterations,
-                               initial_incumbent=warm_vector)
-            solution = result.solution
-            optimal = result.proven_optimal
-            iterations = result.nodes_explored
-            incumbents = result.incumbent_trace
-            values = solution.values
-
-        if values is None:
+        solution = solve_milp(
+            encoding.model, time_limit_s=budget.time_limit_s,
+            node_limit=self.node_limit if budget.max_iterations is None
+            else budget.max_iterations)
+        optimal = solution.optimal
+        if solution.values is None:
             # No feasible solution produced within budget: fall back to the
             # warm start or the identity plan so callers always get a plan
             # (made feasible natively when constraints are in play).
@@ -327,20 +284,18 @@ class MipDeploymentSolver(DeploymentSolver):
                 plan = constraints.repair(plan, costs.instance_ids)
             optimal = False
         else:
-            plan = encoding.decode(values)
+            plan = encoding.decode(solution.values)
 
         cost = score(plan)
         if initial_plan is not None:
             warm_cost = score(initial_plan)
             if warm_cost < cost:
                 plan, cost = initial_plan, warm_cost
-        for when, objective_value in incumbents:
-            trace.record(when, objective_value)
         trace.record(watch.elapsed(), cost)
 
         return SolverResult(
             plan=plan, cost=cost, objective=objective, solver_name=self.name,
-            solve_time_s=watch.elapsed(), iterations=iterations,
+            solve_time_s=watch.elapsed(), iterations=solution.node_count,
             optimal=optimal and self.k_clusters is None,
             trace=trace.as_tuples(),
         )

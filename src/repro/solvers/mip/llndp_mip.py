@@ -16,10 +16,6 @@ assignment variables are fixed out through the shared
 
 from __future__ import annotations
 
-from typing import Dict
-
-import numpy as np
-
 from ...core.objectives import Objective
 from .deployment import DeploymentEncoding, MipDeploymentSolver
 
@@ -50,24 +46,13 @@ class LLNDPEncoding(DeploymentEncoding):
                     )
         self.model.set_objective({self.c_index: 1.0})
 
-    def solution_vector(self, assignment: Dict[int, int]) -> np.ndarray:
-        """Full variable vector realising the given node -> instance-index map."""
-        vector = np.zeros(self.model.num_variables)
-        for node, j in assignment.items():
-            vector[self.x_index[(node, j)]] = 1.0
-        worst = 0.0
-        for i, i_prime in self.graph.edges:
-            worst = max(worst, float(self.cost_array[assignment[i], assignment[i_prime]]))
-        vector[self.c_index] = worst
-        return vector
-
 
 class MIPLongestLinkSolver(MipDeploymentSolver):
     """Longest-link solver backed by the MIP encoding of Sect. 4.1.
 
     A thin :class:`~repro.solvers.mip.deployment.MipDeploymentSolver`
-    subclass — see that class for the constructor arguments (backend
-    selection, clustering, warm starts, constraint lowering).
+    subclass — see that class for the constructor arguments (clustering,
+    node limit, warm starts, constraint lowering).
     """
 
     name = "MIP"

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-import numpy as np
-
 from ...core.communication_graph import CommunicationGraph
 from ...core.errors import InvalidGraphError
 from ...core.objectives import Objective
@@ -80,29 +78,6 @@ class LPNDPEncoding(DeploymentEncoding):
             )
 
         self.model.set_objective({self.t_index: 1.0})
-
-    def solution_vector(self, assignment: Dict[int, int]) -> np.ndarray:
-        """Full variable vector realising the given node -> instance-index map."""
-        vector = np.zeros(self.model.num_variables)
-        for node, j in assignment.items():
-            vector[self.x_index[(node, j)]] = 1.0
-
-        edge_costs: Dict[Tuple[int, int], float] = {}
-        for (i, i_prime), c_var in self.edge_cost_index.items():
-            cost = float(self.cost_array[assignment[i], assignment[i_prime]])
-            edge_costs[(i, i_prime)] = cost
-            vector[c_var] = cost
-
-        longest_to: Dict[int, float] = {n: 0.0 for n in self.graph.nodes}
-        for node in self.graph.topological_order():
-            for successor in self.graph.successors(node):
-                candidate = longest_to[node] + edge_costs[(node, successor)]
-                if candidate > longest_to[successor]:
-                    longest_to[successor] = candidate
-        for node, t_var in self.path_index.items():
-            vector[t_var] = longest_to[node]
-        vector[self.t_index] = max(longest_to.values()) if longest_to else 0.0
-        return vector
 
 
 class MIPLongestPathSolver(MipDeploymentSolver):

@@ -2,10 +2,8 @@
 
 The paper encodes both deployment problems as MIPs and hands them to CPLEX.
 CPLEX is not available offline, so this module provides a minimal model
-container (variables, linear constraints, a linear objective) that can be
-solved either by SciPy's HiGHS-based ``milp`` (see
-:mod:`repro.solvers.mip.scipy_backend`) or by the pure-Python branch and
-bound in :mod:`repro.solvers.mip.branch_and_bound`.
+container (variables, linear constraints, a linear objective) that SciPy's
+HiGHS-based ``milp`` solves (see :mod:`repro.solvers.mip.scipy_backend`).
 """
 
 from __future__ import annotations
@@ -43,12 +41,9 @@ class LinearConstraintRow:
 class MipModel:
     """Container for a minimisation MIP.
 
-    The dense/sparse views used by the solvers (objective vector, bound
-    arrays, constraint matrix, integer indices) are built once and cached —
-    branch and bound evaluates thousands of LP relaxations and incumbent
-    candidates against the same model, and rebuilding the CSR matrix per
-    query used to dominate those paths.  Mutating the model through the
-    ``add_*`` / ``set_objective`` methods invalidates the caches.
+    The array views (objective vector, bound arrays, constraint matrix,
+    integer indices) are built on each call; ``milp`` reads them once per
+    solve.
     """
 
     variables: List[Variable] = field(default_factory=list)
@@ -58,12 +53,6 @@ class MipModel:
     # ------------------------------------------------------------------ #
     # Building
     # ------------------------------------------------------------------ #
-
-    def _invalidate_caches(self) -> None:
-        self._cached_objective = None
-        self._cached_bounds = None
-        self._cached_matrix = None
-        self._cached_integers = None
 
     def add_variable(self, name: str = "", lower: float = 0.0,
                      upper: float | None = None, integer: bool = False) -> int:
@@ -76,7 +65,6 @@ class MipModel:
             Variable(index=index, name=name or f"x{index}",
                      lower=float(lower), upper=upper_value, integer=integer)
         )
-        self._invalidate_caches()
         return index
 
     def add_binary(self, name: str = "") -> int:
@@ -89,9 +77,7 @@ class MipModel:
 
         Used by the deployment encodings to fix assignment variables out of
         (or into) the model when placement constraints disallow (or pin) a
-        node-instance pair — both backends and :meth:`is_feasible` read the
-        bound arrays, so a fixing removes the variable from the search
-        everywhere at once.
+        node-instance pair, which removes the variable from the search.
         """
         variable = self.variables[index]
         new_lower = variable.lower if lower is None else float(lower)
@@ -103,7 +89,6 @@ class MipModel:
             )
         variable.lower = new_lower
         variable.upper = new_upper
-        self._invalidate_caches()
 
     def add_constraint(self, coefficients: Dict[int, float],
                        lower: float = -np.inf, upper: float = np.inf) -> int:
@@ -117,7 +102,6 @@ class MipModel:
             LinearConstraintRow(coefficients=dict(coefficients),
                                 lower=float(lower), upper=float(upper))
         )
-        self._invalidate_caches()
         return len(self.constraints) - 1
 
     def add_equality(self, coefficients: Dict[int, float], value: float) -> int:
@@ -127,7 +111,6 @@ class MipModel:
     def set_objective(self, coefficients: Dict[int, float]) -> None:
         """Set the (minimisation) objective."""
         self.objective = dict(coefficients)
-        self._invalidate_caches()
 
     # ------------------------------------------------------------------ #
     # Introspection and export
@@ -145,54 +128,25 @@ class MipModel:
 
     def integer_indices(self) -> List[int]:
         """Indices of integer-restricted variables."""
-        cached = getattr(self, "_cached_integers", None)
-        if cached is None:
-            cached = [v.index for v in self.variables if v.integer]
-            self._cached_integers = cached
-        return cached
+        return [v.index for v in self.variables if v.integer]
 
     def objective_vector(self) -> np.ndarray:
-        """Dense objective coefficient vector (cached; treat as read-only)."""
-        cached = getattr(self, "_cached_objective", None)
-        if cached is None:
-            cached = np.zeros(self.num_variables)
-            for index, coefficient in self.objective.items():
-                cached[index] = coefficient
-            self._cached_objective = cached
-        return cached
-
-    def _bounds_cache(self) -> Tuple[np.ndarray, np.ndarray]:
-        cached = getattr(self, "_cached_bounds", None)
-        if cached is None:
-            cached = (
-                np.array([v.lower for v in self.variables]),
-                np.array([v.upper for v in self.variables]),
-            )
-            self._cached_bounds = cached
-        return cached
+        """Dense objective coefficient vector."""
+        vector = np.zeros(self.num_variables)
+        for index, coefficient in self.objective.items():
+            vector[index] = coefficient
+        return vector
 
     def bounds_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Lower and upper variable bound vectors (fresh copies per call).
-
-        Copies are returned because the LP relaxation solver tightens the
-        arrays in place with branching bounds.
-        """
-        lower, upper = self._bounds_cache()
-        return lower.copy(), upper.copy()
+        """Lower and upper variable bound vectors."""
+        return (np.array([v.lower for v in self.variables]),
+                np.array([v.upper for v in self.variables]))
 
     def constraint_matrix(self) -> Tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
-        """Sparse constraint matrix with per-row lower/upper bounds.
-
-        Cached across calls; callers must not mutate the returned objects.
-        """
-        cached = getattr(self, "_cached_matrix", None)
-        if cached is not None:
-            return cached
+        """Sparse constraint matrix with per-row lower/upper bounds."""
         if not self.constraints:
-            cached = (sparse.csr_matrix((0, self.num_variables)),
-                      np.array([]), np.array([]))
-            self._cached_matrix = cached
-            return cached
+            return (sparse.csr_matrix((0, self.num_variables)),
+                    np.array([]), np.array([]))
         rows: List[int] = []
         cols: List[int] = []
         data: List[float] = []
@@ -208,30 +162,7 @@ class MipModel:
         matrix = sparse.csr_matrix(
             (data, (rows, cols)), shape=(len(self.constraints), self.num_variables)
         )
-        cached = (matrix, lower, upper)
-        self._cached_matrix = cached
-        return cached
-
-    def evaluate_objective(self, solution: np.ndarray) -> float:
-        """Objective value of a solution vector (one cached-vector dot product)."""
-        return float(self.objective_vector() @ solution)
-
-    def is_feasible(self, solution: np.ndarray, tolerance: float = 1e-6) -> bool:
-        """Check variable bounds, integrality and every linear constraint."""
-        lower, upper = self._bounds_cache()
-        if (solution < lower - tolerance).any() or (solution > upper + tolerance).any():
-            return False
-        integers = self.integer_indices()
-        if integers:
-            integral = solution[integers]
-            if (np.abs(integral - np.round(integral)) > tolerance).any():
-                return False
-        matrix, c_lower, c_upper = self.constraint_matrix()
-        if matrix.shape[0]:
-            values = matrix @ solution
-            if (values < c_lower - tolerance).any() or (values > c_upper + tolerance).any():
-                return False
-        return True
+        return matrix, lower, upper
 
 
 @dataclass(frozen=True)
@@ -243,6 +174,8 @@ class MipSolution:
     values: Optional[np.ndarray]
     optimal: bool
     solve_time_s: float
+    #: Branch-and-bound nodes the solver explored.
+    node_count: int = 0
 
     @property
     def feasible(self) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..core.deployment import DeploymentPlan
-from ..core.objectives import Objective
 from ..core.problem import DeploymentProblem
 from .base import (
     ConvergenceTrace,
@@ -29,9 +28,10 @@ class PortfolioSolver(DeploymentSolver):
 
     Args:
         solvers: the member solvers, run in order.  When omitted, a default
-            portfolio is chosen per objective at solve time: G2 + a short
-            random search followed by CP (longest link) or the MIP branch
-            and bound (longest path).
+            portfolio is chosen per problem at solve time: G2 + a short
+            random search followed by CP (longest link) or the MIP (longest
+            path).  The exact member is left out when the problem exceeds
+            its size ceiling (the MIP's 64 nodes).
         exact_fraction: fraction of the time budget reserved for the last
             (exact) member; the earlier members share the remainder.
     """
@@ -49,7 +49,8 @@ class PortfolioSolver(DeploymentSolver):
         self.exact_fraction = exact_fraction
         self._seed = seed
 
-    def _default_members(self, objective: Objective) -> List[DeploymentSolver]:
+    def _default_members(self, problem: DeploymentProblem
+                         ) -> List[DeploymentSolver]:
         # Imported lazily: the registry module registers this class, so a
         # module-level import would be circular.
         from .registry import default_registry
@@ -58,8 +59,9 @@ class PortfolioSolver(DeploymentSolver):
             default_registry.make("greedy"),
             default_registry.make("random", num_samples=200, seed=self._seed),
         ]
-        exact_key = default_registry.default_key(objective)
-        members.append(default_registry.make(exact_key, seed=self._seed))
+        exact_key = default_registry.default_key(problem.objective)
+        if exact_key in default_registry.for_problem(problem):
+            members.append(default_registry.make(exact_key, seed=self._seed))
         return members
 
     def _solve(self, problem: DeploymentProblem,
@@ -73,7 +75,7 @@ class PortfolioSolver(DeploymentSolver):
         self.compiled(graph, costs)
         watch = Stopwatch(budget)
         members = self._solvers if self._solvers is not None \
-            else self._default_members(objective)
+            else self._default_members(problem)
 
         total = budget.time_limit_s
         exact_budget = None if total is None else total * self.exact_fraction

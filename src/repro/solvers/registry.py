@@ -54,14 +54,15 @@ class SolverSpec:
     factory: Callable[..., DeploymentSolver]
     summary: str
     objectives: Tuple[Objective, ...]
-    #: Practical ceiling on the number of application nodes, used by
-    #: capability filtering (``None`` = no ceiling).  The MIP encodings grow
-    #: as ``|E| * |S|^2`` and stop being practical long before the
+    #: Practical ceiling on the number of application nodes (``None`` = no
+    #: ceiling): :meth:`SolverRegistry.resolve` refuses a larger problem
+    #: and capability filtering leaves the solver out.  The MIP encodings
+    #: grow as ``|E| * |S|^2`` and stop being practical long before the
     #: lightweight solvers do.
     max_nodes: Optional[int] = None
     #: Whether the solver makes productive use of an ``initial_plan`` warm
-    #: start (search solvers start from it, exact solvers seed their
-    #: incumbent with it, constructive solvers bound their result by it).
+    #: start (search solvers start from it, CP seeds its incumbent with it,
+    #: the MIP and constructive solvers bound their result by it).
     #: The live re-deployment watch loop filters on this so drift
     #: re-solves are only warm-started where that actually helps.
     supports_warm_start: bool = False
@@ -256,8 +257,7 @@ class SolverRegistry:
     def default_key(self, objective: Objective) -> str:
         """The paper's default solver for an objective.
 
-        CP for the longest link, the MIP branch and bound for the longest
-        path (Sect. 4).
+        CP for the longest link, the MIP for the longest path (Sect. 4).
         """
         if objective is Objective.LONGEST_PATH:
             return "mip"
@@ -280,25 +280,40 @@ class SolverRegistry:
             config["seed"] = seed
         return config
 
-    def resolve(self, key: Optional[str], objective: Objective) -> str:
-        """Resolve a solver selection to a concrete registry key.
+    def resolve(self, key: Optional[str], problem: DeploymentProblem) -> str:
+        """Resolve a solver selection for ``problem`` to a concrete key.
 
-        ``None`` and ``"auto"`` pick the paper default for ``objective``;
-        anything else must be a registered key.  This is the single place
-        the ``auto`` convention is implemented — the CLI, the advisor
-        config and the request schema all route through it.
+        ``None`` and ``"auto"`` pick the paper default for the problem's
+        objective; anything else must be a registered key.  This is the
+        single place the ``auto`` convention and the size ceilings are
+        enforced — the CLI, the advisor config, the request schema and the
+        watch loop all route through it.
+
+        Raises:
+            UnknownSolverError: ``key`` is not registered.
+            SolverError: the problem has more nodes than the solver's
+                ``max_nodes``; the message names the ceiling and lists the
+                solvers that fit.
         """
-        if key is None or key == "auto":
-            return self.default_key(objective)
-        self.spec(key)  # raises UnknownSolverError with the available list
-        return key
+        resolved = self.default_key(problem.objective) \
+            if key is None or key == "auto" else key
+        spec = self.spec(resolved)  # raises UnknownSolverError
+        if spec.max_nodes is not None and problem.num_nodes > spec.max_nodes:
+            chosen = resolved if resolved == key else \
+                f"{resolved} (the default for {problem.objective.value})"
+            raise SolverError(
+                f"solver {chosen} handles at most {spec.max_nodes} nodes; "
+                f"this problem has {problem.num_nodes}; solvers that fit: "
+                f"{', '.join(self.for_problem(problem))}"
+            )
+        return resolved
 
 
 #: The process-wide registry all built-in solvers register into.
 default_registry = SolverRegistry()
 
 #: Practical node ceiling for the MIP encodings, whose constraint count
-#: grows as ``|E| * |S|^2``.
+#: grows as ``|E| * |S|^2`` (about 308k rows at 63 nodes on 71 instances).
 _MIP_MAX_NODES = 64
 
 default_registry.register(
@@ -308,8 +323,8 @@ default_registry.register(
 )
 default_registry.register(
     "mip", MIPLongestPathSolver,
-    summary="longest-path MIP, branch-and-bound or HiGHS backend (paper "
-            "default for longest path)",
+    summary="longest-path MIP solved by HiGHS (paper default for longest "
+            "path)",
     max_nodes=_MIP_MAX_NODES,
 )
 default_registry.register(

@@ -87,3 +87,18 @@ def provider_order_solver():
 def tree_graph() -> CommunicationGraph:
     """A small aggregation tree (binary, depth 2 => 7 nodes)."""
     return CommunicationGraph.aggregation_tree(branching=2, depth=2)
+
+
+@pytest.fixture
+def oversized_dag_problem():
+    """A longest-path problem one node above the MIP's 64-node ceiling.
+
+    The DAG is sparse (8 edges), so a solver that ignored the ceiling would
+    still build and solve its MIP within seconds.
+    """
+    from repro.core import DeploymentProblem, Objective
+
+    graph = CommunicationGraph(range(65),
+                               [(i, i + 1) for i in range(0, 64, 8)])
+    return DeploymentProblem(graph, deterministic_cost_matrix(66, seed=1),
+                             objective=Objective.LONGEST_PATH)

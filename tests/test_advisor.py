@@ -11,9 +11,10 @@ from repro import (
     RandomSearch,
     SimulatedCloud,
 )
-from repro.core import LatencyMetric
-from repro.core.errors import AllocationError, ClouDiAError
+from repro.core import DeploymentProblem, LatencyMetric
+from repro.core.errors import AllocationError, ClouDiAError, SolverError
 from repro.core.objectives import deployment_cost
+from repro.testing import deterministic_cost_matrix
 
 
 @pytest.fixture
@@ -49,14 +50,32 @@ class TestMeasurementConfig:
             MeasurementConfig(scheme="carrier-pigeon").build_scheme()
 
 
+def tree_problem(branching=2, depth=2):
+    graph = CommunicationGraph.aggregation_tree(branching, depth)
+    return DeploymentProblem(graph,
+                             deterministic_cost_matrix(graph.num_nodes + 1),
+                             objective=Objective.LONGEST_PATH)
+
+
 class TestAdvisorConfig:
-    def test_default_solver_per_objective(self):
-        assert AdvisorConfig(objective=Objective.LONGEST_LINK).build_solver().name == "CP"
-        assert AdvisorConfig(objective=Objective.LONGEST_PATH).build_solver().name == "MIP-LP"
+    def test_default_solver_per_objective(self, small_mesh):
+        link = DeploymentProblem(small_mesh, deterministic_cost_matrix(10))
+        assert AdvisorConfig(objective=Objective.LONGEST_LINK).build_solver(
+            link).name == "CP"
+        assert AdvisorConfig(objective=Objective.LONGEST_PATH).build_solver(
+            tree_problem()).name == "MIP-LP"
 
     def test_custom_solver_passthrough(self):
         solver = RandomSearch(num_samples=10)
-        assert AdvisorConfig(solver=solver).build_solver() is solver
+        assert AdvisorConfig(solver=solver).build_solver(tree_problem()) \
+            is solver
+
+    @pytest.mark.parametrize("solver", [None, "auto", "mip"])
+    def test_solver_above_its_node_ceiling_is_refused(self, solver):
+        problem = tree_problem(branching=2, depth=6)  # 127 nodes
+        with pytest.raises(SolverError, match="at most 64 nodes"):
+            AdvisorConfig(objective=Objective.LONGEST_PATH,
+                          solver=solver).build_solver(problem)
 
 
 class TestRecommend:

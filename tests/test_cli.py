@@ -256,6 +256,15 @@ class TestJsonWorkflow:
         assert exit_code == 1
         assert "bogus_field" in capsys.readouterr().err
 
+    def test_solve_above_the_mip_ceiling_exits_1(self, oversized_dag_problem,
+                                                 tmp_path, capsys):
+        path = tmp_path / "dag65.json"
+        path.write_text(json.dumps(oversized_dag_problem.to_dict()))
+        exit_code = main(["solve", "--problem", str(path),
+                          "--time-limit", "2"])
+        assert exit_code == 1
+        assert "at most 64 nodes" in capsys.readouterr().err
+
     def test_solve_batch_seed_reaches_auto_solver(self, problem_path,
                                                   tmp_path, capsys):
         outs = []

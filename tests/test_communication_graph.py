@@ -95,6 +95,33 @@ class TestStructure:
         with pytest.raises(InvalidGraphError):
             graph.topological_order()
 
+    @pytest.mark.parametrize("graph, expected", [
+        (CommunicationGraph.aggregation_tree(2, 3),
+         [7, 8, 9, 10, 11, 12, 13, 14, 3, 4, 5, 6, 1, 2, 0]),
+        (CommunicationGraph(
+            [6, 5, 4, 3, 2, 1, 0],
+            [(4, 1), (6, 3), (5, 3), (6, 2), (4, 2), (3, 0), (2, 0),
+             (3, 1)]),
+         [6, 5, 4, 3, 2, 1, 0]),
+        (CommunicationGraph(
+            [40, 7, 19, 3, 88],
+            [(19, 40), (7, 40), (40, 88), (3, 19), (7, 88)]),
+         [7, 3, 19, 40, 88]),
+        (CommunicationGraph(
+            [5, 4, 3, 2, 1, 0],
+            [(3, 5), (0, 2), (2, 3), (0, 1), (1, 3), (4, 5), (1, 2)]),
+         [4, 0, 1, 2, 3, 5]),
+        (CommunicationGraph.random_dag(9, 0.4, seed=3).relabeled(
+            {n: (5 * n + 3) % 9 for n in range(9)}),
+         [3, 8, 4, 0, 5, 1, 6, 2, 7]),
+    ], ids=["aggregation-tree", "layered", "non-contiguous-ids",
+            "edges-out-of-order", "relabeled-random-dag"])
+    def test_topological_order_is_pinned(self, graph, expected):
+        """Kahn's order by generations (sources in node order, successors
+        in edge order); aggregation workloads draw samples in this order.
+        The lists were recorded from the networkx implementation."""
+        assert graph.topological_order() == expected
+
     def test_connectivity(self):
         connected = CommunicationGraph.ring(5)
         disconnected = CommunicationGraph([0, 1, 2], [(0, 1)])

@@ -1,27 +1,20 @@
-"""Engine-vs-oracle agreement for the exact solvers (CP labeling, MIP B&B).
+"""Engine-vs-oracle agreement for the CP labeling search.
 
-The CP labeling search and the MIP branch and bound route their bound
-computation and incumbent scoring through the compiled evaluation engine
-(:mod:`repro.core.evaluation`); the dict-walking implementations are kept as
-the reference oracle.  These tests pin the contract the rewire relies on:
-
-* labeling bounds (compatibility domains, feasibility pre-checks,
-  per-assignment cost lower bounds) computed from ``CompiledProblem`` index
-  arrays equal the oracle-derived bounds on random instances;
-* branch and bound visits the same node sequence and produces the same
-  incumbent trace whether roundings are scored one by one through the model
-  or in engine batches;
-* the MIP solvers return the plan, cost, node count and trace of an oracle
-  rebuilt in the test from the same encoding, scalar roundings and the
-  pure-Python objective (a recorded MIP result would move with the SciPy
-  release, whose HiGHS may break LP ties differently).
+The CP labeling search routes its bound computation through the compiled
+evaluation engine (:mod:`repro.core.evaluation`); the dict-walking
+implementations are kept as the reference oracle.  These tests pin the
+contract the rewire relies on: labeling bounds (compatibility domains,
+feasibility pre-checks, per-assignment cost lower bounds) computed from
+``CompiledProblem`` index arrays equal the oracle-derived bounds on random
+instances.  The incremental longest-path walk is checked against a full
+re-relaxation per move.
 
 The CP solver's seeded results are pinned in ``tests/data/cp_golden.json``
-(see ``test_cp_golden.py``).
+(see ``test_cp_golden.py``); the MIP solvers are checked against
+exhaustive enumeration in ``test_mip_solvers.py``.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,14 +25,7 @@ from repro.core import (
     Objective,
     compile_problem,
 )
-from repro.core.objectives import deployment_cost
-from repro.solvers import (
-    ConvergenceTrace,
-    CPLongestLinkSolver,
-    MIPLongestLinkSolver,
-    MIPLongestPathSolver,
-    SearchBudget,
-)
+from repro.solvers import CPLongestLinkSolver, SearchBudget
 from repro.solvers.cp.labeling import (
     assignment_cost_lower_bounds_reference,
     compatibility_domains,
@@ -48,9 +34,6 @@ from repro.solvers.cp.labeling import (
     quick_infeasibility_check,
     quick_infeasibility_check_reference,
 )
-from repro.solvers.mip import BranchAndBound, DeploymentRounder
-from repro.solvers.mip.llndp_mip import LLNDPEncoding
-from repro.solvers.mip.lpndp_mip import LPNDPEncoding
 
 
 def random_problem(seed, min_nodes=3, max_nodes=8, extra=3, dag=False):
@@ -138,130 +121,6 @@ def test_cp_solver_reports_valid_lower_bound():
         assert result.lower_bound is not None
         assert result.lower_bound <= optimum + 1e-12
         assert result.lower_bound <= result.cost + 1e-9
-
-
-# --------------------------------------------------------------------------- #
-# MIP branch and bound: batch rounding vs scalar rounding
-# --------------------------------------------------------------------------- #
-
-@pytest.mark.parametrize("seed", [1, 5, 11])
-def test_branch_and_bound_same_node_sequence_llndp(seed):
-    graph, costs = random_problem(seed, min_nodes=3, max_nodes=4, extra=2)
-    scalar_encoding = LLNDPEncoding(graph, costs)
-    scalar = BranchAndBound(
-        scalar_encoding.model,
-        rounding_callback=scalar_encoding.rounding_callback,
-        record_nodes=True,
-    ).solve(node_limit=150)
-
-    batch_encoding = LLNDPEncoding(graph, costs)
-    rounder = DeploymentRounder(batch_encoding, compile_problem(graph, costs),
-                                Objective.LONGEST_LINK)
-    batch = BranchAndBound(
-        batch_encoding.model, batch_rounder=rounder, record_nodes=True,
-    ).solve(node_limit=150)
-
-    assert batch.node_sequence == scalar.node_sequence
-    assert batch.nodes_explored == scalar.nodes_explored
-    assert batch.proven_optimal == scalar.proven_optimal
-    assert [c for _, c in batch.incumbent_trace] == \
-        [c for _, c in scalar.incumbent_trace]
-    assert batch.solution.objective_value == scalar.solution.objective_value
-    assert np.array_equal(batch.solution.values, scalar.solution.values)
-
-
-def test_branch_and_bound_same_node_sequence_lpndp():
-    graph = CommunicationGraph.aggregation_tree(2, 1)
-    rng = np.random.default_rng(23)
-    m = graph.num_nodes + 2
-    matrix = rng.uniform(0.1, 2.0, size=(m, m))
-    np.fill_diagonal(matrix, 0.0)
-    costs = CostMatrix(list(range(m)), matrix)
-
-    scalar_encoding = LPNDPEncoding(graph, costs)
-    scalar = BranchAndBound(
-        scalar_encoding.model,
-        rounding_callback=scalar_encoding.rounding_callback,
-        record_nodes=True,
-    ).solve(node_limit=80)
-    batch_encoding = LPNDPEncoding(graph, costs)
-    rounder = DeploymentRounder(batch_encoding, compile_problem(graph, costs),
-                                Objective.LONGEST_PATH)
-    batch = BranchAndBound(
-        batch_encoding.model, batch_rounder=rounder, record_nodes=True,
-    ).solve(node_limit=80)
-
-    assert batch.node_sequence == scalar.node_sequence
-    assert [c for _, c in batch.incumbent_trace] == \
-        [c for _, c in scalar.incumbent_trace]
-    assert batch.solution.objective_value == scalar.solution.objective_value
-
-
-def _mip_oracle(encoding_cls, graph, costs, objective, budget):
-    """The bnb MIP solve rebuilt from its parts, scored by the oracle.
-
-    The same encoding driven by branch and bound with scalar model-scored
-    roundings, decoded, then scored by the pure-Python
-    :func:`~repro.core.objectives.deployment_cost`; the trace is assembled
-    as the solver assembles it (incumbents, then the final plan).
-    """
-    encoding = encoding_cls(graph, costs)
-    search = BranchAndBound(
-        encoding.model, rounding_callback=encoding.rounding_callback,
-    ).solve(time_limit_s=budget.time_limit_s, node_limit=5000)
-    assert search.solution.values is not None
-    plan = encoding.decode(search.solution.values)
-    cost = deployment_cost(plan, graph, costs, objective)
-    trace = ConvergenceTrace()
-    for when, value in search.incumbent_trace:
-        trace.record(when, value)
-    trace.record(0.0, cost)  # only the trace costs are compared
-    return plan, cost, search.nodes_explored, [c for _, c in trace.points]
-
-
-@pytest.mark.parametrize("seed", [42, 3, 17])
-@pytest.mark.parametrize("solver_cls,encoding_cls,objective,graph", [
-    (MIPLongestLinkSolver, LLNDPEncoding, Objective.LONGEST_LINK,
-     CommunicationGraph.ring(4)),
-    (MIPLongestPathSolver, LPNDPEncoding, Objective.LONGEST_PATH,
-     CommunicationGraph.aggregation_tree(2, 1)),
-], ids=["ll-ring4", "lp-tree"])
-def test_mip_solver_matches_scalar_oracle(solver_cls, encoding_cls, objective,
-                                          graph, seed):
-    rng = np.random.default_rng(seed)
-    m = graph.num_nodes + 1
-    matrix = rng.uniform(0.1, 2.0, size=(m, m))
-    np.fill_diagonal(matrix, 0.0)
-    costs = CostMatrix(list(range(m)), matrix)
-    budget = SearchBudget.seconds(20)
-    result = solver_cls(backend="bnb").solve(
-        DeploymentProblem(graph, costs, objective=objective), budget=budget)
-    plan, cost, iterations, trace_costs = _mip_oracle(
-        encoding_cls, graph, costs, objective, budget)
-    assert result.plan.as_dict() == plan.as_dict()
-    assert result.cost == cost
-    assert result.iterations == iterations
-    assert [c for _, c in result.trace] == trace_costs
-
-
-def test_deployment_rounder_costs_match_model_objective():
-    """Batch costs equal what the model would report for the same roundings."""
-    graph = CommunicationGraph.ring(5)
-    rng = np.random.default_rng(9)
-    m = 7
-    matrix = rng.uniform(0.1, 2.0, size=(m, m))
-    np.fill_diagonal(matrix, 0.0)
-    costs = CostMatrix(list(range(m)), matrix)
-    encoding = LLNDPEncoding(graph, costs)
-    rounder = DeploymentRounder(encoding, compile_problem(graph, costs),
-                                Objective.LONGEST_LINK)
-    candidates = [rng.random(encoding.model.num_variables) for _ in range(6)]
-    batch_costs, assignments = rounder.round_batch(candidates)
-    for cost, assignment, values in zip(batch_costs, assignments, candidates):
-        vector = encoding.rounding_callback(values)
-        assert encoding.model.is_feasible(vector)
-        assert float(cost) == encoding.model.evaluate_objective(vector)
-        assert np.array_equal(rounder.realize(assignment), vector)
 
 
 # --------------------------------------------------------------------------- #

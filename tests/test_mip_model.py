@@ -1,12 +1,11 @@
-"""Tests for the MIP modelling layer and its SciPy backends."""
+"""Tests for the MIP modelling layer and its HiGHS ``milp`` backend."""
 
 import numpy as np
 import pytest
 
 from repro.core.errors import SolverError
-from repro.solvers.mip.branch_and_bound import BranchAndBound
 from repro.solvers.mip.model import MipModel
-from repro.solvers.mip.scipy_backend import solve_lp_relaxation, solve_milp
+from repro.solvers.mip.scipy_backend import solve_milp
 
 
 def knapsack_model():
@@ -43,16 +42,6 @@ class TestMipModel:
         with pytest.raises(SolverError):
             model.add_constraint({}, upper=1.0)
 
-    def test_objective_evaluation(self):
-        model, (a, b, c) = knapsack_model()
-        assert model.evaluate_objective(np.array([1.0, 0.0, 1.0])) == pytest.approx(-5.0)
-
-    def test_feasibility_check(self):
-        model, _ = knapsack_model()
-        assert model.is_feasible(np.array([1.0, 0.0, 1.0]))
-        assert not model.is_feasible(np.array([1.0, 1.0, 1.0]))  # violates capacity
-        assert not model.is_feasible(np.array([0.5, 0.0, 0.0]))  # fractional binary
-
     def test_constraint_matrix_shapes(self):
         model, _ = knapsack_model()
         matrix, lower, upper = model.constraint_matrix()
@@ -62,24 +51,6 @@ class TestMipModel:
 
 
 class TestScipyBackend:
-    def test_lp_relaxation_bound(self):
-        model, _ = knapsack_model()
-        solution = solve_lp_relaxation(model)
-        assert solution.status == "optimal"
-        # The LP bound is at least as good (low) as the best integer solution (-6).
-        assert solution.objective_value <= -6.0 + 1e-9
-
-    def test_lp_relaxation_with_branching_bounds(self):
-        model, (a, b, c) = knapsack_model()
-        solution = solve_lp_relaxation(model, extra_bounds={b: (1.0, 1.0)})
-        assert solution.status == "optimal"
-        assert solution.values[b] == pytest.approx(1.0)
-
-    def test_lp_relaxation_detects_infeasible_bounds(self):
-        model, (a, _, _) = knapsack_model()
-        solution = solve_lp_relaxation(model, extra_bounds={a: (2.0, 3.0)})
-        assert solution.status == "infeasible"
-
     def test_milp_solves_knapsack(self):
         model, _ = knapsack_model()
         solution = solve_milp(model)
@@ -95,61 +66,5 @@ class TestScipyBackend:
         model.set_objective({x: 1.0})
         solution = solve_milp(model)
         assert not solution.feasible
+        assert solution.status == "infeasible"
 
-
-class TestBranchAndBound:
-    def test_solves_knapsack_to_optimality(self):
-        model, _ = knapsack_model()
-        result = BranchAndBound(model).solve(time_limit_s=10.0)
-        assert result.solution.optimal
-        assert result.solution.objective_value == pytest.approx(-6.0)
-
-    def test_agrees_with_scipy_milp(self):
-        rng = np.random.default_rng(0)
-        model = MipModel()
-        variables = [model.add_binary(f"x{i}") for i in range(6)]
-        weights = rng.integers(1, 5, size=6).astype(float)
-        values = rng.integers(1, 9, size=6).astype(float)
-        model.add_constraint({v: w for v, w in zip(variables, weights)}, upper=8.0)
-        model.set_objective({v: -val for v, val in zip(variables, values)})
-        own = BranchAndBound(model).solve(time_limit_s=10.0)
-        reference = solve_milp(model)
-        assert own.solution.objective_value == pytest.approx(
-            reference.objective_value, abs=1e-6
-        )
-
-    def test_incumbent_trace_monotone(self):
-        model, _ = knapsack_model()
-        result = BranchAndBound(model).solve(time_limit_s=10.0)
-        objectives = [value for _, value in result.incumbent_trace]
-        assert objectives == sorted(objectives, reverse=True)
-
-    def test_rounding_callback_provides_incumbent(self):
-        model, (a, b, c) = knapsack_model()
-
-        def round_greedy(values):
-            # Always propose the feasible solution {b, c}.
-            proposal = np.zeros(model.num_variables)
-            proposal[b] = 1.0
-            proposal[c] = 1.0
-            return proposal
-
-        result = BranchAndBound(model, rounding_callback=round_greedy).solve(
-            time_limit_s=10.0
-        )
-        assert result.incumbent_trace
-        assert result.solution.objective_value == pytest.approx(-6.0)
-
-    def test_node_limit_respected(self):
-        model, _ = knapsack_model()
-        result = BranchAndBound(model).solve(node_limit=1)
-        assert result.nodes_explored <= 1
-
-    def test_infeasible_model(self):
-        model = MipModel()
-        x = model.add_binary("x")
-        model.add_constraint({x: 1.0}, lower=2.0)
-        model.set_objective({x: 1.0})
-        result = BranchAndBound(model).solve(time_limit_s=5.0)
-        assert result.solution.status == "infeasible"
-        assert result.proven_optimal

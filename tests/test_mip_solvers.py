@@ -1,9 +1,23 @@
-"""Tests for the LLNDP and LPNDP MIP encodings and solvers."""
+"""Tests for the LLNDP and LPNDP MIP encodings and solvers.
 
+Every MIP is solved by SciPy's HiGHS ``milp``; tiny instances are checked
+against exhaustive enumeration (``repro.testing.brute_force_optimum``) and
+every returned cost is re-scored by the pure-Python objective.
+"""
+
+from itertools import permutations
+
+import numpy as np
 import pytest
 
-from repro.core import CommunicationGraph, DeploymentPlan, DeploymentProblem, Objective
-from repro.core.objectives import deployment_cost, longest_link_cost, longest_path_cost
+from repro.core import (
+    CommunicationGraph,
+    DeploymentPlan,
+    DeploymentProblem,
+    Objective,
+    PlacementConstraints,
+)
+from repro.core.objectives import deployment_cost
 from repro.core.errors import InvalidGraphError
 from repro.solvers import (
     MIPLongestLinkSolver,
@@ -43,30 +57,15 @@ class TestLLNDPEncoding:
         link_constraints = graph.num_edges * 5 * 4
         assert encoding.model.num_constraints == assignment_constraints + link_constraints
 
-    def test_solution_vector_is_feasible(self, tiny_ll_problem):
-        graph, costs = tiny_ll_problem
-        encoding = LLNDPEncoding(graph, costs)
-        assignment = {node: index for index, node in enumerate(encoding.nodes)}
-        vector = encoding.solution_vector(assignment)
-        assert encoding.model.is_feasible(vector)
-
-    def test_solution_vector_objective_matches_longest_link(self, tiny_ll_problem):
-        graph, costs = tiny_ll_problem
-        encoding = LLNDPEncoding(graph, costs)
-        assignment = {node: index for index, node in enumerate(encoding.nodes)}
-        vector = encoding.solution_vector(assignment)
-        plan = DeploymentPlan({
-            node: costs.instance_ids[assignment[node]] for node in graph.nodes
-        })
-        assert encoding.model.evaluate_objective(vector) == pytest.approx(
-            longest_link_cost(plan, graph, costs)
-        )
-
     def test_decode_roundtrip(self, tiny_ll_problem):
         graph, costs = tiny_ll_problem
         encoding = LLNDPEncoding(graph, costs)
-        assignment = {node: index for index, node in enumerate(encoding.nodes)}
-        plan = encoding.decode(encoding.solution_vector(assignment))
+        assignment = {node: (index + 2) % len(encoding.nodes)
+                      for index, node in enumerate(encoding.nodes)}
+        values = np.zeros(encoding.model.num_variables)
+        for node, j in assignment.items():
+            values[encoding.x_index[(node, j)]] = 1.0
+        plan = encoding.decode(values)
         assert plan.covers(graph)
         for node in graph.nodes:
             assert plan.instance_for(node) == costs.instance_ids[assignment[node]]
@@ -81,27 +80,19 @@ class TestLLNDPEncoding:
 
 
 class TestMIPLongestLinkSolver:
-    def test_bnb_produces_valid_plan(self, tiny_ll_problem):
-        graph, costs = tiny_ll_problem
-        result = MIPLongestLinkSolver(backend="bnb").solve(
-            DeploymentProblem(graph, costs), budget=SearchBudget.seconds(10)
-        )
-        assert result.plan.covers(graph)
-        assert result.cost == pytest.approx(
-            longest_link_cost(result.plan, graph, costs)
-        )
-
-    def test_milp_backend_matches_brute_force(self, tiny_ll_problem):
+    def test_matches_brute_force(self, tiny_ll_problem):
         graph, costs = tiny_ll_problem
         _, optimum = brute_force_optimum(graph, costs, Objective.LONGEST_LINK)
-        result = MIPLongestLinkSolver(backend="milp").solve(
+        result = MIPLongestLinkSolver().solve(
             DeploymentProblem(graph, costs), budget=SearchBudget.seconds(30)
         )
         assert result.cost == pytest.approx(optimum, abs=1e-6)
 
-    def test_invalid_backend(self):
-        with pytest.raises(ValueError):
-            MIPLongestLinkSolver(backend="cplex")
+    @pytest.mark.parametrize("solver_cls", [MIPLongestLinkSolver,
+                                            MIPLongestPathSolver])
+    def test_backend_is_refused(self, solver_cls):
+        with pytest.raises(TypeError):
+            solver_cls(backend="bnb")
 
     def test_rejects_longest_path_objective(self, tiny_lp_problem):
         graph, costs = tiny_lp_problem
@@ -119,25 +110,6 @@ class TestLPNDPEncoding:
         with pytest.raises(InvalidGraphError):
             LPNDPEncoding(graph, costs)
 
-    def test_solution_vector_is_feasible(self, tiny_lp_problem):
-        graph, costs = tiny_lp_problem
-        encoding = LPNDPEncoding(graph, costs)
-        assignment = {node: index for index, node in enumerate(encoding.nodes)}
-        vector = encoding.solution_vector(assignment)
-        assert encoding.model.is_feasible(vector)
-
-    def test_solution_vector_objective_matches_longest_path(self, tiny_lp_problem):
-        graph, costs = tiny_lp_problem
-        encoding = LPNDPEncoding(graph, costs)
-        assignment = {node: index for index, node in enumerate(encoding.nodes)}
-        vector = encoding.solution_vector(assignment)
-        plan = DeploymentPlan({
-            node: costs.instance_ids[assignment[node]] for node in graph.nodes
-        })
-        assert encoding.model.evaluate_objective(vector) == pytest.approx(
-            longest_path_cost(plan, graph, costs)
-        )
-
     def test_milp_backend_reaches_optimum_on_tiny_tree(self):
         graph = CommunicationGraph.aggregation_tree(2, 1)  # 3 nodes
         costs = deterministic_cost_matrix(4, seed=14)
@@ -149,22 +121,11 @@ class TestLPNDPEncoding:
 
 
 class TestMIPLongestPathSolver:
-    def test_bnb_produces_valid_plan(self, tiny_lp_problem):
-        graph, costs = tiny_lp_problem
-        result = MIPLongestPathSolver(backend="bnb").solve(
-            DeploymentProblem(graph, costs, objective=Objective.LONGEST_PATH),
-            budget=SearchBudget.seconds(10)
-        )
-        assert result.plan.covers(graph)
-        assert result.cost == pytest.approx(
-            longest_path_cost(result.plan, graph, costs)
-        )
-
-    def test_milp_backend_matches_brute_force(self):
+    def test_matches_brute_force(self):
         graph = CommunicationGraph.aggregation_tree(2, 1)
         costs = deterministic_cost_matrix(4, seed=15)
         _, optimum = brute_force_optimum(graph, costs, Objective.LONGEST_PATH)
-        result = MIPLongestPathSolver(backend="milp").solve(
+        result = MIPLongestPathSolver().solve(
             DeploymentProblem(graph, costs, objective=Objective.LONGEST_PATH),
             budget=SearchBudget.seconds(30)
         )
@@ -175,7 +136,7 @@ class TestMIPLongestPathSolver:
         problem = DeploymentProblem(graph, costs,
                                     objective=Objective.LONGEST_PATH)
         warm = RandomSearch(num_samples=500, seed=0).solve(problem)
-        result = MIPLongestPathSolver(backend="bnb").solve(
+        result = MIPLongestPathSolver().solve(
             problem, budget=SearchBudget.seconds(5), initial_plan=warm.plan
         )
         assert result.cost <= warm.cost + 1e-9 or result.cost == pytest.approx(
@@ -189,3 +150,99 @@ class TestMIPLongestPathSolver:
         with pytest.raises(SolverError):
             MIPLongestPathSolver().solve(
                 DeploymentProblem(graph, costs, objective=Objective.LONGEST_LINK))
+
+
+def _constrained_optimum(problem):
+    """Exhaustive optimum over the plans that satisfy the constraints."""
+    graph, costs = problem.graph, problem.costs
+    best = float("inf")
+    for assignment in permutations(costs.instance_ids, graph.num_nodes):
+        plan = DeploymentPlan(dict(zip(graph.nodes, assignment)))
+        if problem.constraints.satisfied_by(plan):
+            best = min(best, deployment_cost(plan, graph, costs,
+                                             problem.objective))
+    return best
+
+
+#: Tiny instances per registry key: graph, instance count, and the pin plus
+#: forbidden sets of the constrained variant (chosen so that they raise the
+#: optimum on every seed below).
+TINY = {
+    "mip-ll": (Objective.LONGEST_LINK, CommunicationGraph.ring(4), 6,
+               PlacementConstraints(pinned={0: 2}, forbidden={1: {4, 5},
+                                                              2: {3}})),
+    "mip": (Objective.LONGEST_PATH,
+            CommunicationGraph([0, 1, 2, 3], [(0, 2), (1, 2), (2, 3)]), 6,
+            PlacementConstraints(pinned={2: 3}, forbidden={0: {0, 1},
+                                                           3: {4}})),
+}
+
+
+class TestBruteForceOptimality:
+    """Default-config MIP solves reach the exhaustive optimum."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("constrained", [False, True],
+                             ids=["unconstrained", "constrained"])
+    @pytest.mark.parametrize("key", sorted(TINY))
+    def test_reaches_brute_force_optimum(self, key, constrained, seed):
+        from repro.solvers.registry import default_registry
+
+        objective, graph, m, constraints = TINY[key]
+        costs = deterministic_cost_matrix(m, seed=100 + seed,
+                                          symmetric=False)
+        problem = DeploymentProblem(
+            graph, costs, objective=objective,
+            constraints=constraints if constrained else None)
+        _, optimum = brute_force_optimum(graph, costs, objective)
+        if constrained:
+            unconstrained_optimum = optimum
+            optimum = _constrained_optimum(problem)
+            assert optimum > unconstrained_optimum
+
+        result = default_registry.make(key).solve(
+            problem, budget=SearchBudget.seconds(30))
+
+        assert result.optimal
+        assert result.cost == deployment_cost(result.plan, graph, costs,
+                                              objective)
+        # HiGHS stops at its default relative gap of 1e-4.
+        assert result.cost == pytest.approx(optimum, rel=1e-4, abs=1e-12)
+        assert result.cost >= optimum - 1e-12
+        if constrained:
+            assert constraints.satisfied_by(result.plan)
+
+
+class TestNodeLimit:
+    @pytest.mark.parametrize("key", ["mip", "mip-ll"])
+    def test_node_limited_solves_are_deterministic_and_bounded(self, key):
+        from repro.solvers.registry import default_registry
+
+        objective = Objective.LONGEST_PATH if key == "mip" \
+            else Objective.LONGEST_LINK
+        graph = CommunicationGraph.aggregation_tree(2, 2) if key == "mip" \
+            else CommunicationGraph.mesh_2d(2, 3)
+        problem = DeploymentProblem(graph, deterministic_cost_matrix(9, seed=21),
+                                    objective=objective)
+        budget = SearchBudget(max_iterations=20)
+        first = default_registry.make(key, seed=4).solve(problem,
+                                                         budget=budget)
+        second = default_registry.make(key, seed=4).solve(problem,
+                                                          budget=budget)
+        assert first.plan == second.plan
+        assert first.cost == second.cost
+        assert first.iterations == second.iterations
+        assert first.iterations <= 20
+
+    def test_budget_iterations_override_the_node_limit(self):
+        graph = CommunicationGraph.aggregation_tree(2, 2)
+        problem = DeploymentProblem(graph, deterministic_cost_matrix(9, seed=21),
+                                    objective=Objective.LONGEST_PATH)
+        limited = MIPLongestPathSolver(node_limit=1000).solve(
+            problem, budget=SearchBudget(max_iterations=3))
+        assert limited.iterations <= 3
+        assert not limited.optimal
+        config_limited = MIPLongestPathSolver(node_limit=3).solve(
+            problem, budget=SearchBudget.seconds(30))
+        assert config_limited.iterations <= 3
+        assert config_limited.plan == limited.plan

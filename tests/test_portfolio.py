@@ -36,6 +36,18 @@ class TestPortfolioSolver:
             deployment_cost(result.plan, tree_graph, costs, Objective.LONGEST_PATH)
         )
 
+    def test_default_portfolio_skips_the_mip_above_its_ceiling(
+            self, oversized_dag_problem, monkeypatch):
+        from repro.solvers.mip.deployment import MipDeploymentSolver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the MIP ran above its node ceiling")
+
+        monkeypatch.setattr(MipDeploymentSolver, "_solve", refuse)
+        result = PortfolioSolver(seed=0).solve(
+            oversized_dag_problem, budget=SearchBudget.seconds(2))
+        assert result.cost == oversized_dag_problem.evaluate(result.plan)
+
     def test_never_worse_than_members_alone(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=23)
         members = [GreedyG1(), GreedyG2(), RandomSearch(num_samples=100, seed=0)]

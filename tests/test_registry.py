@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DeploymentProblem, Objective, PlacementConstraints
+from repro.core.errors import SolverError
 from repro.solvers import (
     CPLongestLinkSolver,
     DeploymentSolver,
@@ -79,9 +80,9 @@ class TestSeedRouting:
         assert a.cost == b.cost
 
     def test_mip_warm_start_seeds_the_incumbent(self, tree_graph):
-        """The warm start must reach branch and bound as an incumbent, so a
-        seeded run can only explore fewer-or-equal nodes and never returns
-        a plan worse than the warm start."""
+        """The warm start bounds the result: a warm-started run never
+        returns a plan worse than the warm start, and equals the cold
+        optimum when both runs prove optimality."""
         from repro.core import CommunicationGraph
         from repro.solvers import RandomSearch
 
@@ -91,16 +92,14 @@ class TestSeedRouting:
                                     objective=Objective.LONGEST_PATH)
         warm = RandomSearch(num_samples=200, seed=0).solve(problem)
         budget = SearchBudget.seconds(30)
-        cold = MIPLongestPathSolver(backend="bnb").solve(problem,
-                                                         budget=budget)
-        hot = MIPLongestPathSolver(backend="bnb").solve(
+        cold = MIPLongestPathSolver().solve(problem, budget=budget)
+        hot = MIPLongestPathSolver().solve(
             problem, budget=budget, initial_plan=warm.plan)
         assert cold.optimal and hot.optimal
         assert hot.cost == pytest.approx(cold.cost)
         assert hot.cost <= warm.cost + 1e-12
-        # The incumbent is live from node zero, so the seeded search can
-        # only prune more, never explore more.
-        assert hot.iterations <= cold.iterations
+        # The warm plan is the trace's first point.
+        assert hot.trace[0][1] == warm.cost
 
     def test_mip_without_seed_keeps_historical_behaviour(self, tree_graph):
         costs = deterministic_cost_matrix(8, seed=5)
@@ -110,10 +109,10 @@ class TestSeedRouting:
         budget = SearchBudget(max_iterations=40)
         via_registry = default_registry.make("mip").solve(problem,
                                                           budget=budget)
-        direct = MIPLongestPathSolver(backend="bnb").solve(problem,
-                                                           budget=budget)
+        direct = MIPLongestPathSolver().solve(problem, budget=budget)
         assert via_registry.plan == direct.plan
         assert via_registry.cost == direct.cost
+        assert via_registry.iterations == direct.iterations
 
 
 class TestCapabilities:
@@ -149,21 +148,37 @@ class TestCapabilities:
         assert default_registry.default_key(Objective.LONGEST_LINK) == "cp"
         assert default_registry.default_key(Objective.LONGEST_PATH) == "mip"
 
-    def test_resolve_handles_auto_and_none(self):
-        assert default_registry.resolve("auto", Objective.LONGEST_LINK) == "cp"
-        assert default_registry.resolve(None, Objective.LONGEST_PATH) == "mip"
-        assert default_registry.resolve("greedy", Objective.LONGEST_LINK) == "greedy"
+    def test_resolve_handles_auto_and_none(self, mesh_graph, tree_graph):
+        link = DeploymentProblem(mesh_graph, deterministic_cost_matrix(10))
+        path = DeploymentProblem(tree_graph, deterministic_cost_matrix(8),
+                                 objective=Objective.LONGEST_PATH)
+        assert default_registry.resolve("auto", link) == "cp"
+        assert default_registry.resolve(None, path) == "mip"
+        assert default_registry.resolve("greedy", link) == "greedy"
         with pytest.raises(UnknownSolverError):
-            default_registry.resolve("nope", Objective.LONGEST_LINK)
+            default_registry.resolve("nope", link)
 
-    def test_advisor_config_accepts_auto_and_key(self):
+    @pytest.mark.parametrize("key", [None, "auto", "mip"])
+    def test_resolve_refuses_a_problem_above_the_ceiling(
+            self, oversized_dag_problem, key):
+        with pytest.raises(SolverError, match="at most 64 nodes") as caught:
+            default_registry.resolve(key, oversized_dag_problem)
+        message = str(caught.value)
+        assert "this problem has 65" in message
+        fitting = default_registry.for_problem(oversized_dag_problem)
+        assert "mip" not in fitting
+        assert f"solvers that fit: {', '.join(fitting)}" in message
+
+    def test_advisor_config_accepts_auto_and_key(self, mesh_graph):
         from repro.core.advisor import AdvisorConfig
 
-        auto = AdvisorConfig(solver="auto", seed=5).build_solver()
-        default = AdvisorConfig(seed=5).build_solver()
+        problem = DeploymentProblem(mesh_graph, deterministic_cost_matrix(10))
+        auto = AdvisorConfig(solver="auto", seed=5).build_solver(problem)
+        default = AdvisorConfig(seed=5).build_solver(problem)
         assert type(auto) is type(default)
-        assert isinstance(AdvisorConfig(solver="greedy").build_solver(),
-                          DeploymentSolver)
+        assert isinstance(
+            AdvisorConfig(solver="greedy").build_solver(problem),
+            DeploymentSolver)
 
     def test_advisor_config_rejects_config_with_instance(self):
         """The conflict must surface at construction, before an advisor run

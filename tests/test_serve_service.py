@@ -400,7 +400,9 @@ class TestAppDispatch:
         ("cp", {"use_engine": False}, "k_clusters, round_to"),
         ("local-search", {"acceptance": "best"},
          "restarts, seed, max_moves_without_improvement"),
-    ], ids=["cp-use_engine", "local-search-acceptance"])
+        ("mip", {"backend": "bnb"},
+         "k_clusters, round_to, node_limit, initial_random_plans, seed"),
+    ], ids=["cp-use_engine", "local-search-acceptance", "mip-backend"])
     def test_unknown_config_field_is_400_listing_accepted_fields(
             self, app, solver, config, accepted):
         body = solve_body(solver=solver, config=config)
@@ -422,6 +424,23 @@ class TestAppDispatch:
             body=json.dumps(solve_body(budget=budget)).encode())
         assert status == 400
         assert next(iter(budget)) in payload["error"]
+        assert app.metrics.solver_invocations == 0
+
+    @pytest.mark.parametrize("solver", [None, "mip"],
+                             ids=["no-solver", "mip"])
+    def test_solver_above_its_node_ceiling_is_400_before_any_solve(
+            self, app, oversized_dag_problem, solver):
+        body = SolveRequest(problem=oversized_dag_problem,
+                            budget=SearchBudget.seconds(2.0)).to_dict()
+        if solver is None:
+            body.pop("solver")
+        else:
+            body["solver"] = solver
+        status, payload = app.handle("POST", "/v1/solve",
+                                     body=json.dumps(body).encode())
+        assert status == 400
+        assert "at most 64 nodes" in payload["error"]
+        assert "solvers that fit: " in payload["error"]
         assert app.metrics.solver_invocations == 0
 
     @pytest.mark.parametrize("solver, field, token", [
