@@ -16,6 +16,10 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
 * block-scored neighborhood peeks: scoring candidate-move blocks through
   ``DeltaEvaluator.peek_many`` versus the per-move peek loop the search
   solvers ran before the vectorized neighborhood kernels;
+* local-search move proposals on the n = 300 mesh: the samplers decoding
+  raw PCG64 words against the cached free-instance array versus the
+  per-draw sampler they replaced (an occupancy scan and NumPy
+  ``Generator`` calls per proposal);
 * one G2 greedy construction on the n = 100 mesh through the vectorized
   step kernel (one score matrix and ``argmin`` per step) versus the
   per-(frontier instance, unmapped neighbor) loop it replaced;
@@ -71,6 +75,7 @@ from repro.core import (
     deployment_cost,
 )
 from repro.solvers import GreedyG2, SearchBudget, SwapLocalSearch
+from repro.solvers.local_search import _draws, _propose_move
 from repro.solvers.cp.labeling import (
     assignment_cost_lower_bounds_reference,
     compatibility_domains,
@@ -388,6 +393,67 @@ def bench_neighborhood_batch(block=64):
         lp_problem, Objective.LONGEST_PATH, n, block, SEED + 23)
     lp = (lp_graph, loop_s, batch_s, speedup)
     return ll, lp
+
+
+def per_draw_propose_move(evaluator, rng):
+    """The unconstrained local-search sampler before raw-word draws.
+
+    Rescans the occupancy for free instances on every draw (as
+    ``free_instance_indices()`` did before the evaluator kept the array)
+    and draws through the NumPy ``Generator`` calls, ``rng.choice`` for
+    swaps, in the documented order.
+    """
+    n_nodes = evaluator.problem.num_nodes
+    free = np.flatnonzero(evaluator._node_of_instance < 0)
+    if n_nodes < 2:
+        if not free.size:
+            return None
+        return ("relocate", 0, int(free[int(rng.integers(free.size))]))
+    if free.size and rng.random() < 0.3:
+        node = int(rng.integers(n_nodes))
+        target = int(free[int(rng.integers(free.size))])
+        return ("relocate", node, target)
+    a, b = rng.choice(n_nodes, size=2, replace=False)
+    return ("swap", int(a), int(b))
+
+
+def bench_move_proposals(repeats=3):
+    """(reference_s, draws_s, speedup) for NUM_MOVES local-search proposals.
+
+    A 15x20 mesh (n = 300, m = 330), the size of the ``ls-*-300`` classes
+    of the end-to-end search-ll workload, at a fixed assignment.  Both
+    samplers start from the same seed and must propose the same moves and
+    leave the generator in the same state.
+    """
+    rng = np.random.default_rng(SEED + 31)
+    m = 330
+    matrix = rng.uniform(0.2, 1.4, size=(m, m))
+    np.fill_diagonal(matrix, 0.0)
+    problem = compile_problem(CommunicationGraph.mesh_2d(15, 20),
+                              CostMatrix(list(range(m)), matrix))
+    start = problem.random_assignments(1, rng)[0]
+    evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
+
+    def per_draw():
+        gen = np.random.default_rng(SEED + 32)
+        moves = [per_draw_propose_move(evaluator, gen)
+                 for _ in range(NUM_MOVES)]
+        return moves, gen.bit_generator.state
+
+    def raw_words():
+        gen = np.random.default_rng(SEED + 32)
+        draws = _draws(gen)
+        free = evaluator.free_instance_indices()
+        moves = [_propose_move(evaluator, draws, free)
+                 for _ in range(NUM_MOVES)]
+        draws.sync()
+        return moves, gen.bit_generator.state
+
+    reference_s, reference = _best_of(repeats, per_draw)
+    draws_s, drawn = _best_of(repeats, raw_words)
+    assert drawn == reference, \
+        "raw-word proposals disagree with the per-draw sampler"
+    return reference_s, draws_s, reference_s / draws_s
 
 
 class PerPairG2(GreedyG2):
@@ -766,6 +832,14 @@ def build_report():
         f"neighborhood batch peeks longest_path (n={nb_graph.num_nodes}, "
         f"{nb_graph.num_edges} edges, blocks of 64): "
         f"per-move {loop_s:7.3f} s   batch {batch_s:7.3f} s   "
+        f"speedup {speedup:7.1f}x"
+    )
+
+    reference_s, draws_s, speedup = bench_move_proposals()
+    metrics["move_proposals"] = speedup
+    lines.append(
+        f"local-search move proposals (15x20 mesh, m=330, {NUM_MOVES} "
+        f"draws): per-draw {reference_s:7.3f} s   raw-word {draws_s:7.3f} s   "
         f"speedup {speedup:7.1f}x"
     )
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..core.errors import ClouDiAError
 
@@ -41,11 +40,16 @@ def relative_errors(estimate: Sequence[float], reference: Sequence[float]) -> np
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation coefficient."""
+    # scipy.stats is imported where used: it is most of a cold start.
+    from scipy import stats as scipy_stats
+
     return float(scipy_stats.pearsonr(np.asarray(list(x)), np.asarray(list(y))).statistic)
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rank correlation coefficient."""
+    from scipy import stats as scipy_stats
+
     return float(scipy_stats.spearmanr(np.asarray(list(x)), np.asarray(list(y))).statistic)
 
 
@@ -88,6 +92,8 @@ def confidence_interval(values: Sequence[float],
     data = np.asarray(list(values), dtype=float)
     if data.size < 2:
         raise ClouDiAError("confidence interval needs at least two observations")
+    from scipy import stats as scipy_stats
+
     mean = float(data.mean())
     half_width = float(
         scipy_stats.norm.ppf(0.5 + confidence / 2.0) * data.std(ddof=1) / np.sqrt(data.size)

@@ -48,7 +48,7 @@ from .core import (
 )
 from .core.advisor import AdvisorConfig, ClouDiA, MeasurementConfig
 from .core.errors import ClouDiAError
-from .solvers import DeploymentSolver, SearchBudget
+from .solvers import SearchBudget
 from .solvers.registry import default_registry
 from .store import SQLiteResultCache
 
@@ -96,13 +96,15 @@ def solver_choices(aliases: bool = False) -> List[str]:
     return ["auto"] + sorted(names)
 
 
-def build_solver(name: str, seed: Optional[int]) -> Optional[DeploymentSolver]:
-    """Instantiate the solver selected on the command line (None = paper default).
+def build_solver(name: str) -> Optional[str]:
+    """The registry key of the solver selected on the command line.
 
-    Resolution goes through the solver registry, which also routes the seed
-    into every solver that accepts one (including the MIP solvers, whose
-    seed the old hand-rolled factory silently dropped).  Historical
-    ``advise`` names are translated first (``random`` -> ``r2``).
+    ``None`` stands for ``auto`` (the paper default of the objective).
+    Historical ``advise`` names are translated first (``random`` ->
+    ``r2``).  The key is not instantiated here: :class:`AdvisorConfig`
+    resolves it against the measured problem, which refuses a problem
+    above the solver's size ceiling, and routes the seed into every
+    solver that accepts one.
     """
     if name == "auto":
         return None
@@ -110,8 +112,7 @@ def build_solver(name: str, seed: Optional[int]) -> Optional[DeploymentSolver]:
     if key not in default_registry:
         raise SystemExit(f"unknown solver {name!r}; available: "
                          f"{', '.join(solver_choices(aliases=True))}")
-    return default_registry.make(
-        key, **default_registry.seeded_config(key, seed))
+    return key
 
 
 def command_advise(args: argparse.Namespace) -> int:
@@ -124,7 +125,7 @@ def command_advise(args: argparse.Namespace) -> int:
         objective=objective,
         over_allocation_ratio=args.over_allocation,
         metric=LatencyMetric(args.metric),
-        solver=build_solver(args.solver, args.seed),
+        solver=build_solver(args.solver),
         solver_time_limit_s=args.time_limit,
         measurement=MeasurementConfig(scheme=args.measurement,
                                       target_samples_per_link=args.samples),

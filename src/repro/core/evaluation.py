@@ -51,6 +51,7 @@ from __future__ import annotations
 import operator
 import threading
 import weakref
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
@@ -77,9 +78,11 @@ from .types import InstanceId, NodeId, make_rng
 _BATCH_GATHER_BUDGET = 262_144
 
 #: Cap (in cells) on the nested-list mirror of the cost array kept for the
-#: pure-Python incremental longest-path delta.  A 1024x1024 matrix of floats
-#: is ~8 MiB as a list-of-lists; beyond that the delta falls back to
-#: ``ndarray.item`` gathers instead of doubling the cost array's footprint.
+#: pure-Python incremental longest-path delta.  A list-of-lists costs about
+#: 32 B per cell against NumPy's 8 B (3.50 MB against 0.87 MB at 330^2), so
+#: a 1024x1024 matrix is ~32 MiB as lists; beyond the cap the delta falls
+#: back to ``ndarray.item`` gathers instead of quadrupling the cost array's
+#: footprint.
 _COST_ROWS_MAX_CELLS = 1 << 20
 
 
@@ -179,20 +182,11 @@ class CompiledProblem:
         )
         self.num_edges = graph.num_edges
 
-        # Edge ids incident to each node (either endpoint), for delta scoring.
-        incident: List[List[int]] = [[] for _ in range(self.num_nodes)]
-        for e in range(self.num_edges):
-            incident[self.edge_src[e]].append(e)
-            d = self.edge_dst[e]
-            if d != self.edge_src[e]:
-                incident[d].append(e)
-        self._incident: Tuple[np.ndarray, ...] = tuple(
-            np.asarray(ids, dtype=np.intp) for ids in incident
-        )
-
         self._levels: Optional[Tuple[_LevelGroup, ...]] = None
         self._node_level: Optional[np.ndarray] = None
         self._lp_struct: Optional[_LpDeltaStructure] = None
+        self._edge_lists_cache: Optional[Tuple[
+            List[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]] = None
         self._incident_pad: Optional[np.ndarray] = None
         self._lp_reach_cache: Optional[np.ndarray] = None
         self._group_dst_max: Optional[np.ndarray] = None
@@ -288,10 +282,6 @@ class CompiledProblem:
         """Dense index of an instance identifier."""
         return self.instance_index[instance]
 
-    def incident_edges(self, node_idx: int) -> np.ndarray:
-        """Ids of the edges incident to a node (either direction)."""
-        return self._incident[node_idx]
-
     def _instance_indices(self, instance_ids: np.ndarray) -> np.ndarray:
         """Vectorized instance id -> dense index translation (any shape)."""
         if self._ids_are_arange:
@@ -364,29 +354,40 @@ class CompiledProblem:
             self._levels = tuple(groups)
         return self._levels
 
+    def _edge_lists(self) -> Tuple[List[List[Tuple[int, int]]],
+                                   List[List[Tuple[int, int]]]]:
+        """Per-node ``(out_edges, in_edges)`` as ``(neighbor, edge)`` pairs.
+
+        Plain Python lists for the serial peeks, whose loops touch a
+        handful of edges per move.  Built once per compilation, graph-side
+        (survives :meth:`refresh_costs`), and shared by the longest-link
+        peek and :meth:`_lp_delta_structure`.
+        """
+        if self._edge_lists_cache is None:
+            out_edges: List[List[Tuple[int, int]]] = [
+                [] for _ in range(self.num_nodes)
+            ]
+            in_edges: List[List[Tuple[int, int]]] = [
+                [] for _ in range(self.num_nodes)
+            ]
+            for e, (u, w) in enumerate(zip(self.edge_src.tolist(),
+                                           self.edge_dst.tolist())):
+                out_edges[u].append((w, e))
+                in_edges[w].append((u, e))
+            self._edge_lists_cache = (out_edges, in_edges)
+        return self._edge_lists_cache
+
     def _lp_delta_structure(self) -> _LpDeltaStructure:
         """Pure-Python adjacency used by the incremental longest-path delta.
 
         Built once per compilation (graph-only, survives
         :meth:`refresh_costs`): node levels, a level-sorted topological node
-        order, and per-node in/out edge lists as ``(neighbor, edge)`` pairs.
+        order, and the :meth:`_edge_lists` in/out edge lists.
         """
         if self._lp_struct is None:
             levels = self._node_levels().tolist()
             order = sorted(range(self.num_nodes), key=levels.__getitem__)
-            in_edges: List[List[Tuple[int, int]]] = [
-                [] for _ in range(self.num_nodes)
-            ]
-            out_edges: List[List[Tuple[int, int]]] = [
-                [] for _ in range(self.num_nodes)
-            ]
-            src_list = self.edge_src.tolist()
-            dst_list = self.edge_dst.tolist()
-            for e in range(self.num_edges):
-                u = src_list[e]
-                w = dst_list[e]
-                out_edges[u].append((w, e))
-                in_edges[w].append((u, e))
+            out_edges, in_edges = self._edge_lists()
             self._lp_struct = _LpDeltaStructure(levels, order, in_edges,
                                                 out_edges)
         return self._lp_struct
@@ -407,17 +408,25 @@ class CompiledProblem:
     def _incident_padded(self) -> np.ndarray:
         """The per-node incident edge ids as one ``(n, W)`` array, -1 padded.
 
-        ``W`` is the maximum incident degree (at least 1 so the array is
-        never zero-width).  The batch move-scoring kernel gathers every
+        Row ``i`` lists, ascending, the edges with ``i`` at either end (a
+        self-loop once), read off :meth:`_edge_lists`.  ``W`` is the
+        maximum incident degree (at least 1 so the array is never
+        zero-width).  The batch move-scoring kernel gathers every
         candidate's touched edges through this matrix in one fancy index;
         -1 entries are masked out by the kernel.  Graph-side only, so it
         survives :meth:`refresh_costs`.
         """
         if self._incident_pad is None:
-            width = max((ids.size for ids in self._incident), default=0)
+            out_edges, in_edges = self._edge_lists()
+            incident = [
+                sorted([e for _, e in out_edges[i]]
+                       + [e for u, e in in_edges[i] if u != i])
+                for i in range(self.num_nodes)
+            ]
+            width = max((len(ids) for ids in incident), default=0)
             pad = np.full((self.num_nodes, max(width, 1)), -1, dtype=np.intp)
-            for i, ids in enumerate(self._incident):
-                pad[i, : ids.size] = ids
+            for i, ids in enumerate(incident):
+                pad[i, : len(ids)] = ids
             self._incident_pad = pad
         return self._incident_pad
 
@@ -1085,10 +1094,16 @@ class DeltaEvaluator:
     ``apply_swap`` / ``apply_relocate`` commit it.  For the longest-link
     objective a candidate is scored from the edges incident to the moved
     nodes alone: unchanged edges keep their cached cost, so the candidate
-    cost is ``max(untouched maximum, new incident costs)``.  The untouched
-    maximum is the cached global maximum unless the move touches the
-    current critical edge, in which case one vectorized masked max over the
-    cached edge costs recomputes it.
+    cost is ``max(untouched maximum, new incident costs)``.  The serial
+    peek is a Python scan of each moved node's ``(neighbor, edge)`` out-
+    and in-edge lists (see :meth:`CompiledProblem._edge_lists`), reading
+    new costs with ``cost_array.item`` and old ones from the cached edge
+    costs; it allocates no arrays.  The untouched maximum is the cached
+    global maximum unless the move touches the current critical edge, in
+    which case one vectorized masked max over the cached edge costs
+    recomputes it.  The cached edge costs are one ``array('d')`` buffer
+    that the NumPy ``_edge_costs`` array views, so a commit's Python-level
+    writes are what :meth:`peek_many` and the masked max read.
 
     The longest-path objective is scored incrementally as well: the
     evaluator caches, per node, the longest path *ending* at that node
@@ -1103,6 +1118,12 @@ class DeltaEvaluator:
     objectives return costs bit-identical to re-evaluating from scratch
     (the same float64 adds and max reductions over the same entries),
     which the tests pin against the oracle move-by-move.
+
+    The ascending array of free instances is kept, not rescanned: it is
+    recomputed only after a committed relocate (the one move that changes
+    which instances are occupied) or a :meth:`reprime` to a new
+    assignment, and :meth:`free_instance_indices` hands out the cached
+    array read-only.
 
     When constructed with an ``allowed_mask`` (see
     :class:`CompiledConstraints`), the evaluator also filters move
@@ -1133,14 +1154,21 @@ class DeltaEvaluator:
         # (move key, cost, objective-specific commit payload).
         self._last_peek: Optional[Tuple[Tuple[Tuple[int, int], ...],
                                         float, tuple]] = None
+        self._free: Optional[np.ndarray] = None
         self._prime()
 
     def _prime(self) -> None:
         """(Re)derive all cost-dependent state from the problem's cost array."""
+        # Python-int mirror of the assignment for the serial peeks' loops.
+        self._asg: List[int] = self.assignment.tolist()
         if self.objective is Objective.LONGEST_LINK:
-            self._edge_costs = self.problem.edge_costs(self.assignment)
+            problem = self.problem
+            self._ll_out, self._ll_in = problem._edge_lists()
+            self._ll_ec = array("d")
+            self._ll_ec.frombytes(problem.edge_costs(self.assignment).tobytes())
+            self._edge_costs = np.frombuffer(self._ll_ec, dtype=np.float64)
             self._cost = (float(self._edge_costs.max())
-                          if self.problem.num_edges else 0.0)
+                          if problem.num_edges else 0.0)
         elif self.objective is Objective.LONGEST_PATH:
             self._edge_costs = None
             self._prime_longest_path()
@@ -1168,7 +1196,6 @@ class DeltaEvaluator:
         self._lp_struct = struct
         self._lp_rows = problem._cost_rows()
         self._lp_item = problem.cost_array.item
-        self._asg: List[int] = self.assignment.tolist()
         ec: List[float] = (problem.edge_costs(self.assignment).tolist()
                            if problem.num_edges else [])
         self._lp_ec = ec
@@ -1281,6 +1308,7 @@ class DeltaEvaluator:
             self._node_of_instance.fill(-1)
             self._node_of_instance[self.assignment] = np.arange(
                 self.problem.num_nodes)
+            self._free = None
         self._prime()
         return self._cost
 
@@ -1300,10 +1328,17 @@ class DeltaEvaluator:
     def free_instance_indices(self, node: Optional[int] = None) -> np.ndarray:
         """Indices of instances not hosting any node, ascending.
 
-        With ``node`` given (and an allowed mask installed), only the free
-        instances that node may legally move to are returned.
+        Without ``node`` this is the evaluator's cached array, read-only;
+        it is recomputed only after a committed relocate or a
+        :meth:`reprime` to a new assignment.  With ``node`` given (and an
+        allowed mask installed), only the free instances that node may
+        legally move to are returned, as a fresh array.
         """
-        free = np.flatnonzero(self._node_of_instance < 0)
+        free = self._free
+        if free is None:
+            free = np.flatnonzero(self._node_of_instance < 0)
+            free.flags.writeable = False
+            self._free = free
         if node is not None and self.allowed_mask is not None:
             free = free[self.allowed_mask[node, free]]
         return free
@@ -1327,38 +1362,58 @@ class DeltaEvaluator:
     # Move scoring
     # ------------------------------------------------------------------ #
 
-    def _touched_and_moves(self, moves: Dict[int, int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Touched edge ids and their costs after applying ``moves``.
+    def _candidate_cost_ll(self, moves: Dict[int, int]) -> Tuple[float, tuple]:
+        """Longest-link cost of ``moves`` plus its commit payload.
 
-        ``moves`` maps node index to new instance index.
+        ``moves`` maps node index to new instance index.  Each moved node's
+        out- and in-edge lists are scanned once, so every touched edge is
+        visited once: an edge between two moved nodes is handled by its
+        source's out-edge pass and skipped by the in-edge pass.  Returns
+        ``(cost, (touched edge ids, their new costs))``.
         """
-        problem = self.problem
-        touched = np.unique(np.concatenate(
-            [problem.incident_edges(node) for node in moves]
-        )) if moves else np.empty(0, dtype=np.intp)
-        if touched.size == 0:
-            return touched, np.empty(0)
-        src = self.assignment[problem.edge_src[touched]]
-        dst = self.assignment[problem.edge_dst[touched]]
-        for node, instance in moves.items():
-            src[problem.edge_src[touched] == node] = instance
-            dst[problem.edge_dst[touched] == node] = instance
-        return touched, problem.cost_array[src, dst]
-
-    def _candidate_cost_ll(self, touched: np.ndarray,
-                           new_costs: np.ndarray) -> float:
-        if touched.size == 0:
-            return self._cost
+        asg = self._asg
+        ec = self._ll_ec
+        item = self.problem.cost_array.item
+        out_edges = self._ll_out
+        in_edges = self._ll_in
+        edges: List[int] = []
+        new_costs: List[float] = []
+        old_max = new_max = float("-inf")
+        for v, inst in moves.items():
+            for w, e in out_edges[v]:
+                wi = moves.get(w)
+                c = item(inst, asg[w] if wi is None else wi)
+                edges.append(e)
+                new_costs.append(c)
+                if c > new_max:
+                    new_max = c
+                old = ec[e]
+                if old > old_max:
+                    old_max = old
+            for u, e in in_edges[v]:
+                if u in moves:
+                    continue
+                c = item(asg[u], inst)
+                edges.append(e)
+                new_costs.append(c)
+                if c > new_max:
+                    new_max = c
+                old = ec[e]
+                if old > old_max:
+                    old_max = old
+        cost = self._cost
+        if not edges:
+            return cost, (edges, new_costs)
         # The untouched edges keep their costs, so their maximum is the
         # cached global maximum unless a touched edge realises it.
-        if float(self._edge_costs[touched].max()) < self._cost:
-            untouched_max = self._cost
-        else:
+        if old_max >= cost:
             mask = np.ones(self.problem.num_edges, dtype=bool)
-            mask[touched] = False
+            mask[edges] = False
             remaining = self._edge_costs[mask]
-            untouched_max = float(remaining.max()) if remaining.size else 0.0
-        return max(untouched_max, float(new_costs.max()))
+            cost = float(remaining.max()) if remaining.size else 0.0
+        if new_max > cost:
+            cost = new_max
+        return cost, (edges, new_costs)
 
     def _candidate_cost_lp(self, moves: Dict[int, int]) -> Tuple[float, tuple]:
         """Incremental longest-path cost of ``moves`` plus its commit payload.
@@ -1630,9 +1685,7 @@ class DeltaEvaluator:
         global _DELTA_PEEKS
         _DELTA_PEEKS += 1
         if self.objective is Objective.LONGEST_LINK:
-            touched, new_costs = self._touched_and_moves(moves)
-            cost = self._candidate_cost_ll(touched, new_costs)
-            payload = (touched, new_costs)
+            cost, payload = self._candidate_cost_ll(moves)
         else:
             cost, payload = self._candidate_cost_lp(moves)
         self._last_peek = (key, cost, payload)
@@ -1641,10 +1694,8 @@ class DeltaEvaluator:
     def _swap_moves(self, node_a: int, node_b: int) -> Dict[int, int]:
         a = int(node_a)
         b = int(node_b)
-        return {
-            a: int(self.assignment[b]),
-            b: int(self.assignment[a]),
-        }
+        asg = self._asg
+        return {a: asg[b], b: asg[a]}
 
     def swap_cost(self, node_a: int, node_b: int) -> float:
         """Cost after exchanging the instances of two nodes (not applied)."""
@@ -1913,19 +1964,24 @@ class DeltaEvaluator:
         global _DELTA_COMMITS
         _DELTA_COMMITS += 1
         cost, payload = self._candidate_cost(moves)
+        node_of = self._node_of_instance
+        assignment = self.assignment
+        asg = self._asg
         for instance in moves.values():
-            self._node_of_instance[instance] = -1
+            node_of[instance] = -1
+        for node in moves:
+            old = asg[node]
+            if node_of[old] == node:
+                node_of[old] = -1
         for node, instance in moves.items():
-            old = self.assignment[node]
-            if self._node_of_instance[old] == node:
-                self._node_of_instance[old] = -1
-        for node, instance in moves.items():
-            self.assignment[node] = instance
-            self._node_of_instance[instance] = node
+            assignment[node] = instance
+            node_of[instance] = node
+            asg[node] = instance
         if self.objective is Objective.LONGEST_LINK:
-            touched, new_costs = payload
-            if touched.size:
-                self._edge_costs[touched] = new_costs
+            # The buffer is what _edge_costs views: one write per edge.
+            ec = self._ll_ec
+            for e, c in zip(*payload):
+                ec[e] = c
         else:
             # O(touched) commit: write the peeked scratch entries into
             # the committed relaxation state and replay the touched edge
@@ -1944,9 +2000,6 @@ class DeltaEvaluator:
             ec = self._lp_ec
             for e, _, c in touched_edges:
                 ec[e] = c
-            asg = self._asg
-            for node, instance in moves.items():
-                asg[node] = instance
             if new_level_max:
                 level_max = self._lp_level_max
                 for lv, val in new_level_max.items():
@@ -1971,7 +2024,9 @@ class DeltaEvaluator:
     def apply_relocate(self, node: int, instance: int) -> float:
         """Commit a relocation to a free instance; returns the new cost."""
         self._check_free(node, instance)
-        return self._commit({int(node): int(instance)})
+        cost = self._commit({int(node): int(instance)})
+        self._free = None  # occupancy changed: rescan on the next read
+        return cost
 
     def __repr__(self) -> str:
         return (

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy import stats
 
 from ..core.cost_matrix import CostMatrix
 from ..core.types import InstanceId
@@ -68,6 +67,9 @@ def proxy_quality(proxy: CostMatrix, latency: CostMatrix,
         spearman = 0.0
         pearson = 0.0
     else:
+        # Imported here: scipy.stats is most of the package's import time.
+        from scipy import stats
+
         spearman = float(stats.spearmanr(proxy_values, latency_values).statistic)
         pearson = float(stats.pearsonr(proxy_values, latency_values).statistic)
 

@@ -75,22 +75,33 @@ class SearchBudget:
         ``time_limit_s`` must be a finite number >= 0, ``max_iterations``
         an integer >= 0 and ``target_cost`` a finite number; booleans are
         refused.  Unknown keys, such as retired execution knobs, are
-        ignored.
+        ignored.  A decoded budget must stop: it sets ``time_limit_s`` or
+        ``max_iterations`` (a search with neither, such as annealing,
+        would never return).  Omitting the budget altogether gives the
+        solver's default instead.
 
         Raises:
-            SolverError: naming the first field that breaks its rule.
+            SolverError: naming the first field that breaks its rule, or
+                both stopping fields when neither is set.
         """
         if not isinstance(payload, Mapping):
             raise SolverError(
                 f"search budget payload must be a JSON object, got "
                 f"{type(payload).__name__}"
             )
-        return cls(
+        budget = cls(
             time_limit_s=_limit(payload, "time_limit_s", numbers.Real, 0),
             max_iterations=_limit(payload, "max_iterations",
                                   numbers.Integral, 0),
             target_cost=_limit(payload, "target_cost", numbers.Real, None),
         )
+        if budget.time_limit_s is None and budget.max_iterations is None:
+            raise SolverError(
+                "search budget sets neither 'time_limit_s' nor "
+                "'max_iterations', so the search would never stop; set one "
+                "of them, or omit 'budget' to get the solver's default"
+            )
+        return budget
 
 
 def _limit(payload: Mapping[str, Any], name: str, kind: type,

@@ -21,15 +21,20 @@ size.  Bit-identity rests on two invariants:
   the same committed assignment, exactly as the serial loop scores each
   proposal before any of them is applied; the first accepted move ends the
   block (later peeks would be stale).
-* **The RNG stream is re-synchronised.**  Proposals are drawn through the
-  same sampling functions (preserving the documented draw order), and when
-  a block is cut short — an accepted move, a stall limit, an iteration
-  cap — the generator is rewound to the block's start state and the
-  consumed prefix of proposals is re-drawn, leaving the stream exactly
-  where the serial loop would have left it.
+* **The RNG stream ends where the serial loop leaves it.**  Proposals are
+  drawn through the same sampling functions (preserving the documented
+  draw order), and the generator position after each proposal is
+  recorded; when a block is cut short — an accepted move, a stall limit,
+  an iteration cap — the stream is set to the position recorded after the
+  last consumed proposal.  Nothing is rewound or re-drawn.
+
+Proposals are decoded from raw PCG64 words (:class:`_PcgDraws`), which
+return exactly what the ``Generator`` calls would and make a recorded
+position a tuple; a generator over any other bit generator goes through
+its own calls and records positions as its state (:class:`_GeneratorDraws`).
 
 Simulated annealing keeps the per-move loop: Metropolis draws
-``rng.random()`` after every scored uphill candidate, so a pre-drawn block
+``random()`` after every scored uphill candidate, so a pre-drawn block
 could never look ahead more than one move.
 
 On constrained problems the search is natively constraint-aware: it starts
@@ -72,35 +77,213 @@ Move = Tuple[str, int, int]
 #: batch-scores per block.  It only moves wall-clock time: trajectories are
 #: bit-identical at any block size.  Plateau scanning (long runs of
 #: rejected proposals) batches perfectly; accepted moves cut a block short
-#: with only a cheap RNG replay, so a moderate block wins on both phases.
+#: and only cost the unconsumed tail's draws and peeks, so a moderate block
+#: wins on both phases.
 DEFAULT_PEEK_BLOCK = 32
 
+#: Raw words :class:`_PcgDraws` pulls from the bit generator per refill.
+_RAW_CHUNK = 256
 
-def _propose_move(evaluator: DeltaEvaluator, rng) -> Optional[Move]:
+_MASK32 = 0xFFFFFFFF
+
+
+class _PcgDraws:
+    """``Generator`` draws decoded from raw PCG64 words.
+
+    ``random()``, ``integers(k)`` (``1 <= k < 2**32``) and ``pair(n)``
+    return exactly what ``rng.random()``, ``rng.integers(k)`` and
+    ``rng.choice(n, size=2, replace=False)`` would, word for word:
+
+    * ``random()`` is ``(w >> 11) * 2**-53`` of one 64-bit word;
+    * ``integers(k)`` is NumPy's 32-bit Lemire draw: ``m = next32 * k``,
+      re-drawn while ``m & 0xFFFFFFFF < (2**32 - k) % k``, result
+      ``m >> 32``; ``k == 1`` draws nothing;
+    * ``next32`` returns the buffered high half of the last word when one
+      is buffered, else the low half of a fresh word, buffering its high
+      half — the bit generator's ``has_uint32``/``uinteger`` state;
+    * ``pair(n)`` is Floyd's two-element sample plus its shuffle:
+      ``a = integers(n - 1)``, ``b = integers(n)`` (``n - 1`` if it equals
+      ``a``), swapped when ``integers(2) == 0``.
+
+    Words are pulled ahead in chunks, so the bit generator runs ahead of
+    the draws; :meth:`sync` writes the draws' position back into it.  A
+    position (:meth:`tell`) is a plain tuple, and :meth:`seek` returns to
+    any position recorded since the last :meth:`hold`.  Nothing else may
+    draw from the generator between construction and :meth:`sync`.
+    """
+
+    __slots__ = ("_bg", "_anchor", "_anchor_at", "_words", "_base", "_pos",
+                 "_end", "_has32", "_u32", "_hold")
+
+    def __init__(self, rng: np.random.Generator):
+        self._bg = rng.bit_generator
+        state = self._bg.state
+        # The generator's state before the word at absolute index
+        # ``_anchor_at``; sync() replays forward from it.
+        self._anchor = state
+        self._anchor_at = 0
+        # _words[i] is the word at absolute index _base + i; the bit
+        # generator has drawn every word up to _base + len(_words).
+        self._words: List[int] = []
+        self._base = 0
+        self._pos = 0
+        self._end = 0
+        self._has32 = state["has_uint32"]
+        self._u32 = state["uinteger"]
+        self._hold: Optional[int] = None
+
+    def _refill(self) -> int:
+        """Drop the words no seek can reach, then pull a fresh chunk."""
+        words = self._words
+        keep = self._pos if self._hold is None else self._hold - self._base
+        if keep:
+            del words[:keep]
+            self._base += keep
+            self._pos -= keep
+        if not words:
+            # Every drawn word is consumed: re-anchor at the generator's
+            # own position, so sync() replays at most one chunk.
+            self._anchor = self._bg.state
+            self._anchor_at = self._base
+        words.extend(self._bg.random_raw(_RAW_CHUNK).tolist())
+        self._end = len(words)
+        return self._pos
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = 0
+            return self._u32
+        pos = self._pos
+        if pos == self._end:
+            pos = self._refill()
+        self._pos = pos + 1
+        word = self._words[pos]
+        self._has32 = 1
+        self._u32 = word >> 32
+        return word & _MASK32
+
+    def random(self) -> float:
+        pos = self._pos
+        if pos == self._end:
+            pos = self._refill()
+        self._pos = pos + 1
+        return (self._words[pos] >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, k: int) -> int:
+        if k == 1:
+            return 0
+        m = self._next32() * k
+        if (m & _MASK32) < k:
+            threshold = (0x100000000 - k) % k
+            while (m & _MASK32) < threshold:
+                m = self._next32() * k
+        return m >> 32
+
+    def pair(self, n: int) -> Tuple[int, int]:
+        a = self.integers(n - 1)
+        b = self.integers(n)
+        if b == a:
+            b = n - 1
+        if self.integers(2) == 0:
+            return b, a
+        return a, b
+
+    def hold(self) -> None:
+        """Keep every position from here on seekable (until the next hold)."""
+        self._hold = self._base + self._pos
+
+    def tell(self) -> Tuple[int, int, int]:
+        return (self._base + self._pos, self._has32, self._u32)
+
+    def seek(self, position: Tuple[int, int, int]) -> None:
+        self._pos = position[0] - self._base
+        self._has32 = position[1]
+        self._u32 = position[2]
+
+    def sync(self) -> None:
+        """Set the generator to the draws' position, exactly."""
+        state = dict(self._anchor)
+        state["has_uint32"] = self._has32
+        state["uinteger"] = self._u32
+        self._bg.state = state
+        ahead = self._base + self._pos - self._anchor_at
+        if ahead:
+            self._bg.random_raw(ahead, output=False)
+        # The generator now stands at the current position: drop the
+        # words pulled beyond it so later draws stay consistent.
+        del self._words[self._pos:]
+        self._end = self._pos
+
+
+class _GeneratorDraws:
+    """The same draws through the ``Generator``'s own calls.
+
+    Used for any bit generator other than ``np.random.PCG64`` (for
+    example a caller's ``MT19937``); positions are bit-generator states.
+    """
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def random(self) -> float:
+        return self._rng.random()
+
+    def integers(self, k: int) -> int:
+        return int(self._rng.integers(k))
+
+    def pair(self, n: int) -> Tuple[int, int]:
+        a, b = self._rng.choice(n, size=2, replace=False)
+        return int(a), int(b)
+
+    def hold(self) -> None:
+        pass
+
+    def tell(self) -> dict:
+        return self._rng.bit_generator.state
+
+    def seek(self, position: dict) -> None:
+        self._rng.bit_generator.state = position
+
+    def sync(self) -> None:
+        pass
+
+
+def _draws(rng: np.random.Generator) -> "_PcgDraws | _GeneratorDraws":
+    """The fastest exact draw source for ``rng``."""
+    if type(rng.bit_generator) is np.random.PCG64:
+        return _PcgDraws(rng)
+    return _GeneratorDraws(rng)
+
+
+def _propose_move(evaluator: DeltaEvaluator, draws,
+                  free: np.ndarray) -> Optional[Move]:
     """Sample a random swap or relocation move.
 
+    ``free`` is the evaluator's current :meth:`free_instance_indices`.
     The RNG consumption pattern is part of the solvers' reproducibility
     contract (it must keep producing the pre-engine move sequences): the
     relocate branch draws ``rng.random()`` only when a free instance
     exists, node and target picks use ``rng.integers``, and swaps use
     ``rng.choice(n, size=2, replace=False)`` — in exactly this order.
-    Single-node problems (no swap population) return a relocation when a
-    free instance exists and ``None`` otherwise; the solvers count a
-    ``None`` proposal as a stall.
+    ``draws`` returns exactly those calls' values; for a PCG64 generator
+    it decodes them from raw words (see :class:`_PcgDraws`), for any
+    other bit generator it makes the calls.  Single-node problems (no
+    swap population) return a relocation when a free instance exists and
+    ``None`` otherwise; the solvers count a ``None`` proposal as a stall.
     """
     n_nodes = evaluator.problem.num_nodes
     if n_nodes < 2:
-        free = evaluator.free_instance_indices()
         if not free.size:
             return None
-        return ("relocate", 0, int(free[int(rng.integers(free.size))]))
-    free = evaluator.free_instance_indices()
-    if free.size and rng.random() < 0.3:
-        node = int(rng.integers(n_nodes))
-        target = int(free[int(rng.integers(free.size))])
+        return ("relocate", 0, int(free[draws.integers(free.size)]))
+    if free.size and draws.random() < 0.3:
+        node = draws.integers(n_nodes)
+        target = int(free[draws.integers(free.size)])
         return ("relocate", node, target)
-    a, b = rng.choice(n_nodes, size=2, replace=False)
-    return ("swap", int(a), int(b))
+    a, b = draws.pair(n_nodes)
+    return ("swap", a, b)
 
 
 def _admissible_swap_partners(evaluator: DeltaEvaluator,
@@ -118,7 +301,8 @@ def _admissible_swap_partners(evaluator: DeltaEvaluator,
     return np.flatnonzero(ok)
 
 
-def _propose_constrained_move(evaluator: DeltaEvaluator, rng) -> Optional[Move]:
+def _propose_constrained_move(evaluator: DeltaEvaluator, draws,
+                              free: np.ndarray) -> Optional[Move]:
     """Sample a move the evaluator's allowed mask admits.
 
     Mirrors :func:`_propose_move` but draws relocate targets from the
@@ -132,24 +316,21 @@ def _propose_constrained_move(evaluator: DeltaEvaluator, rng) -> Optional[Move]:
     callers treat that as a non-improving proposal.
     """
     n_nodes = evaluator.problem.num_nodes
-    free = evaluator.free_instance_indices()
-    if free.size and rng.random() < 0.3:
-        node = int(rng.integers(n_nodes))
-        # Reuse the free array already in hand instead of re-scanning the
-        # instance table through free_instance_indices(node).
+    if free.size and draws.random() < 0.3:
+        node = draws.integers(n_nodes)
         targets = free[evaluator.allowed_mask[node, free]]
         if targets.size:
-            target = int(targets[int(rng.integers(targets.size))])
+            target = int(targets[draws.integers(targets.size)])
             return ("relocate", node, target)
     if n_nodes < 2:
         return None  # no swap population; relocate (above) was the only hope
-    a, b = rng.choice(n_nodes, size=2, replace=False)
-    if evaluator.swap_allowed(int(a), int(b)):
-        return ("swap", int(a), int(b))
-    for anchor in (int(a), int(b)):
+    a, b = draws.pair(n_nodes)
+    if evaluator.swap_allowed(a, b):
+        return ("swap", a, b)
+    for anchor in (a, b):
         partners = _admissible_swap_partners(evaluator, anchor)
         if partners.size:
-            partner = int(partners[int(rng.integers(partners.size))])
+            partner = int(partners[draws.integers(partners.size)])
             return ("swap", anchor, partner)
     return None
 
@@ -168,16 +349,24 @@ def _apply_move(evaluator: DeltaEvaluator, move: Move) -> float:
     return evaluator.apply_relocate(first, second)
 
 
-def _draw_proposals(evaluator: DeltaEvaluator, rng, constrained: bool,
-                    count: int) -> List[Optional[Move]]:
-    """Draw ``count`` proposals through the contract-preserving samplers.
+def _draw_proposals(evaluator: DeltaEvaluator, draws, constrained: bool,
+                    count: int) -> Tuple[List[Optional[Move]], list]:
+    """Draw ``count`` proposals and the draw position after each.
 
     All proposals are drawn against the current committed state (nothing
-    is applied in between), so a rewound generator re-drawing the same
-    prefix reproduces the exact same moves.
+    is applied in between), so they equal the serial loop's next
+    ``count`` proposals, and ``draws.seek(positions[k])`` leaves the
+    stream where the serial loop stands after proposal ``k``.
     """
     propose = _propose_constrained_move if constrained else _propose_move
-    return [propose(evaluator, rng) for _ in range(count)]
+    free = evaluator.free_instance_indices()
+    draws.hold()
+    proposals: List[Optional[Move]] = []
+    positions = []
+    for _ in range(count):
+        proposals.append(propose(evaluator, draws, free))
+        positions.append(draws.tell())
+    return proposals, positions
 
 
 def _block_costs(evaluator: DeltaEvaluator,
@@ -200,21 +389,6 @@ def _block_costs(evaluator: DeltaEvaluator,
     for k, cost in zip(rows, evaluator.peek_many(batch)):
         costs[k] = float(cost)
     return costs
-
-
-def _resync_rng(rng, snapshot, evaluator: DeltaEvaluator, constrained: bool,
-                consumed: int, drawn: int) -> None:
-    """Rewind ``rng`` to ``snapshot`` and replay ``consumed`` proposals.
-
-    After a block of ``drawn`` proposals is cut short at ``consumed``, the
-    serial loop would have drawn only the consumed prefix; replaying it
-    from the snapshot leaves the stream bit-identical to the serial
-    trajectory.  No-op when the whole block was consumed.
-    """
-    if consumed >= drawn:
-        return
-    rng.bit_generator.state = snapshot
-    _draw_proposals(evaluator, rng, constrained, consumed)
 
 
 class SwapLocalSearch(DeploymentSolver):
@@ -281,65 +455,71 @@ class SwapLocalSearch(DeploymentSolver):
             evaluator = engine.delta_evaluator(plan, objective,
                                                allowed_mask=mask)
 
+            # One draw source per descent; its position is written back
+            # before the next restart draws its start plan from ``rng``.
+            draws = _draws(rng)
             stall = 0
             exit_inner = False
-            while (not exit_inner
-                   and stall < self.max_moves_without_improvement
-                   and not watch.expired()):
-                block = DEFAULT_PEEK_BLOCK
-                if budget.max_iterations is not None:
-                    block = min(block, budget.max_iterations - iterations)
-                block = max(1, block)
-                snapshot = (rng.bit_generator.state if block > 1 else None)
-                proposals = _draw_proposals(evaluator, rng, constrained, block)
-                costs_block = _block_costs(evaluator, proposals)
+            try:
+                while (not exit_inner
+                       and stall < self.max_moves_without_improvement
+                       and not watch.expired()):
+                    block = DEFAULT_PEEK_BLOCK
+                    if budget.max_iterations is not None:
+                        block = min(block, budget.max_iterations - iterations)
+                    block = max(1, block)
+                    proposals, positions = _draw_proposals(
+                        evaluator, draws, constrained, block)
+                    costs_block = _block_costs(evaluator, proposals)
 
-                # Replay the serial loop's bookkeeping over the batch
-                # costs, stopping at the first accepted move (later peeks
-                # would be stale) or wherever the serial loop would have
-                # stopped; then re-synchronise the RNG stream.
-                accept_idx: Optional[int] = None
-                consumed = 0
-                for j, move in enumerate(proposals):
-                    if j > 0 and (
-                            stall >= self.max_moves_without_improvement
-                            or watch.expired()):
-                        break
-                    consumed = j + 1
-                    iterations += 1
-                    if move is None:
+                    # Replay the serial loop's bookkeeping over the batch
+                    # costs, stopping at the first accepted move (later
+                    # peeks would be stale) or wherever the serial loop
+                    # would have stopped; then set the stream to where the
+                    # serial loop would stand.
+                    accept_idx: Optional[int] = None
+                    consumed = 0
+                    for j, move in enumerate(proposals):
+                        if j > 0 and (
+                                stall >= self.max_moves_without_improvement
+                                or watch.expired()):
+                            break
+                        consumed = j + 1
+                        iterations += 1
+                        if move is None:
+                            stall += 1
+                            if budget.max_iterations is not None \
+                                    and iterations >= budget.max_iterations:
+                                exit_inner = True
+                                break
+                            continue
+                        if costs_block[j] < cost:
+                            accept_idx = j
+                            break
                         stall += 1
                         if budget.max_iterations is not None \
                                 and iterations >= budget.max_iterations:
                             exit_inner = True
                             break
-                        continue
-                    if costs_block[j] < cost:
-                        accept_idx = j
-                        break
-                    stall += 1
-                    if budget.max_iterations is not None \
-                            and iterations >= budget.max_iterations:
-                        exit_inner = True
-                        break
-                if snapshot is not None:
-                    _resync_rng(rng, snapshot, evaluator, constrained,
-                                consumed, len(proposals))
-                if accept_idx is not None:
-                    move = proposals[accept_idx]
-                    candidate_cost = costs_block[accept_idx]
-                    _peek_move(evaluator, move)  # prime the commit memo
-                    _apply_move(evaluator, move)
-                    cost = candidate_cost
-                    stall = 0
-                    if cost < best_cost:
-                        best_plan, best_cost = evaluator.plan(), cost
-                        trace.record(watch.elapsed(), cost)
-                        if target_reached():
+                    if consumed < len(proposals):
+                        draws.seek(positions[consumed - 1])
+                    if accept_idx is not None:
+                        move = proposals[accept_idx]
+                        candidate_cost = costs_block[accept_idx]
+                        _peek_move(evaluator, move)  # prime the commit memo
+                        _apply_move(evaluator, move)
+                        cost = candidate_cost
+                        stall = 0
+                        if cost < best_cost:
+                            best_plan, best_cost = evaluator.plan(), cost
+                            trace.record(watch.elapsed(), cost)
+                            if target_reached():
+                                exit_inner = True
+                        if budget.max_iterations is not None \
+                                and iterations >= budget.max_iterations:
                             exit_inner = True
-                    if budget.max_iterations is not None \
-                            and iterations >= budget.max_iterations:
-                        exit_inner = True
+            finally:
+                draws.sync()
             if cost < best_cost:
                 best_plan, best_cost = evaluator.plan(), cost
                 trace.record(watch.elapsed(), cost)
@@ -415,33 +595,44 @@ class SimulatedAnnealing(DeploymentSolver):
         temperature = self.initial_temperature * max(cost, 1e-9)
         iterations = 0
         no_move_streak = 0
-        while not watch.expired():
-            if budget.max_iterations is not None and iterations >= budget.max_iterations:
-                break
-            move = (_propose_constrained_move(evaluator, rng)
-                    if constrained else _propose_move(evaluator, rng))
-            iterations += 1
-            if move is None:
-                # Heavily constrained walks can run out of admissible moves
-                # entirely (e.g. every node pinned); stop instead of
-                # spinning through the remaining wall-clock budget.
-                no_move_streak += 1
-                if no_move_streak >= 100:
+        propose = _propose_constrained_move if constrained else _propose_move
+        # One draw source for proposals and Metropolis draws alike; its
+        # position is written back into ``rng`` on every exit.
+        draws = _draws(rng)
+        free = evaluator.free_instance_indices()
+        try:
+            while not watch.expired():
+                if budget.max_iterations is not None and iterations >= budget.max_iterations:
                     break
-                continue
-            no_move_streak = 0
-            # The serial peek also fills the commit memo _apply_move reuses.
-            candidate_cost = _peek_move(evaluator, move)
-            delta = candidate_cost - cost
-            if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-12)):
-                _apply_move(evaluator, move)
-                cost = candidate_cost
-                temperature *= self.cooling
-                if cost < best_cost:
-                    best_plan, best_cost = evaluator.plan(), cost
-                    trace.record(watch.elapsed(), best_cost)
-            if budget.target_cost is not None and best_cost <= budget.target_cost:
-                break
+                move = propose(evaluator, draws, free)
+                iterations += 1
+                if move is None:
+                    # Heavily constrained walks can run out of admissible
+                    # moves entirely (e.g. every node pinned); stop instead
+                    # of spinning through the remaining wall-clock budget.
+                    no_move_streak += 1
+                    if no_move_streak >= 100:
+                        break
+                    continue
+                no_move_streak = 0
+                # The serial peek also fills the commit memo _apply_move
+                # reuses.
+                candidate_cost = _peek_move(evaluator, move)
+                delta = candidate_cost - cost
+                if delta <= 0 or draws.random() < math.exp(
+                        -delta / max(temperature, 1e-12)):
+                    _apply_move(evaluator, move)
+                    if move[0] == "relocate":
+                        free = evaluator.free_instance_indices()
+                    cost = candidate_cost
+                    temperature *= self.cooling
+                    if cost < best_cost:
+                        best_plan, best_cost = evaluator.plan(), cost
+                        trace.record(watch.elapsed(), best_cost)
+                if budget.target_cost is not None and best_cost <= budget.target_cost:
+                    break
+        finally:
+            draws.sync()
 
         return SolverResult(
             plan=best_plan, cost=best_cost, objective=objective,

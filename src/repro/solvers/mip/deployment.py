@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ...core.communication_graph import CommunicationGraph, augment_with_dummy_nodes
 from ...core.cost_matrix import CostMatrix
@@ -187,6 +186,8 @@ class DeploymentEncoding:
             # feasibility is validated at problem construction).
             weights = np.where(self._decode_mask, weights,
                                -float(len(self.nodes) + 1))
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(-weights)
         assignment = {self.nodes[int(r)]: int(c) for r, c in zip(rows, cols)}
         return DeploymentPlan({

@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ...core.errors import SolverError
 from .model import MipModel, MipSolution
@@ -26,6 +25,10 @@ def solve_milp(model: MipModel, time_limit_s: float | None = None,
         node_limit: maximum number of branch-and-bound nodes HiGHS explores
             (``None`` = unlimited).  A node-limited solve is deterministic.
     """
+    # Imported on the first MIP solve, not at start-up: scipy.optimize is
+    # a large share of a cold start and most processes never solve a MIP.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     start = time.perf_counter()
     lower, upper = model.bounds_arrays()
     matrix, c_lower, c_upper = model.constraint_matrix()

@@ -1,12 +1,19 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import repro
 from repro.api import AdvisorSession, SolveRequest, SolverResponse
 from repro.cli import build_graph, build_parser, build_solver, main
 from repro.core import DeploymentProblem
+from repro.solvers.mip.deployment import MipDeploymentSolver
 
 
 class TestParserAndBuilders:
@@ -65,14 +72,14 @@ class TestParserAndBuilders:
         assert cube.num_nodes == 8
 
     def test_build_solver_names(self):
-        assert build_solver("auto", 0) is None
-        assert build_solver("cp", 0).name == "CP"
-        assert build_solver("mip", 0).name == "MIP-LP"
-        assert build_solver("greedy", 0).name == "G2"
-        assert build_solver("random", 0).name == "R2"
-        assert build_solver("portfolio", 0).name == "portfolio"
+        assert build_solver("auto") is None
+        assert build_solver("cp") == "cp"
+        assert build_solver("mip") == "mip"
+        assert build_solver("greedy") == "greedy"
+        assert build_solver("random") == "r2"
+        assert build_solver("portfolio") == "portfolio"
         with pytest.raises(SystemExit):
-            build_solver("cplex", 0)
+            build_solver("cplex")
 
 
 class TestCommands:
@@ -104,6 +111,24 @@ class TestCommands:
         assert "ClouDiA recommendation" in output
         assert "deployment plan" in output
         assert "predicted improvement" in output
+
+    def test_advise_mip_above_the_ceiling_exits_2_before_any_solve(
+            self, capsys):
+        # 127 nodes: a named MIP is refused by its 64-node ceiling exactly
+        # like ``auto`` on the same problem, and never reaches the solver
+        # (token passing is the quickest measurement of 140 instances).
+        with mock.patch.object(MipDeploymentSolver, "_solve",
+                               side_effect=AssertionError("MIP reached")
+                               ) as solve:
+            exit_code = main([
+                "advise", "--template", "tree", "--branching", "2",
+                "--depth", "6", "--objective", "longest_path",
+                "--solver", "mip", "--samples", "1", "--seed", "1",
+                "--measurement", "token-passing",
+            ])
+        assert exit_code == 2
+        assert "solver mip handles at most 64 nodes" in capsys.readouterr().err
+        solve.assert_not_called()
 
     def test_advise_command_longest_path_random_solver(self, capsys):
         exit_code = main([
@@ -369,3 +394,24 @@ class TestJsonWorkflow:
         exit_code = main(["solve", "--problem", str(bad)])
         assert exit_code == 2
         assert "acyclic" in capsys.readouterr().err
+
+
+def test_start_up_loads_neither_scipy_stats_nor_scipy_optimize():
+    # Both modules are most of a cold start; the functions that use them
+    # import them on first use.  A fresh interpreter shows what
+    # `repro serve` and a new session load.
+    script = (
+        "import sys\n"
+        "import repro.api, repro.store, repro.cli, repro.serve\n"
+        "repro.api.AdvisorSession()\n"
+        "print([name for name in ('scipy.stats', 'scipy.optimize')\n"
+        "       if name in sys.modules])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -46,10 +46,7 @@ from repro.core.evaluation import (
 )
 from repro.solvers import SearchBudget, SimulatedAnnealing, SwapLocalSearch
 from repro.solvers import local_search
-from repro.solvers.local_search import (
-    _propose_constrained_move,
-    _propose_move,
-)
+from repro.solvers.local_search import _draws, _propose_constrained_move
 from repro.testing import deterministic_cost_matrix
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_trajectories.json"
@@ -329,7 +326,8 @@ def test_golden_trajectories_bit_identical(case):
 @pytest.mark.parametrize("peek_block", [1, 5, 64])
 def test_golden_trajectories_stable_across_block_sizes(peek_block):
     # Every local-search golden case, re-run at another block size: the
-    # blocked loop's rewind/replay keeps the trajectory bit-identical no
+    # blocked loop sets the stream to the position recorded after the last
+    # consumed proposal, which keeps the trajectory bit-identical no
     # matter how much lookahead it buys.
     cases = [case for case in GOLDEN_CASES
              if case["solver"] == "local-search"]
@@ -380,8 +378,9 @@ def test_constrained_proposal_terminates_when_everything_pinned():
     allowed[np.arange(n), start[:n]] = True  # every node pinned in place
     evaluator = engine.delta_evaluator(start, Objective.LONGEST_LINK,
                                        allowed_mask=allowed)
-    rng = np.random.default_rng(0)
-    assert all(_propose_constrained_move(evaluator, rng) is None
+    draws = _draws(np.random.default_rng(0))
+    free = evaluator.free_instance_indices()
+    assert all(_propose_constrained_move(evaluator, draws, free) is None
                for _ in range(50))
 
 
@@ -400,27 +399,15 @@ def test_constrained_proposal_finds_the_only_admissible_swap():
     allowed[1, start[0]] = True
     evaluator = engine.delta_evaluator(start, Objective.LONGEST_LINK,
                                        allowed_mask=allowed)
-    rng = np.random.default_rng(1)
+    draws = _draws(np.random.default_rng(1))
+    free = evaluator.free_instance_indices()
     seen = set()
     for _ in range(40):
-        move = _propose_constrained_move(evaluator, rng)
+        move = _propose_constrained_move(evaluator, draws, free)
         if move is not None:
             assert move[0] == "swap" and {move[1], move[2]} == {0, 1}
             seen.add(move[0])
     assert "swap" in seen
-
-
-def test_unconstrained_proposal_rng_contract_unchanged():
-    # The unconstrained sampler must keep its documented draw order; this
-    # pins the exact proposal sequence for a fixed seed.
-    graph, costs = _random_instance(21, n_lo=6)
-    problem = compile_problem(graph, costs)
-    start = problem.random_assignments(1, 21)[0]
-    evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
-    first = [_propose_move(evaluator, np.random.default_rng(42))
-             for _ in range(1)][0]
-    again = _propose_move(evaluator, np.random.default_rng(42))
-    assert first == again
 
 
 # --------------------------------------------------------------------------- #

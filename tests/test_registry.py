@@ -62,10 +62,15 @@ class TestSeedRouting:
         assert lp._seed == 11
         assert ll._seed == 11
 
-    def test_cli_build_solver_routes_seed_to_mip(self):
+    def test_cli_build_solver_routes_seed_to_mip(self, tree_graph):
         from repro.cli import build_solver
+        from repro.core.advisor import AdvisorConfig
 
-        solver = build_solver("mip", 42)
+        problem = DeploymentProblem(tree_graph,
+                                    deterministic_cost_matrix(8, seed=5),
+                                    objective=Objective.LONGEST_PATH)
+        solver = AdvisorConfig(solver=build_solver("mip"),
+                               seed=42).build_solver(problem)
         assert isinstance(solver, MIPLongestPathSolver)
         assert solver._seed == 42
 

@@ -426,6 +426,22 @@ class TestAppDispatch:
         assert next(iter(budget)) in payload["error"]
         assert app.metrics.solver_invocations == 0
 
+    @pytest.mark.parametrize("budget", [
+        {}, {"target_cost": 1.0}, {"workers": 2}, {"peek_block": 8},
+    ], ids=["empty", "target-cost-only", "workers-only", "peek-block-only"])
+    def test_budget_without_a_stopping_limit_is_400_before_any_solve(
+            self, app, budget):
+        # G1 is a one-shot construction, so a budget the service let
+        # through would show up as a 200, not as a pinned worker.
+        body = solve_body(solver="g1", config={}, budget=budget)
+        status, payload = app.handle("POST", "/v1/solve",
+                                     body=json.dumps(body).encode())
+        assert status == 400
+        assert payload["status"] == 400
+        assert "'time_limit_s'" in payload["error"]
+        assert "'max_iterations'" in payload["error"]
+        assert app.metrics.solver_invocations == 0
+
     @pytest.mark.parametrize("solver", [None, "mip"],
                              ids=["no-solver", "mip"])
     def test_solver_above_its_node_ceiling_is_400_before_any_solve(
