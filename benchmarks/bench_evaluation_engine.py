@@ -14,8 +14,8 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
 * a mostly-rejected longest-path peek walk through the window-local
   ``swap_cost`` versus the pre-rewrite full-suffix re-relaxation peek;
 * block-scored neighborhood peeks: scoring candidate-move blocks through
-  ``DeltaEvaluator.peek_many`` versus the per-move peek loop the search
-  solvers ran before the vectorized neighborhood kernels;
+  ``DeltaEvaluator.peek_many`` versus the per-move peek loop (longest
+  link, the one objective with a vectorized neighborhood kernel);
 * local-search move proposals on the n = 300 mesh: the samplers decoding
   raw PCG64 words against the cached free-instance array versus the
   per-draw sampler they replaced (an occupancy scan and NumPy
@@ -331,12 +331,26 @@ def bench_peeked_lp():
     return graph, full_s, delta_s, full_s / delta_s
 
 
-def _block_peek_walk(problem, objective, n, block, seed):
-    """(loop_s, batch_s, speedup) for block-scored swap peeks."""
-    move_rng = np.random.default_rng(seed)
+def bench_neighborhood_batch(block=64):
+    """Block-scored move peeks versus the per-move peek loop.
+
+    The tracked comparison (``neighborhood_batch``) is the search solvers'
+    hot loop before and after the vectorized neighborhood kernel: scoring
+    candidate swap moves one ``swap_cost`` call at a time versus scoring
+    the same moves in solver-sized blocks through
+    ``DeltaEvaluator.peek_many``, longest link at paper scale.  Longest
+    path has no batched kernel (``peek_many`` scores it move by move), so
+    it has no row here.  Both paths must produce bit-identical cost arrays.
+
+    Returns ``(graph, loop_s, batch_s, speedup)``.
+    """
+    graph, costs = build_problem(Objective.LONGEST_LINK)
+    problem = compile_problem(graph, costs)
+    move_rng = np.random.default_rng(SEED + 22)
     start = problem.random_assignments(1, move_rng)[0]
     num_moves = min(NUM_MOVES, 4096)
-    swaps = [tuple(int(x) for x in move_rng.choice(n, size=2, replace=False))
+    swaps = [tuple(int(x) for x in move_rng.choice(NUM_NODES, size=2,
+                                                   replace=False))
              for _ in range(num_moves)]
     batches = [
         MoveBatch.from_moves([("swap", a, b) for a, b in swaps[i:i + block]])
@@ -344,11 +358,11 @@ def _block_peek_walk(problem, objective, n, block, seed):
     ]
 
     def per_move_loop():
-        evaluator = problem.delta_evaluator(start, objective)
+        evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
         return np.asarray([evaluator.swap_cost(a, b) for a, b in swaps])
 
     def batched():
-        evaluator = problem.delta_evaluator(start, objective)
+        evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
         return np.concatenate(
             [evaluator.peek_many(batch) for batch in batches])
 
@@ -356,43 +370,7 @@ def _block_peek_walk(problem, objective, n, block, seed):
     batch_s, batch_costs = _best_of(3, batched)
     assert np.array_equal(loop_costs, batch_costs), \
         "batched move peeks disagree with the per-move loop"
-    return loop_s, batch_s, loop_s / batch_s
-
-
-def bench_neighborhood_batch(block=64):
-    """Block-scored move peeks versus the per-move peek loop.
-
-    The tracked comparison (``neighborhood_batch``) is the search solvers'
-    hot loop before and after the vectorized neighborhood kernels: scoring
-    candidate swap moves one ``swap_cost`` call at a time versus scoring
-    the same moves in solver-sized blocks through
-    ``DeltaEvaluator.peek_many``, longest link at paper scale — the regime
-    the fully vectorized gather kernel targets.  The longest-path variant
-    on the deep layered DAG is recorded as an informational ratio
-    (``neighborhood_batch_lp``, no floor): the serial peek there is
-    already window-local, so batching amortises less.  Both paths must
-    produce bit-identical cost arrays.
-
-    Returns ``(ll_tuple, lp_tuple)`` where each tuple is
-    ``(graph, loop_s, batch_s, speedup)``.
-    """
-    ll_graph, ll_costs_matrix = build_problem(Objective.LONGEST_LINK)
-    ll_problem = compile_problem(ll_graph, ll_costs_matrix)
-    loop_s, batch_s, speedup = _block_peek_walk(
-        ll_problem, Objective.LONGEST_LINK, NUM_NODES, block, SEED + 22)
-    ll = (ll_graph, loop_s, batch_s, speedup)
-
-    lp_graph = _layered_dag()
-    n = lp_graph.num_nodes
-    rng = np.random.default_rng(SEED + 21)
-    matrix = rng.uniform(0.2, 1.4, size=(n + 10, n + 10))
-    np.fill_diagonal(matrix, 0.0)
-    lp_problem = compile_problem(
-        lp_graph, CostMatrix(list(range(n + 10)), matrix))
-    loop_s, batch_s, speedup = _block_peek_walk(
-        lp_problem, Objective.LONGEST_PATH, n, block, SEED + 23)
-    lp = (lp_graph, loop_s, batch_s, speedup)
-    return ll, lp
+    return graph, loop_s, batch_s, loop_s / batch_s
 
 
 def per_draw_propose_move(evaluator, rng):
@@ -817,19 +795,10 @@ def build_report():
         f"speedup {speedup:7.1f}x"
     )
 
-    ll, lp = bench_neighborhood_batch()
-    nb_graph, loop_s, batch_s, speedup = ll
+    nb_graph, loop_s, batch_s, speedup = bench_neighborhood_batch()
     metrics["neighborhood_batch"] = speedup
     lines.append(
         f"neighborhood batch peeks longest_link (n={nb_graph.num_nodes}, "
-        f"{nb_graph.num_edges} edges, blocks of 64): "
-        f"per-move {loop_s:7.3f} s   batch {batch_s:7.3f} s   "
-        f"speedup {speedup:7.1f}x"
-    )
-    nb_graph, loop_s, batch_s, speedup = lp
-    metrics["neighborhood_batch_lp"] = speedup
-    lines.append(
-        f"neighborhood batch peeks longest_path (n={nb_graph.num_nodes}, "
         f"{nb_graph.num_edges} edges, blocks of 64): "
         f"per-move {loop_s:7.3f} s   batch {batch_s:7.3f} s   "
         f"speedup {speedup:7.1f}x"

@@ -188,8 +188,6 @@ class CompiledProblem:
         self._edge_lists_cache: Optional[Tuple[
             List[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]] = None
         self._incident_pad: Optional[np.ndarray] = None
-        self._lp_reach_cache: Optional[np.ndarray] = None
-        self._group_dst_max: Optional[np.ndarray] = None
         self._cost_rows_cache: Optional[List[List[float]]] = None
         self._degrees: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._profiles: Optional[np.ndarray] = None
@@ -429,39 +427,6 @@ class CompiledProblem:
                 pad[i, : len(ids)] = ids
             self._incident_pad = pad
         return self._incident_pad
-
-    def _lp_reach(self) -> np.ndarray:
-        """Per-node propagation bound for the batched longest-path peek.
-
-        ``reach[v]`` is the maximum topological level among ``v``'s direct
-        successors (``v``'s own level for sinks): a change to ``v``'s
-        longest-path value can only perturb nodes up to that level in the
-        next relaxation step.  The batch kernel folds the reaches of every
-        node it has actually changed into a running stop level, so the
-        level sweep ends as soon as no pending change can climb higher.
-        """
-        if self._lp_reach_cache is None:
-            levels = self._node_levels()
-            reach = levels.copy()
-            if self.num_edges:
-                np.maximum.at(reach, self.edge_src, levels[self.edge_dst])
-            self._lp_reach_cache = reach
-        return self._lp_reach_cache
-
-    def _group_max_dst_levels(self) -> np.ndarray:
-        """Max destination level per :meth:`_level_groups` group.
-
-        Lets the batched longest-path peek skip level groups whose every
-        destination sits below the batch's recomputation window.
-        """
-        if self._group_dst_max is None:
-            levels = self._node_levels()
-            self._group_dst_max = np.asarray(
-                [int(levels[group.unique_dst].max())
-                 for group in self._level_groups()],
-                dtype=np.intp,
-            )
-        return self._group_dst_max
 
     # ------------------------------------------------------------------ #
     # Bound helpers for the exact solvers (CP labeling, MIP bounding)
@@ -1031,10 +996,10 @@ def reset_parallel_stats() -> None:
 class MoveBatch:
     """A block of candidate moves as structured arrays.
 
-    The vectorized neighborhood kernels (:meth:`DeltaEvaluator.peek_many`)
-    score a whole batch in a handful of NumPy passes, so the batch itself
-    is stored columnar: parallel ``kinds`` / ``first`` / ``second`` arrays
-    rather than a list of tuples.
+    The vectorized longest-link kernel behind
+    :meth:`DeltaEvaluator.peek_many` scores a whole batch in a handful of
+    NumPy passes, so the batch itself is stored columnar: parallel
+    ``kinds`` / ``first`` / ``second`` arrays rather than a list of tuples.
 
     * a **swap** row (``kinds == MoveBatch.SWAP``) exchanges the instances
       of node indices ``first`` and ``second``;
@@ -1783,24 +1748,6 @@ class DeltaEvaluator:
         node2 = np.where(is_swap, batch.second, -1)
         return is_swap, target1, node2
 
-    def candidate_assignments(self, batch: MoveBatch) -> np.ndarray:
-        """Materialize the ``(k, n)`` assignment each batch row would commit.
-
-        Row ``k`` is the current assignment with move ``k`` applied — the
-        rows the batched longest-path peek gathers its edge costs through.
-        """
-        is_swap, target1, _ = self._batch_move_targets(batch)
-        count = len(batch)
-        assignments = np.broadcast_to(
-            self.assignment, (count, self.problem.num_nodes)).copy()
-        rows = np.arange(count)
-        assignments[rows, batch.first] = target1
-        swap_rows = np.flatnonzero(is_swap)
-        assignments[swap_rows, batch.second[swap_rows]] = (
-            self.assignment[batch.first[swap_rows]]
-        )
-        return assignments
-
     def _peek_many_ll(self, batch: MoveBatch) -> np.ndarray:
         """Batched longest-link peek: one padded touched-edge gather.
 
@@ -1852,90 +1799,19 @@ class DeltaEvaluator:
             untouched[row] = float(remaining.max()) if remaining.size else 0.0
         return np.maximum(untouched, new_max)
 
-    def _peek_many_lp(self, batch: MoveBatch) -> np.ndarray:
-        """Batched longest-path peek via a window-local level sweep.
-
-        Broadcasts the committed per-node ``finish`` values across the
-        batch, zeroes every column at or above the batch's lowest moved
-        level, and re-relaxes the level groups upward with row-specific
-        edge costs.  The sweep stops early once no changed node's reach
-        (see :meth:`CompiledProblem._lp_reach`) extends past the levels
-        already finalized; the per-row cost then combines the recomputed
-        window with the committed prefix/suffix level maxima —
-        ``max(prefix(lo-1), window, suffix(stop+1))`` — exactly the PR 9
-        window-local peek, broadcast across the batch.  Costs are
-        bit-identical to the serial sparse peek: the same float64 adds in
-        topological order, combined with exact max reductions.
-        """
-        problem = self.problem
-        count = len(batch)
-        if problem.num_edges == 0:
-            return np.full(count, self._cost)
-        levels = problem._node_levels()
-        reach = problem._lp_reach()
-        is_swap, _, _ = self._batch_move_targets(batch)
-
-        lvl_first = levels[batch.first]
-        lvl_second = levels[np.where(is_swap, batch.second, batch.first)]
-        lo_min = int(min(lvl_first.min(), lvl_second.min()))
-        stop_lv = int(max(
-            lvl_first.max(), lvl_second.max(),
-            reach[batch.first].max(),
-            reach[np.where(is_swap, batch.second, batch.first)].max(),
-        ))
-
-        assignments = self.candidate_assignments(batch)
-        committed = np.asarray(self._lp_finish)
-        best = np.broadcast_to(committed, (count, problem.num_nodes)).copy()
-        best[:, levels >= lo_min] = 0.0
-
-        flat_cost = problem.cost_array.ravel()
-        groups = problem._level_groups()
-        group_dst_max = problem._group_max_dst_levels()
-        src_levels = [int(levels[group.src[0]]) for group in groups]
-        num_levels = int(levels.max()) + 1 if problem.num_nodes else 0
-        for gi, group in enumerate(groups):
-            if src_levels[gi] > stop_lv:
-                break
-            if group_dst_max[gi] < lo_min:
-                continue
-            linear = np.take(assignments, group.src, axis=1)
-            linear *= problem.num_instances
-            linear += np.take(assignments, group.dst, axis=1)
-            vals = np.take(best, group.src, axis=1)
-            vals += np.take(flat_cost, linear)
-            reduced = np.maximum.reduceat(vals, group.starts, axis=1)
-            updated = np.maximum(
-                np.take(best, group.unique_dst, axis=1), reduced)
-            best[:, group.unique_dst] = updated
-            # Extend the stop level past every destination whose value now
-            # differs from the committed relaxation in any row: only those
-            # nodes can push changes further up the DAG.
-            changed = (updated != committed[group.unique_dst]).any(axis=0)
-            if changed.any():
-                climb = int(reach[group.unique_dst[changed]].max())
-                if climb > stop_lv:
-                    stop_lv = climb
-        stop_lv = min(stop_lv, num_levels - 1)
-
-        window = (levels >= lo_min) & (levels <= stop_lv)
-        window_max = best[:, window].max(axis=1)
-        base = self._lp_prefix_upto(lo_min - 1)
-        tail = self._lp_suffix_from(stop_lv + 1)
-        if tail > base:
-            base = tail
-        return np.maximum(window_max, base)
-
     def peek_many(self, moves: "MoveBatch | Sequence[Tuple[str, int, int]]"
                   ) -> np.ndarray:
-        """Score a whole block of candidate moves in one vectorized pass.
+        """Score a whole block of candidate moves.
 
         Returns a ``(k,)`` float array whose entry ``k`` equals what
         :meth:`swap_cost` / :meth:`relocate_cost` would return for move
         ``k`` — bit-identical, so solvers can batch their peeks without
-        perturbing seeded trajectories.  Scoring does not mutate the
-        evaluator (no commit payloads are produced; committing a chosen
-        move re-peeks it through the serial path).
+        perturbing seeded trajectories.  Longest link is scored in one
+        vectorized pass (:meth:`_peek_many_ll`); longest path scores each
+        move through the serial window-local peek.  Either way no commit
+        payload is kept: committing a chosen move re-peeks it through the
+        serial path.  One call counts as one batch call of ``k`` moves and
+        no serial peeks.
 
         Raises the same errors as the serial peeks: ``SolverError`` after
         a cost refresh (until :meth:`reprime`), ``InvalidDeploymentError``
@@ -1954,7 +1830,16 @@ class DeltaEvaluator:
         _BATCH_PEEKED_MOVES += count
         if self.objective is Objective.LONGEST_LINK:
             return self._peek_many_ll(batch)
-        return self._peek_many_lp(batch)
+        # Each peek overwrites the scratch a memoised peek's commit would
+        # read, so the memo goes too.
+        self._last_peek = None
+        peek = self._candidate_cost_lp
+        swap = MoveBatch.SWAP
+        return np.array([
+            peek(self._swap_moves(a, b) if kind == swap else {a: b})[0]
+            for kind, a, b in zip(batch.kinds.tolist(), batch.first.tolist(),
+                                  batch.second.tolist())
+        ], dtype=np.float64)
 
     # ------------------------------------------------------------------ #
     # Committing moves

@@ -9,13 +9,16 @@ extension (DESIGN.md, experiment A3).  Moves preserve injectivity:
 
 Candidate moves are scored through the incremental
 :class:`~repro.core.evaluation.DeltaEvaluator`.  The local-search hot loop
-is *blocked*: each pass draws up to :data:`DEFAULT_PEEK_BLOCK` proposals,
-scores them in one vectorized
-:meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` batch, and then
+is *blocked*: each pass draws a block of proposals, scores them, and then
 replays the serial bookkeeping over the cached costs — selecting the
 serial-order-first admissible improvement, so trajectories are
 bit-identical seed for seed to the historical per-move loop at any block
-size.  Bit-identity rests on two invariants:
+size.  The block size depends on the objective.  Longest link draws
+:data:`DEFAULT_PEEK_BLOCK` proposals and scores them in one vectorized
+:meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` call; longest path
+draws one, scored by the serial window-local peek, so no peek is spent
+past an accepted move (``docs/ARCHITECTURE.md`` has the measurements).
+Bit-identity rests on two invariants:
 
 * **Peeks are state-free.**  Every proposal in a block is scored against
   the same committed assignment, exactly as the serial loop scores each
@@ -55,7 +58,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.deployment import DeploymentPlan
-from ..core.evaluation import DeltaEvaluator, MoveBatch
+from ..core.evaluation import CompiledProblem, DeltaEvaluator, MoveBatch
+from ..core.objectives import Objective
 from ..core.problem import DeploymentProblem
 from ..core.types import make_rng
 from .base import (
@@ -74,7 +78,8 @@ from .base import (
 Move = Tuple[str, int, int]
 
 #: Number of candidate moves :class:`SwapLocalSearch` draws and
-#: batch-scores per block.  It only moves wall-clock time: trajectories are
+#: batch-scores per block on longest-link problems (longest path scores
+#: one move at a time).  It only moves wall-clock time: trajectories are
 #: bit-identical at any block size.  Plateau scanning (long runs of
 #: rejected proposals) batches perfectly; accepted moves cut a block short
 #: and only cost the unconsumed tail's draws and peeks, so a moderate block
@@ -373,8 +378,9 @@ def _block_costs(evaluator: DeltaEvaluator,
                  proposals: List[Optional[Move]]) -> List[Optional[float]]:
     """Scores aligned with ``proposals`` (``None`` rows stay ``None``).
 
-    A single real proposal takes the serial sparse peek (cheaper than a
-    batch-of-one kernel dispatch); larger blocks go through one
+    A single real proposal — every longest-path block, and any longest-link
+    block with one — takes the serial peek, which also primes the commit
+    memo; larger blocks go through one
     :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` call.  Either
     path returns bit-identical costs.
     """
@@ -389,6 +395,14 @@ def _block_costs(evaluator: DeltaEvaluator,
     for k, cost in zip(rows, evaluator.peek_many(batch)):
         costs[k] = float(cost)
     return costs
+
+
+def _incumbent_plan(engine: CompiledProblem,
+                    best: "DeploymentPlan | np.ndarray") -> DeploymentPlan:
+    """The incumbent as a plan: an assignment copy is rehydrated once."""
+    if isinstance(best, np.ndarray):
+        return engine.plan_from_assignment(best)
+    return best
 
 
 class SwapLocalSearch(DeploymentSolver):
@@ -425,8 +439,12 @@ class SwapLocalSearch(DeploymentSolver):
         mask = None if view is None else view.allowed_mask
         constrained = view is not None
         initial_plan = constrained_warm_start(problem, initial_plan)
+        peek_block = (DEFAULT_PEEK_BLOCK
+                      if objective is Objective.LONGEST_LINK else 1)
 
-        best_plan: Optional[DeploymentPlan] = initial_plan
+        # The incumbent is the warm start or a copy of an assignment; the
+        # plan is built once, on return.
+        best: "DeploymentPlan | np.ndarray | None" = initial_plan
         best_cost = (
             engine.evaluate_plan(initial_plan, objective)
             if initial_plan is not None else float("inf")
@@ -439,7 +457,7 @@ class SwapLocalSearch(DeploymentSolver):
             # the incumbent is good enough instead of burning the rest of
             # the budget polishing it.
             return (budget.target_cost is not None
-                    and best_plan is not None
+                    and best is not None
                     and best_cost <= budget.target_cost)
 
         for restart in range(self.restarts):
@@ -451,7 +469,7 @@ class SwapLocalSearch(DeploymentSolver):
                 plan, cost = best_random_plan(graph, costs, objective, 10, rng)
             else:
                 plan, cost = best_constrained_random_plan(problem, 10, rng)
-            trace.record(watch.elapsed(), min(cost, best_cost if best_plan else cost))
+            trace.record(watch.elapsed(), min(cost, best_cost))
             evaluator = engine.delta_evaluator(plan, objective,
                                                allowed_mask=mask)
 
@@ -464,7 +482,7 @@ class SwapLocalSearch(DeploymentSolver):
                 while (not exit_inner
                        and stall < self.max_moves_without_improvement
                        and not watch.expired()):
-                    block = DEFAULT_PEEK_BLOCK
+                    block = peek_block
                     if budget.max_iterations is not None:
                         block = min(block, budget.max_iterations - iterations)
                     block = max(1, block)
@@ -511,7 +529,7 @@ class SwapLocalSearch(DeploymentSolver):
                         cost = candidate_cost
                         stall = 0
                         if cost < best_cost:
-                            best_plan, best_cost = evaluator.plan(), cost
+                            best, best_cost = evaluator.assignment.copy(), cost
                             trace.record(watch.elapsed(), cost)
                             if target_reached():
                                 exit_inner = True
@@ -521,24 +539,25 @@ class SwapLocalSearch(DeploymentSolver):
             finally:
                 draws.sync()
             if cost < best_cost:
-                best_plan, best_cost = evaluator.plan(), cost
+                best, best_cost = evaluator.assignment.copy(), cost
                 trace.record(watch.elapsed(), cost)
             if target_reached():
                 break
             if budget.max_iterations is not None and iterations >= budget.max_iterations:
                 break
 
-        if best_plan is None:
+        if best is None:
             if view is None:
-                best_plan, best_cost = best_random_plan(
+                best, best_cost = best_random_plan(
                     graph, costs, objective, 1, rng)
             else:
-                best_plan, best_cost = best_constrained_random_plan(
+                best, best_cost = best_constrained_random_plan(
                     problem, 1, rng)
             trace.record(watch.elapsed(), best_cost)
 
         return SolverResult(
-            plan=best_plan, cost=best_cost, objective=objective,
+            plan=_incumbent_plan(engine, best), cost=best_cost,
+            objective=objective,
             solver_name=self.name, solve_time_s=watch.elapsed(),
             iterations=iterations, optimal=False, trace=trace.as_tuples(),
         )
@@ -589,7 +608,9 @@ class SimulatedAnnealing(DeploymentSolver):
         else:
             plan, cost = best_constrained_random_plan(problem, 10, rng)
         evaluator = engine.delta_evaluator(plan, objective, allowed_mask=mask)
-        best_plan, best_cost = plan, cost
+        # A plan or an assignment copy, as in local search.
+        best: "DeploymentPlan | np.ndarray" = plan
+        best_cost = cost
         trace.record(watch.elapsed(), best_cost)
 
         temperature = self.initial_temperature * max(cost, 1e-9)
@@ -627,7 +648,7 @@ class SimulatedAnnealing(DeploymentSolver):
                     cost = candidate_cost
                     temperature *= self.cooling
                     if cost < best_cost:
-                        best_plan, best_cost = evaluator.plan(), cost
+                        best, best_cost = evaluator.assignment.copy(), cost
                         trace.record(watch.elapsed(), best_cost)
                 if budget.target_cost is not None and best_cost <= budget.target_cost:
                     break
@@ -635,7 +656,8 @@ class SimulatedAnnealing(DeploymentSolver):
             draws.sync()
 
         return SolverResult(
-            plan=best_plan, cost=best_cost, objective=objective,
+            plan=_incumbent_plan(engine, best), cost=best_cost,
+            objective=objective,
             solver_name=self.name, solve_time_s=watch.elapsed(),
             iterations=iterations, optimal=False, trace=trace.as_tuples(),
         )

@@ -269,8 +269,12 @@ class MipDeploymentSolver(DeploymentSolver):
         if initial_plan is not None:
             trace.record(watch.elapsed(), score(initial_plan))
 
+        # HiGHS gets what the budget has left after the encoding build; at
+        # 0 it returns at once with no solution and the fallback answers.
+        remaining = watch.remaining()
         solution = solve_milp(
-            encoding.model, time_limit_s=budget.time_limit_s,
+            encoding.model,
+            time_limit_s=None if remaining is None else max(0.0, remaining),
             node_limit=self.node_limit if budget.max_iterations is None
             else budget.max_iterations)
         optimal = solution.optimal

@@ -246,3 +246,44 @@ class TestNodeLimit:
             problem, budget=SearchBudget.seconds(30))
         assert config_limited.iterations <= 3
         assert config_limited.plan == limited.plan
+
+
+class TestTimeLimit:
+    """HiGHS gets what the budget has left once the model is built."""
+
+    @staticmethod
+    def _limits_passed(monkeypatch, budget):
+        from repro.solvers.mip import deployment
+
+        seen = []
+
+        def recording(model, time_limit_s=None, node_limit=None):
+            seen.append(time_limit_s)
+            return solve_milp(model, time_limit_s=time_limit_s,
+                              node_limit=node_limit)
+
+        monkeypatch.setattr(deployment, "solve_milp", recording)
+        problem = DeploymentProblem(
+            CommunicationGraph.aggregation_tree(2, 2),
+            deterministic_cost_matrix(8, seed=12),
+            objective=Objective.LONGEST_PATH)
+        result = MIPLongestPathSolver(seed=3).solve(problem, budget=budget)
+        assert result.cost == problem.evaluate(result.plan)
+        return seen, result
+
+    def test_timed_budget_passes_the_time_left(self, monkeypatch):
+        seen, _ = self._limits_passed(
+            monkeypatch, SearchBudget(time_limit_s=30.0, max_iterations=20))
+        assert len(seen) == 1
+        assert 0.0 <= seen[0] < 30.0
+
+    def test_iterations_only_budget_passes_no_time_limit(self, monkeypatch):
+        seen, _ = self._limits_passed(monkeypatch,
+                                      SearchBudget(max_iterations=20))
+        assert seen == [None]
+
+    def test_spent_budget_falls_back_to_the_warm_start(self, monkeypatch):
+        seen, result = self._limits_passed(monkeypatch,
+                                           SearchBudget.seconds(0.0))
+        assert seen == [0.0]
+        assert not result.optimal

@@ -4,13 +4,15 @@ Three contracts are pinned here:
 
 * :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` returns
   bit-identical costs to the sequential per-move ``swap_cost`` /
-  ``relocate_cost`` peeks — for both objectives, constrained and
-  unconstrained instances, and mid-walk after commits;
+  ``relocate_cost`` peeks — for both objectives (longest link through the
+  vectorized kernel, longest path through the per-move window-local peek),
+  constrained and unconstrained instances, and mid-walk after commits;
 * the search loops are bit-identical seed for seed to the historical
   per-move loops: the committed golden trajectories in
   ``tests/data/golden_trajectories.json`` (captured from the pre-batching
   implementation) must keep reproducing exactly, and local search's
-  blocked loop at any ``DEFAULT_PEEK_BLOCK``;
+  blocked loop at any ``DEFAULT_PEEK_BLOCK`` (longest path always scores
+  one proposal at a time);
 * :class:`~repro.core.evaluation.MoveBatch` validates like the serial
   move API (occupied relocate targets, constraint masks, stale cost
   epochs) and the batch counters surface through ``parallel_stats()`` /
@@ -39,6 +41,7 @@ from repro.core import (
     compile_problem,
 )
 from repro.core.evaluation import (
+    CompiledProblem,
     ParallelStats,
     delta_counters,
     parallel_stats,
@@ -219,6 +222,30 @@ def test_peek_many_large_block_matches_serial_peeks_constrained():
                               constrained=True)
         got = evaluator.peek_many(MoveBatch.from_moves(moves))
         assert np.array_equal(got, _serial_costs(evaluator, moves))
+
+
+def test_longest_path_peek_many_between_peek_and_commit():
+    # peek_many reuses the scratch a serial peek's commit payload points
+    # into; committing the earlier peek must still install its own move.
+    graph, costs, rng = _large_instance(6)
+    problem = compile_problem(graph, costs)
+    start = problem.random_assignments(1, rng)[0]
+    evaluator = problem.delta_evaluator(start, Objective.LONGEST_PATH)
+    n = problem.num_nodes
+    for _ in range(6):
+        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+        expected = evaluator.swap_cost(a, b)
+        # Other moves of the same two nodes overwrite their scratch.
+        evaluator.peek_many(MoveBatch.from_moves(
+            [("swap", a, k) for k in range(n) if k not in (a, b)]
+            + [("swap", b, k) for k in range(n) if k not in (a, b)]))
+        assert evaluator.apply_swap(a, b) == expected
+        fresh = problem.delta_evaluator(evaluator.assignment,
+                                        Objective.LONGEST_PATH)
+        assert evaluator.current_cost == fresh.current_cost
+        probes = _random_moves(problem, evaluator, rng, 40)
+        assert np.array_equal(_serial_costs(evaluator, probes),
+                              _serial_costs(fresh, probes))
 
 
 def test_peek_many_empty_batch():
@@ -434,13 +461,18 @@ def test_batch_peek_counters_surface_in_parallel_stats():
     assert parallel_stats().batch_peek_calls == 0
 
 
-def test_peek_and_commit_counters_count_each_evaluation_once():
+@pytest.mark.parametrize("objective", [Objective.LONGEST_LINK,
+                                       Objective.LONGEST_PATH])
+def test_peek_and_commit_counters_count_each_evaluation_once(objective):
     # The solvers' peek-then-apply sequence scores a move once: a repeated
-    # peek and the commit that follows it hit the last-peek memo.
-    graph, costs = _random_instance(21)
+    # peek and the commit that follows it hit the last-peek memo.  A
+    # peek_many call is one batch call of its moves and no serial peeks,
+    # for longest path too, where it scores move by move.
+    graph, costs = _random_instance(
+        21, dag=objective is Objective.LONGEST_PATH)
     problem = compile_problem(graph, costs)
     evaluator = problem.delta_evaluator(
-        problem.random_assignments(1, 21)[0], Objective.LONGEST_LINK)
+        problem.random_assignments(1, 21)[0], objective)
     before = delta_counters()
     evaluator.swap_cost(0, 1)
     evaluator.swap_cost(0, 1)
@@ -450,6 +482,47 @@ def test_peek_and_commit_counters_count_each_evaluation_once():
                                               ("swap", 1, 2)]))
     after = delta_counters()
     assert tuple(a - b for a, b in zip(after, before)) == (2, 1, 1, 2)
+
+
+@pytest.mark.parametrize("objective", [Objective.LONGEST_LINK,
+                                       Objective.LONGEST_PATH])
+def test_local_search_batches_longest_link_only(objective):
+    # Longest link scores blocks through peek_many; longest path peeks one
+    # proposal at a time and never calls it.
+    graph = CommunicationGraph.aggregation_tree(3, 3)
+    problem = DeploymentProblem(graph, deterministic_cost_matrix(44, seed=2),
+                                objective=objective)
+    before = delta_counters()
+    SwapLocalSearch(seed=2).solve(
+        problem, budget=SearchBudget(time_limit_s=30.0, max_iterations=500))
+    after = delta_counters()
+    assert after[0] > before[0]
+    assert (after[2] > before[2]) == (objective is Objective.LONGEST_LINK)
+
+
+@pytest.mark.parametrize("solver_cls", [SwapLocalSearch, SimulatedAnnealing])
+@pytest.mark.parametrize("objective", [Objective.LONGEST_LINK,
+                                       Objective.LONGEST_PATH])
+def test_search_builds_the_incumbent_plan_once(solver_cls, objective):
+    graph = CommunicationGraph.aggregation_tree(3, 3)
+    problem = DeploymentProblem(graph, deterministic_cost_matrix(44, seed=3),
+                                objective=objective)
+    built = []
+    original = CompiledProblem.plan_from_assignment
+
+    def counting(self, assignment):
+        built.append(1)
+        return original(self, assignment)
+
+    with mock.patch.object(CompiledProblem, "plan_from_assignment",
+                           counting):
+        result = solver_cls(seed=3).solve(
+            problem, budget=SearchBudget(time_limit_s=30.0,
+                                         max_iterations=600))
+    # Several improvements, one plan.
+    assert len(result.trace) > 2
+    assert len(built) <= 1
+    assert result.cost == problem.evaluate(result.plan)
 
 
 def test_reset_parallel_stats_zeroes_every_counter():
