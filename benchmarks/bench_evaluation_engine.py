@@ -26,6 +26,11 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
 * the CP labeling bounds (compatibility domains and per-assignment cost
   lower bounds) computed from ``CompiledProblem`` index arrays versus the
   dict-walking reference implementations;
+* the ``alldifferent`` matching checks of a seeded CP solve on the n = 100
+  mesh: the matching kept across the checks of each search versus the
+  from-scratch recursive Kuhn check it replaced;
+* ``kmeans_1d`` cost clustering at k = 20 of a 110-instance matrix on the
+  0.01 ms grid: NumPy-scored DP rows versus the scalar DP loop;
 * the live re-deployment hot path: adopting a drifted cost matrix through
   ``CompiledProblem.refresh_costs`` versus a full recompile, and a warm
   re-solve (local search started from the incumbent plan, stopping at the
@@ -59,10 +64,13 @@ import os
 import pathlib
 import tempfile
 import time
+from typing import Dict, List, Set
+from unittest import mock
 
 import numpy as np
 
 from repro.core import (
+    ClusteringResult,
     CommunicationGraph,
     CompiledProblem,
     CostMatrix,
@@ -73,8 +81,10 @@ from repro.core import (
     PlacementConstraints,
     compile_problem,
     deployment_cost,
+    kmeans_1d,
 )
-from repro.solvers import GreedyG2, SearchBudget, SwapLocalSearch
+from repro.solvers import CPLongestLinkSolver, GreedyG2, SearchBudget, SwapLocalSearch
+from repro.solvers.cp import matching_feasible, subgraph
 from repro.solvers.local_search import _draws, _propose_move
 from repro.solvers.cp.labeling import (
     assignment_cost_lower_bounds_reference,
@@ -545,6 +555,169 @@ def bench_cp_bounds(repeats=5):
     return ref_s, vec_s, lb_ref_s, lb_vec_s
 
 
+def kuhn_matching_feasible(domains):
+    """The ``alldifferent`` check before the kept matching (reference).
+
+    Kuhn's augmenting-path algorithm from an empty matching on every call,
+    one recursion level per variable of an alternating chain.
+    """
+    variables = list(domains)
+    variables.sort(key=lambda v: len(list(domains[v])))
+
+    match_of_value: Dict[int, object] = {}
+    match_of_var: Dict[object, int] = {}
+
+    def try_augment(var, visited: Set[int]) -> bool:
+        for value in domains[var]:
+            if value in visited:
+                continue
+            visited.add(value)
+            owner = match_of_value.get(value)
+            if owner is None or try_augment(owner, visited):
+                match_of_value[value] = var
+                match_of_var[var] = value
+                return True
+        return False
+
+    for var in variables:
+        if not try_augment(var, set()):
+            return False
+    return True
+
+
+def _rack_cost_matrix(rng, m):
+    """Round-trip costs over a rack/pod hierarchy with log-normal spread."""
+    rack = rng.integers(0, max(2, m // 8), size=m)
+    pod = rack // 4
+    base = np.where(rack[:, None] == rack[None, :], 0.25,
+                    np.where(pod[:, None] == pod[None, :], 0.45, 0.70))
+    slow = np.where(rng.random(m) < 0.1, 1.6, 1.0)
+    matrix = (base * rng.lognormal(0.0, 0.25, size=(m, m))
+              * np.sqrt(slow[:, None] * slow[None, :]))
+    np.fill_diagonal(matrix, 0.0)
+    return CostMatrix(list(range(m)), matrix)
+
+
+def bench_cp_matching(repeats=3):
+    """(kuhn_s, kept_s, speedup, checks) for the matching checks of a CP solve.
+
+    One seeded CP solve of a 10x10 mesh on 110 rack/pod instances (the
+    ``cp-mesh-100`` class of the end-to-end search-ll workload, 300
+    backtracks per search), run once answering every ``alldifferent``
+    check through the from-scratch recursive Kuhn and once through the
+    matching each search keeps.  Only the time inside the checks counts;
+    the Kuhn side gets the fresh dict of unassigned domains its search
+    used to build, made outside its timer.  The answers must agree check
+    for check, so both solves take the same path.
+    """
+    rng = np.random.default_rng(SEED + 40)
+    problem = DeploymentProblem(CommunicationGraph.mesh_2d(10, 10),
+                                _rack_cost_matrix(rng, NUM_INSTANCES))
+
+    def checks(prepare, check):
+        spent, answers = 0.0, []
+
+        def timed_check(matching):
+            nonlocal spent
+            argument = prepare(matching)
+            start = time.perf_counter()
+            answer = check(argument)
+            spent += time.perf_counter() - start
+            answers.append(answer)
+            return answer
+
+        with mock.patch.object(subgraph, "matching_feasible", timed_check):
+            CPLongestLinkSolver(seed=1, max_backtracks_per_iteration=300).solve(
+                problem, budget=SearchBudget.unlimited())
+        return spent, answers
+
+    kuhn_s, kept_s = float("inf"), float("inf")
+    for _ in range(repeats):
+        spent, reference = checks(dict, kuhn_matching_feasible)
+        kuhn_s = min(kuhn_s, spent)
+        spent, kept = checks(lambda matching: matching, matching_feasible)
+        kept_s = min(kept_s, spent)
+        assert kept == reference, "kept matching disagrees with Kuhn's check"
+    return kuhn_s, kept_s, kuhn_s / kept_s, len(reference)
+
+
+def kmeans_1d_loop(values, k):
+    """``kmeans_1d`` with the scalar DP loop it ran before NumPy rows (reference).
+
+    One ``segment_cost`` call per (clusters, end, split) triple, keeping a
+    split only when its candidate is strictly smaller.
+    """
+    data = np.asarray(list(values), dtype=float)
+    distinct = np.unique(data)
+    n = distinct.size
+    k_eff = min(k, n)
+    if k_eff == n:
+        return ClusteringResult(centers=distinct,
+                                labels=np.searchsorted(distinct, data), cost=0.0)
+
+    counts = np.array([np.count_nonzero(data == v) for v in distinct], dtype=float)
+    prefix_count = np.concatenate(([0.0], np.cumsum(counts)))
+    prefix_sum = np.concatenate(([0.0], np.cumsum(counts * distinct)))
+    prefix_sq = np.concatenate(([0.0], np.cumsum(counts * distinct ** 2)))
+
+    def segment_cost(lo, hi):
+        cnt = prefix_count[hi] - prefix_count[lo]
+        total = prefix_sum[hi] - prefix_sum[lo]
+        total_sq = prefix_sq[hi] - prefix_sq[lo]
+        return float(total_sq - (total * total) / cnt)
+
+    inf = float("inf")
+    dp = np.full((k_eff + 1, n + 1), inf)
+    split = np.zeros((k_eff + 1, n + 1), dtype=int)
+    dp[0][0] = 0.0
+    for c in range(1, k_eff + 1):
+        for i in range(c, n + 1):
+            best, best_j = inf, c - 1
+            for j in range(c - 1, i):
+                candidate = dp[c - 1][j] + segment_cost(j, i)
+                if candidate < best:
+                    best, best_j = candidate, j
+            dp[c][i] = best
+            split[c][i] = best_j
+
+    boundaries: List[int] = [n]
+    i = n
+    for c in range(k_eff, 0, -1):
+        i = split[c][i]
+        boundaries.append(i)
+    boundaries.reverse()
+    centers = np.empty(k_eff)
+    distinct_labels = np.empty(n, dtype=int)
+    for c in range(k_eff):
+        lo, hi = boundaries[c], boundaries[c + 1]
+        cnt = prefix_count[hi] - prefix_count[lo]
+        centers[c] = (prefix_sum[hi] - prefix_sum[lo]) / cnt
+        distinct_labels[lo:hi] = c
+    labels = distinct_labels[np.searchsorted(distinct, data)]
+    return ClusteringResult(centers=centers, labels=labels, cost=float(dp[k_eff][n]))
+
+
+def bench_cp_clustering(repeats=3):
+    """(loop_s, rows_s, speedup, distinct) for the CP solver's cost clustering.
+
+    ``kmeans_1d`` at the solver's default k = 20 over the off-diagonal
+    costs of a 110-instance matrix rounded to the paper's 0.01 ms grid,
+    the clustering every CP solve starts with.  Centers, labels and
+    ``repr(cost)`` must be identical.
+    """
+    rng = np.random.default_rng(SEED + 41)
+    matrix = rng.uniform(0.2, 1.4, size=(NUM_INSTANCES, NUM_INSTANCES))
+    values = matrix[~np.eye(NUM_INSTANCES, dtype=bool)]
+    values = np.round(values / 0.01) * 0.01
+    loop_s, reference = _best_of(repeats, lambda: kmeans_1d_loop(values, 20))
+    rows_s, result = _best_of(repeats, lambda: kmeans_1d(values, 20))
+    assert result.centers.tobytes() == reference.centers.tobytes(), \
+        "NumPy DP rows disagree with the scalar loop"
+    assert np.array_equal(result.labels, reference.labels)
+    assert repr(result.cost) == repr(reference.cost)
+    return loop_s, rows_s, loop_s / rows_s, int(np.unique(values).size)
+
+
 def bench_constrained_solve(repeats=3):
     """Feasible candidate generation: native mask sampling vs repair.
 
@@ -832,6 +1005,22 @@ def build_report():
         f"CP assignment cost bounds (n={NUM_NODES}): "
         f"oracle {lb_ref * 1e3:7.2f} ms  engine {lb_vec * 1e3:7.2f} ms  "
         f"speedup {metrics['cp_assignment_bounds']:7.1f}x"
+    )
+
+    kuhn_s, kept_s, speedup, num_checks = bench_cp_matching()
+    metrics["cp_matching"] = speedup
+    lines.append(
+        f"CP matching checks (10x10 mesh, m={NUM_INSTANCES}, {num_checks} "
+        f"checks): Kuhn {kuhn_s * 1e3:7.2f} ms  kept {kept_s * 1e3:7.2f} ms  "
+        f"speedup {speedup:7.1f}x"
+    )
+
+    loop_s, rows_s, speedup, num_distinct = bench_cp_clustering()
+    metrics["cp_clustering"] = speedup
+    lines.append(
+        f"CP cost clustering (k=20, {num_distinct} distinct costs): "
+        f"loop {loop_s * 1e3:7.1f} ms  rows {rows_s * 1e3:7.2f} ms  "
+        f"speedup {speedup:7.1f}x"
     )
 
     repair_s, native_s, speedup = bench_constrained_solve()

@@ -5,8 +5,12 @@ by clustering link costs with k-means.  Because the costs are scalar, the
 clustering can be solved exactly with dynamic programming: optimal clusters
 of sorted values are contiguous ranges, so the problem decomposes over a
 prefix structure.  The implementation below is the textbook
-O(k * n^2) dynamic program with prefix sums, which is more than fast enough
-for the few hundred distinct values produced by rounding latencies.
+O(k * n^2) dynamic program with prefix sums over the ``n`` distinct values.
+Each DP row is scored with NumPy in blocks of bounded size, with the same
+floating-point expressions and the same first-minimum split as a scalar
+loop, so the result is bit-identical to one (``tests/test_clustering.py``
+keeps that loop as its oracle).  The few hundred distinct values of
+latencies rounded to 0.01 ms cluster in milliseconds.
 """
 
 from __future__ import annotations
@@ -44,6 +48,44 @@ class ClusteringResult:
         return self.centers[self.labels]
 
 
+#: Candidate cells scored per NumPy block of a DP row (2 MiB per float
+#: temporary), so the ~12,000 distinct values of an unrounded 110-instance
+#: matrix never build the full (n + 1)^2 segment table (1.2 GB).
+_BLOCK_CELLS = 1 << 18
+
+
+def _fill_dp_row(prev: np.ndarray, row: np.ndarray, split_row: np.ndarray,
+                 c: int, prefix_count: np.ndarray, prefix_sum: np.ndarray,
+                 prefix_sq: np.ndarray) -> None:
+    """Fill ``row[i]`` and ``split_row[i]`` for ``i = c .. n`` from ``prev``.
+
+    ``row[i]`` is the least ``prev[j] + SSE(values j .. i - 1)`` over the
+    split points ``c - 1 <= j < i``, and ``split_row[i]`` the first ``j``
+    reaching it: ``argmin`` returns the first minimum, which is the pick of
+    a scan that keeps a candidate only when it is strictly smaller.  A NaN
+    candidate (overflowed sums) never wins such a scan, so it scores
+    ``inf``; a row of ``inf`` keeps ``j = c - 1``.  Each segment cost is the
+    same floating-point expression a scalar loop evaluates, so the result
+    is bit-identical to it.
+    """
+    n = prev.size - 1
+    lo = c - 1
+    step = max(1, _BLOCK_CELLS // (n - lo))
+    for start in range(c, n + 1, step):
+        stop = min(start + step, n + 1)
+        i = np.arange(start, stop)[:, None]
+        j = np.arange(lo, stop - 1)[None, :]
+        cnt = prefix_count[i] - prefix_count[j]
+        total = prefix_sum[i] - prefix_sum[j]
+        total_sq = prefix_sq[i] - prefix_sq[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            candidate = prev[j] + (total_sq - (total * total) / cnt)
+        candidate[(j >= i) | np.isnan(candidate)] = np.inf
+        best = np.argmin(candidate, axis=1)
+        row[start:stop] = candidate[np.arange(stop - start), best]
+        split_row[start:stop] = best + lo
+
+
 def kmeans_1d(values: Sequence[float], k: int) -> ClusteringResult:
     """Cluster scalar ``values`` into at most ``k`` groups, exactly.
 
@@ -64,27 +106,19 @@ def kmeans_1d(values: Sequence[float], k: int) -> ClusteringResult:
     if k <= 0:
         raise ClouDiAError("number of clusters must be positive")
 
-    distinct = np.unique(data)
+    distinct, inverse, counts = np.unique(data, return_inverse=True,
+                                          return_counts=True)
     n = distinct.size
     k_eff = min(k, n)
 
     if k_eff == n:
-        centers = distinct
-        labels = np.searchsorted(distinct, data)
-        return ClusteringResult(centers=centers, labels=labels, cost=0.0)
+        return ClusteringResult(centers=distinct, labels=inverse, cost=0.0)
 
     # Prefix sums over the sorted distinct values weighted by multiplicity.
-    counts = np.array([np.count_nonzero(data == v) for v in distinct], dtype=float)
+    counts = counts.astype(float)
     prefix_count = np.concatenate(([0.0], np.cumsum(counts)))
     prefix_sum = np.concatenate(([0.0], np.cumsum(counts * distinct)))
     prefix_sq = np.concatenate(([0.0], np.cumsum(counts * distinct ** 2)))
-
-    def segment_cost(lo: int, hi: int) -> float:
-        """Within-cluster SSE of distinct values with indices [lo, hi)."""
-        cnt = prefix_count[hi] - prefix_count[lo]
-        total = prefix_sum[hi] - prefix_sum[lo]
-        total_sq = prefix_sq[hi] - prefix_sq[lo]
-        return float(total_sq - (total * total) / cnt)
 
     # dp[c][i]: best cost of splitting the first i distinct values into c clusters.
     inf = float("inf")
@@ -92,14 +126,8 @@ def kmeans_1d(values: Sequence[float], k: int) -> ClusteringResult:
     split = np.zeros((k_eff + 1, n + 1), dtype=int)
     dp[0][0] = 0.0
     for c in range(1, k_eff + 1):
-        for i in range(c, n + 1):
-            best, best_j = inf, c - 1
-            for j in range(c - 1, i):
-                candidate = dp[c - 1][j] + segment_cost(j, i)
-                if candidate < best:
-                    best, best_j = candidate, j
-            dp[c][i] = best
-            split[c][i] = best_j
+        _fill_dp_row(dp[c - 1], dp[c], split[c], c,
+                     prefix_count, prefix_sum, prefix_sq)
 
     # Recover segment boundaries.
     boundaries: List[int] = [n]
@@ -117,8 +145,8 @@ def kmeans_1d(values: Sequence[float], k: int) -> ClusteringResult:
         centers[c] = (prefix_sum[hi] - prefix_sum[lo]) / cnt
         distinct_labels[lo:hi] = c
 
-    labels = distinct_labels[np.searchsorted(distinct, data)]
-    return ClusteringResult(centers=centers, labels=labels, cost=float(dp[k_eff][n]))
+    return ClusteringResult(centers=centers, labels=distinct_labels[inverse],
+                            cost=float(dp[k_eff][n]))
 
 
 def cluster_costs(values: Sequence[float], k: int | None,

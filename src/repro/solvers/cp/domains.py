@@ -17,7 +17,7 @@ the cache cost ~20% in the removal hot loop for nothing.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 from ...core.errors import SolverError
 
@@ -46,6 +46,11 @@ class DomainStore:
     def variables(self) -> Tuple[Variable, ...]:
         """All variables in the store."""
         return tuple(self._domains.keys())
+
+    @property
+    def domains(self) -> Mapping[Variable, Set[Value]]:
+        """Every variable's live domain (live sets; do not mutate directly)."""
+        return self._domains
 
     def domain(self, var: Variable) -> Set[Value]:
         """Current domain of a variable (live set; do not mutate directly)."""
@@ -107,6 +112,23 @@ class DomainStore:
         self._trail.append((var, value))
         return bool(domain)
 
+    def eliminate(self, value: Value, keep: Variable) -> bool:
+        """Remove ``value`` from every domain except ``keep``'s.
+
+        Walks the domains in variable order and stops at the first wipeout.
+
+        Returns:
+            ``False`` if some domain was wiped out, ``True`` otherwise.
+        """
+        trail = self._trail
+        for var, domain in self._domains.items():
+            if value in domain and var != keep:
+                domain.discard(value)
+                trail.append((var, value))
+                if not domain:
+                    return False
+        return True
+
     def assign(self, var: Variable, value: Value) -> bool:
         """Reduce ``var``'s domain to ``{value}``.
 
@@ -126,9 +148,16 @@ class DomainStore:
 
         Returns ``False`` on wipeout.
         """
-        domain = self._domains[var]
-        for value in list(domain):
-            if value not in allowed:
-                domain.discard(value)
-                self._trail.append((var, value))
+        return self.remove_all(var, [
+            value for value in self._domains[var] if value not in allowed])
+
+    def remove_all(self, var: Variable, values: Iterable[Value]) -> bool:
+        """Remove ``values``, each currently in ``var``'s domain, in order.
+
+        Returns ``False`` on wipeout.
+        """
+        domain, trail = self._domains[var], self._trail
+        for value in values:
+            domain.discard(value)
+            trail.append((var, value))
         return bool(domain)

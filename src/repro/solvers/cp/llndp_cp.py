@@ -17,7 +17,9 @@ scored with ``evaluate_plan``, threshold graphs come from
 ``threshold_adjacency`` over the compiled cost array, and the per-assignment
 degree bounds yield a proven lower bound that terminates the threshold loop
 early once the incumbent provably cannot improve.  Seeded results are pinned
-in ``tests/data/cp_golden.json``.
+in ``tests/data/cp_golden.json`` and, at paper scale (n = 100 and 300), with
+every satisfaction search's backtracks and nodes, in
+``tests/data/cp_scale_golden.json``.
 """
 
 from __future__ import annotations

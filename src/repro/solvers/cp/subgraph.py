@@ -7,8 +7,10 @@ whether an injective mapping of application nodes to instances exists that
 only uses cheap links.  This module implements that satisfaction search with
 standard CP machinery: compatibility-filtered initial domains, forward
 checking along communication edges, ``alldifferent`` value elimination, an
-optional bipartite-matching feasibility cut, smallest-domain variable
-selection and degree-based value ordering.
+optional bipartite-matching feasibility cut (one matching kept across the
+checks of a search), smallest-domain variable selection and degree-based
+value ordering.  Choice points live on an explicit stack, so a search may
+go as deep as the node count without recursion.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ...core.communication_graph import CommunicationGraph
 from ...core.deployment import DeploymentPlan
 from ...core.evaluation import CompiledProblem
 from ...core.types import InstanceId, NodeId
-from .alldifferent import matching_feasible, propagate_assignment
+from .alldifferent import ValueMatching, matching_feasible, propagate_assignment
 from .domains import DomainStore
 from .labeling import compatibility_domains, quick_infeasibility_check
 
@@ -95,8 +97,20 @@ class SubgraphMonomorphismSearch:
         self.problem = problem
         self.node_allowed = node_allowed
 
-        self._undirected_allowed = self.allowed | self.allowed.T
-        self._instance_degree = self._undirected_allowed.sum(axis=1)
+        # Static sort keys, computed once per search: nodes ranked by
+        # (-degree, id) break variable-selection ties, and instances are
+        # tried by (-degree in the undirected threshold graph, index), one
+        # integer per instance.
+        self._ranked_nodes = sorted(graph.nodes, key=lambda n: (-graph.degree(n), n))
+        self._node_rank = {node: rank for rank, node in enumerate(self._ranked_nodes)}
+        instance_degree = (self.allowed | self.allowed.T).sum(axis=1)
+        num_instances = len(instance_degree)
+        self._value_key = (np.arange(num_instances)
+                           - instance_degree * num_instances).tolist()
+        # Row ``a`` of each holds one byte per instance ``b``: whether the
+        # link ``a -> b`` (out) or ``b -> a`` (in) is allowed.
+        self._out_rows = [row.tobytes() for row in self.allowed]
+        self._in_rows = [row.tobytes() for row in self.allowed.T]
         self._backtracks = 0
         self._nodes_explored = 0
         self._timed_out = False
@@ -119,20 +133,21 @@ class SubgraphMonomorphismSearch:
         if self.node_allowed is not None:
             # Placement constraints restrict the root domains directly: a
             # node may only map to instances its allowed row admits.
-            for i, node in enumerate(self.graph.nodes):
-                domains[node] = {
-                    value for value in domains[node] if self.node_allowed[i, value]
-                }
+            for node, row in zip(self.graph.nodes, self.node_allowed.astype(bool)):
+                row = row.tobytes()
+                domains[node] = {value for value in domains[node] if row[value]}
         if any(not values for values in domains.values()):
             return SearchOutcome(plan=None, proven_infeasible=True, timed_out=False,
                                  backtracks=0, nodes_explored=0)
-        if not matching_feasible(domains):
-            return SearchOutcome(plan=None, proven_infeasible=True, timed_out=False,
-                                 backtracks=0, nodes_explored=0)
-
         store = DomainStore(domains)
         assignment: Dict[NodeId, int] = {}
-        found = self._search(store, assignment)
+        # One matching serves every check of this search: each check
+        # re-augments only what changed since the previous one.
+        matching = ValueMatching(store.domains, assignment)
+        if not matching_feasible(matching):
+            return SearchOutcome(plan=None, proven_infeasible=True, timed_out=False,
+                                 backtracks=0, nodes_explored=0)
+        found = self._search(store, assignment, matching)
 
         if found:
             plan = DeploymentPlan({
@@ -161,75 +176,85 @@ class SubgraphMonomorphismSearch:
     def _select_variable(self, store: DomainStore,
                          assignment: Dict[NodeId, int]) -> NodeId:
         """Smallest domain first; break ties by graph degree then by id."""
-        unassigned = [n for n in self.graph.nodes if n not in assignment]
-        return min(
-            unassigned,
-            key=lambda n: (store.size(n), -self.graph.degree(n), n),
-        )
+        domains, rank = store.domains, self._node_rank
+        count = len(rank)
+        best = min(len(domains[n]) * count + rank[n]
+                   for n in self.graph.nodes if n not in assignment)
+        return self._ranked_nodes[best % count]
 
-    def _order_values(self, node: NodeId, store: DomainStore,
-                      assignment: Dict[NodeId, int]) -> List[int]:
+    def _order_values(self, node: NodeId, store: DomainStore) -> List[int]:
         """Order candidate instances: most flexible (highest degree) first."""
-        values = list(store.domain(node))
-        values.sort(key=lambda idx: (-int(self._instance_degree[idx]), idx))
-        return values
+        return sorted(store.domain(node), key=self._value_key.__getitem__)
 
     def _propagate(self, store: DomainStore, node: NodeId, value: int,
                    assignment: Dict[NodeId, int]) -> bool:
         """Forward checking after assigning ``node`` to instance ``value``."""
         if not propagate_assignment(store, node, value):
             return False
-        # Communication edges out of `node`: its successors must sit on
-        # instances reachable from `value` through an allowed link.
-        for successor in self.graph.successors(node):
-            if successor in assignment:
-                if not self.allowed[value, assignment[successor]]:
-                    return False
-            else:
-                allowed_targets = {
-                    idx for idx in store.domain(successor) if self.allowed[value, idx]
-                }
-                if not store.restrict(successor, allowed_targets):
-                    return False
-        for predecessor in self.graph.predecessors(node):
-            if predecessor in assignment:
-                if not self.allowed[assignment[predecessor], value]:
-                    return False
-            else:
-                allowed_sources = {
-                    idx for idx in store.domain(predecessor) if self.allowed[idx, value]
-                }
-                if not store.restrict(predecessor, allowed_sources):
+        # Each successor of `node` must sit on an instance that `value` may
+        # send to, each predecessor on one that may send to `value`.
+        for neighbors, row in ((self.graph.successors(node), self._out_rows[value]),
+                               (self.graph.predecessors(node), self._in_rows[value])):
+            for neighbor in neighbors:
+                if neighbor in assignment:
+                    if not row[assignment[neighbor]]:
+                        return False
+                elif not store.remove_all(neighbor, [
+                        idx for idx in store.domain(neighbor) if not row[idx]]):
                     return False
         return True
 
-    def _search(self, store: DomainStore, assignment: Dict[NodeId, int]) -> bool:
-        if len(assignment) == self.graph.num_nodes:
+    def _search(self, store: DomainStore, assignment: Dict[NodeId, int],
+                matching: ValueMatching) -> bool:
+        """Depth-first labeling with an explicit stack of choice points.
+
+        Each frame is ``[node, ordered values, next value index, trail mark
+        of the value being tried]``.  Every retracted value counts one
+        backtrack, and so does every level unwound once the budget runs out.
+        """
+        num_nodes = self.graph.num_nodes
+        interval = self.matching_check_interval
+        if len(assignment) == num_nodes:
             return True
         if self._out_of_budget():
             return False
-
-        node = self._select_variable(store, assignment)
-        for value in self._order_values(node, store, assignment):
-            self._nodes_explored += 1
-            mark = store.checkpoint()
-            ok = store.assign(node, value)
-            if ok:
-                assignment[node] = value
-                ok = self._propagate(store, node, value, assignment)
-                if ok and self.matching_check_interval and (
-                    len(assignment) % self.matching_check_interval == 0
-                ):
-                    remaining = {
-                        n: store.domain(n)
-                        for n in self.graph.nodes if n not in assignment
-                    }
-                    ok = matching_feasible(remaining) if remaining else True
-                if ok and self._search(store, assignment):
-                    return True
-                del assignment[node]
-            store.restore(mark)
+        frames = [self._open_frame(store, assignment)]
+        while True:
+            frame = frames[-1]
+            node, values, index = frame[0], frame[1], frame[2]
+            if index < len(values):
+                value = values[index]
+                frame[2] = index + 1
+                self._nodes_explored += 1
+                frame[3] = store.checkpoint()
+                if store.assign(node, value):
+                    assignment[node] = value
+                    if self._propagate(store, node, value, assignment) and (
+                        not interval or len(assignment) % interval
+                        or len(assignment) == num_nodes
+                        or matching_feasible(matching)
+                    ):
+                        if len(assignment) == num_nodes:
+                            return True
+                        if not self._out_of_budget():
+                            frames.append(self._open_frame(store, assignment))
+                            continue
+                    del assignment[node]
+            else:
+                # Every value failed: retract the parent's choice.
+                frames.pop()
+                if not frames:
+                    return False
+                frame = frames[-1]
+                del assignment[frame[0]]
+            store.restore(frame[3])
             self._backtracks += 1
             if self._out_of_budget():
+                # Each enclosing level returns in turn and counts its own
+                # backtrack; the search state is dropped with them.
+                self._backtracks += len(frames) - 1
                 return False
-        return False
+
+    def _open_frame(self, store: DomainStore, assignment: Dict[NodeId, int]) -> list:
+        node = self._select_variable(store, assignment)
+        return [node, self._order_values(node, store), 0, 0]

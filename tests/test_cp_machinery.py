@@ -106,6 +106,12 @@ class TestAlldifferent:
     def test_matching_feasible_empty_domain(self):
         assert not matching_feasible({"a": [], "b": [1]})
 
+    def test_matching_feasible_on_complete_domains_at_scale(self):
+        # 1,000 variables over 1,100 values: a chain of alternating paths as
+        # long as the variable count needs no recursion.
+        domains = {var: set(range(1100)) for var in range(1000)}
+        assert matching_feasible(domains)
+
     def test_prune_singletons_cascades(self):
         # Assigning a triggers b, which triggers c.
         store = DomainStore({"a": {1}, "b": {1, 2}, "c": {2, 3}})

@@ -102,3 +102,15 @@ class TestSubgraphSearch:
         allowed = allowed_from_edges(9, big.edges, bidirectional=False)
         outcome = SubgraphMonomorphismSearch(graph, list(range(9)), allowed).find()
         assert outcome.plan is not None
+
+    def test_deep_path_needs_no_recursion(self):
+        # Every one of the 1,050 assignments is a choice point one level
+        # deeper than the last; the search keeps them on an explicit stack.
+        n = 1050
+        graph = CommunicationGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+        allowed = np.ones((n, n), dtype=bool)
+        outcome = SubgraphMonomorphismSearch(graph, list(range(n)), allowed).find()
+        assert outcome.plan is not None
+        assert outcome.plan.covers(graph)
+        assert outcome.backtracks == 0
+        assert outcome.nodes_explored == n

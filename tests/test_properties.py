@@ -16,7 +16,12 @@ from repro.core import (
     longest_path_cost,
 )
 from repro.core.clustering import cluster_costs
-from repro.solvers.cp.alldifferent import matching_feasible
+from repro.solvers.cp.alldifferent import (
+    ValueMatching,
+    matching_feasible,
+    propagate_assignment,
+)
+from repro.solvers.cp.domains import DomainStore
 from repro.analysis import normalized
 
 
@@ -223,6 +228,16 @@ def test_delta_evaluator_tracks_oracle_through_swaps(costs, seed, moves):
 # Matching feasibility (alldifferent)
 # --------------------------------------------------------------------------- #
 
+def _injective_completion_exists(domains, variables, used=frozenset()):
+    """Brute force: can ``variables`` take pairwise different domain values?"""
+    if not variables:
+        return True
+    var, rest = variables[0], variables[1:]
+    return any(value not in used
+               and _injective_completion_exists(domains, rest, used | {value})
+               for value in domains[var])
+
+
 @given(seed=st.integers(0, 500), n_vars=st.integers(1, 6), n_vals=st.integers(1, 6))
 def test_matching_feasible_iff_permutation_exists(seed, n_vars, n_vals):
     rng = np.random.default_rng(seed)
@@ -231,16 +246,52 @@ def test_matching_feasible_iff_permutation_exists(seed, n_vars, n_vals):
         for v in range(n_vars)
     }
     feasible = matching_feasible(domains)
-    # Cross-check with a brute-force search over assignments.
-    def brute(vars_left, used):
-        if not vars_left:
-            return True
-        var = vars_left[0]
-        return any(
-            value not in used and brute(vars_left[1:], used | {value})
-            for value in domains[var]
-        )
-    assert feasible == brute(list(domains), set())
+    assert feasible == _injective_completion_exists(domains, list(domains))
+
+
+@given(seed=st.integers(0, 10_000), n_vars=st.integers(1, 7),
+       n_vals=st.integers(1, 8),
+       ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 6),
+                              st.integers(0, 7)), max_size=40))
+@settings(max_examples=200)
+def test_warm_matching_follows_assign_and_restore(seed, n_vars, n_vals, ops):
+    """One warm matching answers like a cold check and brute force throughout.
+
+    The domains move the way a search moves them: an assignment (with
+    value elimination) or a forward-checking removal pushes a trail mark,
+    and an undo restores the latest mark.  A variable may also be left out
+    with its value still in other domains (an elimination that stopped at
+    a wipeout leaves such values behind).
+    """
+    rng = np.random.default_rng(seed)
+    domains = {}
+    for var in range(n_vars):
+        values = {int(w) for w in np.nonzero(rng.random(n_vals) < 0.5)[0]}
+        domains[var] = values or {int(rng.integers(n_vals))}
+    store = DomainStore(domains)
+    assignment = {}
+    matching = ValueMatching(store.domains, assignment)
+    marks = []
+    for kind, a, b in [(None, 0, 0)] + ops:
+        var = a % n_vars
+        if kind in (0, 3) and var not in assignment and store.size(var):
+            value = sorted(store.domain(var))[b % store.size(var)]
+            marks.append((var, store.checkpoint()))
+            store.assign(var, value)
+            assignment[var] = value
+            if kind == 0:
+                propagate_assignment(store, var, value)
+        elif kind == 1 and marks:
+            undone, mark = marks.pop()
+            assignment.pop(undone, None)
+            store.restore(mark)
+        elif kind == 2 and var not in assignment:
+            marks.append((None, store.checkpoint()))
+            store.remove(var, b % n_vals)
+        unassigned = [v for v in range(n_vars) if v not in assignment]
+        cold = matching_feasible({v: set(store.domain(v)) for v in unassigned})
+        brute = _injective_completion_exists(store.domains, unassigned)
+        assert matching_feasible(matching) == cold == brute
 
 
 # --------------------------------------------------------------------------- #
@@ -255,3 +306,4 @@ def test_normalization_removes_uniform_scaling(values, scale):
     base = normalized(values)
     scaled = normalized([v * scale for v in values])
     assert np.allclose(base, scaled, rtol=1e-9, atol=1e-12)
+
