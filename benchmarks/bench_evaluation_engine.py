@@ -14,8 +14,9 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
 * a mostly-rejected longest-path peek walk through the window-local
   ``swap_cost`` versus the pre-rewrite full-suffix re-relaxation peek;
 * block-scored neighborhood peeks: scoring candidate-move blocks through
-  ``DeltaEvaluator.peek_many`` versus the per-move peek loop (longest
-  link, the one objective with a vectorized neighborhood kernel);
+  ``DeltaEvaluator.peek_many`` versus the per-move NumPy peek it replaced
+  in the search loops (longest link, the one objective with a vectorized
+  neighborhood kernel);
 * local-search move proposals on the n = 300 mesh: the samplers decoding
   raw PCG64 words against the cached free-instance array versus the
   per-draw sampler they replaced (an occupancy scan and NumPy
@@ -32,9 +33,10 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
 * ``kmeans_1d`` cost clustering at k = 20 of a 110-instance matrix on the
   0.01 ms grid: NumPy-scored DP rows versus the scalar DP loop;
 * the live re-deployment hot path: adopting a drifted cost matrix through
-  ``CompiledProblem.refresh_costs`` versus a full recompile, and a warm
-  re-solve (local search started from the incumbent plan, stopping at the
-  cold solve's cost) versus a cold re-solve of the drifted instance;
+  an engine derived by ``CompiledProblem.refresh_costs`` versus a full
+  recompile, and a warm re-solve (local search started from the incumbent
+  plan, stopping at the cold solve's cost) versus a cold re-solve of the
+  drifted instance;
 * the durable result store: serving an already-solved revision from the
   SQLite WAL store (one indexed lookup + JSON decode) versus re-running
   the solver on the same fingerprint;
@@ -341,16 +343,52 @@ def bench_peeked_lp():
     return graph, full_s, delta_s, full_s / delta_s
 
 
+def per_move_swap_cost(evaluator, incident, node_a, node_b):
+    """The longest-link swap peek the batch kernel replaced in the search loops.
+
+    One NumPy pass per move, as ``DeltaEvaluator.swap_cost`` scored
+    longest link before its edge-list scan: the sorted union of the moved
+    nodes' incident edge ids (``incident``, one array per node), their
+    endpoint instances with the moved nodes overridden, one fancy-indexed
+    cost gather, and the untouched maximum recomputed by a masked max when
+    a touched edge carries the committed maximum.  Frozen here, like
+    ``per_draw_propose_move`` and ``PerPairG2``, so the
+    ``neighborhood_batch`` ratio does not move when the live serial peek
+    gets faster.
+    """
+    problem = evaluator.problem
+    assignment = evaluator.assignment
+    moves = {node_a: int(assignment[node_b]), node_b: int(assignment[node_a])}
+    touched = np.unique(np.concatenate([incident[node] for node in moves]))
+    if touched.size == 0:
+        return evaluator.current_cost
+    src = assignment[problem.edge_src[touched]]
+    dst = assignment[problem.edge_dst[touched]]
+    for node, instance in moves.items():
+        src[problem.edge_src[touched] == node] = instance
+        dst[problem.edge_dst[touched] == node] = instance
+    new_costs = problem.cost_array[src, dst]
+    edge_costs = evaluator._edge_costs  # the committed edge costs
+    untouched = evaluator.current_cost
+    if float(edge_costs[touched].max()) >= untouched:
+        mask = np.ones(problem.num_edges, dtype=bool)
+        mask[touched] = False
+        remaining = edge_costs[mask]
+        untouched = float(remaining.max()) if remaining.size else 0.0
+    return max(untouched, float(new_costs.max()))
+
+
 def bench_neighborhood_batch(block=64):
-    """Block-scored move peeks versus the per-move peek loop.
+    """Block-scored move peeks versus the per-move NumPy peek.
 
     The tracked comparison (``neighborhood_batch``) is the search solvers'
     hot loop before and after the vectorized neighborhood kernel: scoring
-    candidate swap moves one ``swap_cost`` call at a time versus scoring
-    the same moves in solver-sized blocks through
-    ``DeltaEvaluator.peek_many``, longest link at paper scale.  Longest
-    path has no batched kernel (``peek_many`` scores it move by move), so
-    it has no row here.  Both paths must produce bit-identical cost arrays.
+    candidate swap moves one at a time through the frozen
+    :func:`per_move_swap_cost` versus scoring the same moves in
+    solver-sized blocks through ``DeltaEvaluator.peek_many``, longest link
+    at paper scale.  Longest path has no batched kernel (``peek_many``
+    scores it move by move), so it has no row here.  Both paths, and the
+    live serial ``swap_cost``, must produce bit-identical cost arrays.
 
     Returns ``(graph, loop_s, batch_s, speedup)``.
     """
@@ -366,10 +404,12 @@ def bench_neighborhood_batch(block=64):
         MoveBatch.from_moves([("swap", a, b) for a, b in swaps[i:i + block]])
         for i in range(0, num_moves, block)
     ]
+    incident = [row[row >= 0] for row in problem._incident_padded()]
 
     def per_move_loop():
         evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
-        return np.asarray([evaluator.swap_cost(a, b) for a, b in swaps])
+        return np.asarray([per_move_swap_cost(evaluator, incident, a, b)
+                           for a, b in swaps])
 
     def batched():
         evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
@@ -380,6 +420,10 @@ def bench_neighborhood_batch(block=64):
     batch_s, batch_costs = _best_of(3, batched)
     assert np.array_equal(loop_costs, batch_costs), \
         "batched move peeks disagree with the per-move loop"
+    evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
+    assert np.array_equal(
+        [evaluator.swap_cost(a, b) for a, b in swaps], batch_costs), \
+        "batched move peeks disagree with the serial swap_cost"
     return graph, loop_s, batch_s, loop_s / batch_s
 
 
@@ -784,10 +828,10 @@ def bench_cost_refresh(repeats=5):
 
     The live pipeline's hot path: a drifted cost matrix arrives and the
     engine must serve it.  The baseline lowers a fresh ``CompiledProblem``
-    per revision; ``refresh_costs`` swaps the dense cost array in place and
-    keeps every graph-side index array and level group.  Both paths are
-    asserted bit-identical on a batch of random plans after every
-    revision.
+    per revision; ``refresh_costs`` derives an engine that holds the new
+    dense cost array and shares every graph-side index array and level
+    group with the live one.  Both paths are asserted bit-identical on a
+    batch of random plans after every revision.
     """
     graph, costs = build_problem(Objective.LONGEST_LINK)
     rng = np.random.default_rng(SEED + 6)

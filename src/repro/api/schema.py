@@ -123,9 +123,10 @@ class SolveTelemetry:
     """Per-request bookkeeping recorded by the advisor session.
 
     Attributes:
-        compile_cache_hit: whether this request reused a compilation
-            produced for an earlier request of the same session (content
-            equality on the ``(graph, costs)`` pair).
+        compile_cache_hit: whether this request reused an engine: its
+            problem already owned one, or the session handed it the
+            engine compiled for an earlier problem with equal
+            ``(graph, costs)`` content.
         compile_time_s: wall-clock time spent obtaining the compiled
             problem (≈0 on a cache hit).
         solve_time_s: the solver's own reported search time.

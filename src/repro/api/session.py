@@ -4,16 +4,20 @@
 one-shot :class:`~repro.core.advisor.ClouDiA` pipeline.  It adds three
 things the paper's service framing needs at scale:
 
-* **Compilation deduplication** — problems are canonicalized by the
-  content hash of their ``(graph, costs)`` pair
-  (:meth:`~repro.core.problem.DeploymentProblem.instance_key`), so a batch
-  of requests over the same instance — different solvers, objectives,
-  budgets, or problems deserialized from separate JSON files — lowers the
-  instance into the vectorized engine exactly once.
+* **Compilation deduplication** — a problem owns its engine
+  (:meth:`~repro.core.problem.DeploymentProblem.compiled`), so requests
+  that pass the same problem object share it without further work; a
+  problem that has no engine yet is keyed by the content hash of its
+  ``(graph, costs)`` pair
+  (:meth:`~repro.core.problem.DeploymentProblem.instance_key`) and handed
+  the engine of an earlier problem with equal content, so requests
+  deserialized from separate JSON documents — different solvers,
+  objectives or budgets over one instance — lower it exactly once.
 * **Batches** — :meth:`AdvisorSession.solve_many` runs independent
   requests one after another, compiling each distinct instance once and
   capturing failures per request.  The service's worker pool runs several
-  threads against one session, so compilation is guarded per instance.
+  threads against one session; engines are compiled under the session
+  lock, so equal content still compiles once.
 * **Telemetry** — every response carries per-request
   :class:`~repro.api.schema.SolveTelemetry` (compile cache hit, compile /
   solve / total time), and the session aggregates :class:`SessionStats` so
@@ -26,18 +30,20 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from ..core.communication_graph import CommunicationGraph
 from ..core.cost_matrix import CostMatrix
 from ..core.errors import ClouDiAError, InvalidDeploymentError, StoreError
-from ..core.evaluation import (
-    CompileCacheStats,
-    ParallelStats,
-    compile_cache_stats,
-    parallel_stats,
-    peek_compiled,
-)
+from ..core.evaluation import CompiledProblem, ParallelStats, parallel_stats
 from ..core.deployment import DeploymentPlan
 from ..core.problem import DeploymentProblem
 from ..netmeasure.stream import CostRevision, relative_link_drift
@@ -62,6 +68,39 @@ from .watch import (
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a cycle
     from ..store import SQLiteResultCache
 
+#: Bound on the engines a session keeps by instance content hash.  Past
+#: it the least recently used engine is dropped from the cache (problems
+#: that own it keep it); a later problem with that content recompiles.
+ENGINE_CACHE_ENTRIES = 128
+
+
+@dataclass(frozen=True)
+class CompileCacheStats:
+    """Counters of a session's engine cache (keyed by instance content)."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+    size: int = 0
+    max_entries: int = ENGINE_CACHE_ENTRIES
+
+    @property
+    def hit_rate(self) -> float:
+        """Fraction of lookups served from the cache."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-serializable snapshot (consumed by telemetry exporters)."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "size": self.size,
+            "max_entries": self.max_entries,
+            "hit_rate": self.hit_rate,
+        }
+
 
 @dataclass(frozen=True)
 class SessionStats:
@@ -71,10 +110,12 @@ class SessionStats:
     requests: int = 0
     #: Distinct ``(graph, costs)`` pairs compiled by this session.
     compilations: int = 0
-    #: Requests that reused a previously compiled pair.
+    #: Requests whose problem already owned an engine or was handed one
+    #: compiled for equal content.
     compile_cache_hits: int = 0
-    #: Cost revisions adopted via an in-place engine refresh during
-    #: :meth:`AdvisorSession.watch` (the graph-side lowering was reused).
+    #: Cost revisions adopted during :meth:`AdvisorSession.watch` through
+    #: an engine derived from the previous one (the graph-side lowering
+    #: was reused).
     cost_refreshes: int = 0
     #: Cost revisions that needed a full recompile (no live engine).
     cost_recompiles: int = 0
@@ -82,8 +123,8 @@ class SessionStats:
     watch_resolves: int = 0
     #: Watch steps answered by the persistent result cache.
     result_cache_hits: int = 0
-    #: Process-wide compiled-engine LRU counters (shared by every session
-    #: in this process; see :func:`repro.core.compile_cache_stats`).
+    #: Counters of the session's engine cache, keyed by instance content:
+    #: a lookup happens only for a problem that owns no engine yet.
     engine_cache: CompileCacheStats = field(default_factory=CompileCacheStats)
     #: Process-wide incremental-evaluator counters — peeks, commits and
     #: ``peek_many`` batches (see :func:`repro.core.parallel_stats`).
@@ -91,7 +132,7 @@ class SessionStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of requests served from the compilation cache."""
+        """Fraction of requests that reused an engine."""
         total = self.compilations + self.compile_cache_hits
         return self.compile_cache_hits / total if total else 0.0
 
@@ -100,8 +141,8 @@ class SessionStats:
 
         The supported way for telemetry exporters (the service's
         ``/metrics`` route, log shippers) to serialise session state —
-        including the nested process-wide ``engine_cache`` counters —
-        without reaching into private attributes.
+        including the nested ``engine_cache`` counters — without reaching
+        into private attributes.
         """
         return {
             "requests": self.requests,
@@ -127,12 +168,6 @@ class AdvisorSession:
     Args:
         registry: solver registry to resolve solver keys through; defaults
             to the process-wide :data:`~repro.solvers.registry.default_registry`.
-        max_cached_problems: bound on the number of distinct problem
-            instances whose canonical graph / costs (and thereby compiled
-            engines) the session keeps alive; least-recently-used entries
-            are evicted beyond it, so a long-lived serving session does not
-            grow without bound.  An evicted instance is simply recompiled
-            if it is submitted again.
         result_cache: optional durable
             :class:`~repro.store.SQLiteResultCache`.  Used by :meth:`watch`
             to skip re-solving revisions this or any sibling process
@@ -143,26 +178,15 @@ class AdvisorSession:
     """
 
     def __init__(self, registry: Optional[SolverRegistry] = None,
-                 max_cached_problems: int = 128,
                  result_cache: Optional["SQLiteResultCache"] = None):
-        if max_cached_problems < 1:
-            raise ValueError("max_cached_problems must be >= 1")
         self.registry = registry if registry is not None else default_registry
-        self.max_cached_problems = max_cached_problems
         self.result_cache = result_cache
         self._lock = threading.Lock()
-        #: Canonical (graph, costs) objects per instance content hash, in
-        #: LRU order; the process-wide compile cache is keyed on object
-        #: identity, so re-binding content-equal problems to these objects
-        #: makes them share one CompiledProblem.
-        self._canonical: "OrderedDict[str, Tuple[CommunicationGraph, CostMatrix]]" = (
-            OrderedDict()
-        )
-        #: Per-instance-key locks serialising the (expensive) first
-        #: compilation of each distinct pair across the service's worker
-        #: threads, so distinct instances compile in parallel while the
-        #: same instance still compiles exactly once.
-        self._compile_locks: dict = {}
+        #: Engines by instance content hash, in LRU order, bounded by
+        #: ENGINE_CACHE_ENTRIES.
+        self._engines: "OrderedDict[str, CompiledProblem]" = OrderedDict()
+        self._engine_hits = 0
+        self._evictions = 0
         self._requests = 0
         self._compilations = 0
         self._cache_hits = 0
@@ -177,10 +201,9 @@ class AdvisorSession:
     def stats(self) -> SessionStats:
         """Aggregate counters since the session was created.
 
-        ``engine_cache`` reports the process-wide compiled-engine LRU
-        (hits, misses, evictions, current size) — shared by every session
-        in the process, bounded so streaming workloads cannot leak one
-        compilation per cost revision.
+        ``engine_cache`` reports the session's engine cache (content
+        lookups, evictions, current size), bounded so a long-lived serving
+        session cannot keep one engine per instance it ever saw.
         """
         with self._lock:
             return SessionStats(
@@ -191,51 +214,57 @@ class AdvisorSession:
                 cost_recompiles=self._cost_recompiles,
                 watch_resolves=self._watch_resolves,
                 result_cache_hits=self._result_cache_hits,
-                engine_cache=compile_cache_stats(),
+                engine_cache=CompileCacheStats(
+                    hits=self._engine_hits, misses=self._compilations,
+                    evictions=self._evictions, size=len(self._engines),
+                    max_entries=ENGINE_CACHE_ENTRIES),
                 parallel=parallel_stats(),
             )
 
-    def prepare(self, problem: DeploymentProblem
-                ) -> Tuple[DeploymentProblem, bool, threading.Lock]:
-        """Canonicalize ``problem`` against the session's instance cache.
+    def prepare(self, problem: DeploymentProblem) -> Tuple[bool, float]:
+        """Make sure ``problem`` owns an engine, compiling at most once.
 
-        Canonicalization is cheap (a content hash plus dictionary
-        bookkeeping); the expensive lowering happens lazily at
-        ``problem.compiled()`` under the returned per-instance lock, which
-        lets the service's worker threads compile *distinct* instances in
-        parallel while still compiling each distinct instance exactly once.
+        A problem that already owns an engine is a hit and is not hashed.
+        Any other problem is keyed by its
+        :meth:`~repro.core.problem.DeploymentProblem.instance_key` and
+        handed the engine cached for that content, or compiles one under
+        the session lock (a compile takes milliseconds, so one lock is
+        enough to build each distinct instance once across the service's
+        worker threads).
 
         Returns:
-            ``(canonical_problem, cache_hit, compile_lock)`` where
-            ``cache_hit`` says whether an earlier request already
-            canonicalized the same ``(graph, costs)`` content.
+            ``(cache_hit, compile_time_s)``.
         """
+        if problem.engine is not None:
+            with self._lock:
+                self._cache_hits += 1
+            return True, 0.0
         key = problem.instance_key()
         with self._lock:
-            canonical = self._canonical.get(key)
-            hit = canonical is not None
-            if hit:
+            engine = self._engines.get(key)
+            if engine is not None:
+                self._engines.move_to_end(key)
+                self._engine_hits += 1
                 self._cache_hits += 1
-                self._canonical.move_to_end(key)
-                problem = problem.rebound(*canonical)
-            else:
-                self._canonical[key] = (problem.graph, problem.costs)
-                self._compilations += 1
-                while len(self._canonical) > self.max_cached_problems:
-                    evicted, _ = self._canonical.popitem(last=False)
-                    self._compile_locks.pop(evicted, None)
-            lock = self._compile_locks.setdefault(key, threading.Lock())
-        return problem, hit, lock
+                problem.adopt_engine(engine)
+                return True, 0.0
+            started = time.perf_counter()
+            self._engines[key] = problem.compiled()
+            compile_time = time.perf_counter() - started
+            self._compilations += 1
+            if len(self._engines) > ENGINE_CACHE_ENTRIES:
+                self._engines.popitem(last=False)
+                self._evictions += 1
+        return False, compile_time
 
     def clear_cache(self) -> None:
-        """Drop all canonical problem references held by the session.
+        """Drop every engine the session's content cache holds.
 
-        The process-wide compile cache is weakly keyed, so releasing the
-        canonical cost matrices lets their compiled engines be reclaimed.
+        Problems that own an engine keep it; a new problem with the same
+        content compiles again.
         """
         with self._lock:
-            self._canonical.clear()
-            self._compile_locks.clear()
+            self._engines.clear()
 
     # ------------------------------------------------------------------ #
 
@@ -249,37 +278,32 @@ class AdvisorSession:
                    ) -> List[SolverResponse]:
         """Execute a batch of independent requests, in order.
 
-        Problems are canonicalized up front, then each request is compiled
-        and solved in turn, so every request gets its whole wall-clock
-        budget.  Each distinct ``(graph, costs)`` pair is compiled exactly
-        once within the batch: a per-batch memo upholds that even when the
-        batch holds more distinct instances than ``max_cached_problems``,
-        where the session-level LRU alone would evict and recompile.
-        Failures are captured per request as ``"error"`` responses instead
-        of aborting the batch, and response order matches request order.
+        Every problem is given its engine up front, then each request is
+        solved in turn, so every request gets its whole wall-clock budget.
+        Each distinct ``(graph, costs)`` pair is compiled once within the
+        batch: a problem whose content an earlier request of the batch
+        compiled takes that engine even if the session cache has evicted
+        it since.  Failures, including an engine that cannot be built,
+        are captured per request as ``"error"`` responses instead of
+        aborting the batch, and response order matches request order.
         """
         batch: List[SolveRequest] = [
             self._with_assigned_id(request) for request in requests
         ]
-        if not batch:
-            return []
-        memo: dict = {}
-        prepared = []
+        batch_engines: Dict[str, CompiledProblem] = {}
+        prepared: List[Union[Tuple[bool, float], Exception]] = []
         for request in batch:
-            key = request.problem.instance_key()
-            entry = memo.get(key)
-            if entry is not None:
-                canonical, lock = entry
-                with self._lock:
-                    self._cache_hits += 1
-                prepared.append((
-                    request.problem.rebound(canonical.graph, canonical.costs),
-                    True, lock,
-                ))
-            else:
-                item = self.prepare(request.problem)
-                memo[key] = (item[0], item[2])
-                prepared.append(item)
+            problem = request.problem
+            try:
+                key = None if problem.engine is not None \
+                    else problem.instance_key()
+                if key in batch_engines:
+                    problem.adopt_engine(batch_engines[key])
+                prepared.append(self.prepare(problem))
+                if key is not None:
+                    batch_engines[key] = problem.engine
+            except (ClouDiAError, ValueError, TypeError) as exc:
+                prepared.append(exc)
         return [
             self._execute(request, prep, capture_errors=True)
             for request, prep in zip(batch, prepared)
@@ -299,15 +323,16 @@ class AdvisorSession:
         ``initial_plan`` when given), then every revision — a
         :class:`~repro.netmeasure.CostRevision` from a
         :class:`~repro.netmeasure.MeasurementStream`, or a bare
-        :class:`~repro.core.CostMatrix` — is adopted by *refreshing* the
-        compiled engine in place (the graph-side lowering and compiled
-        constraints are reused; only the dense cost array changes), the
-        incumbent plan is re-scored under the revised costs, and a
-        re-solve runs only when the policy's drift or degradation
-        threshold is exceeded.  Re-solves are warm-started from the
-        incumbent (for solvers that support it) and short-circuited by the
-        session's persistent result cache, so a restarted watch — or a
-        sibling process — skips revisions that were already solved.
+        :class:`~repro.core.CostMatrix` — is adopted by *revising* the
+        problem, whose engine is derived from the previous one (the
+        graph-side lowering and compiled constraints are reused; only the
+        dense cost array is new), the incumbent plan is re-scored under
+        the revised costs, and a re-solve runs only when the policy's
+        drift or degradation threshold is exceeded.  Re-solves are
+        warm-started from the incumbent (for solvers that support it) and
+        short-circuited by the session's persistent result cache, so a
+        restarted watch — or a sibling process — skips revisions that
+        were already solved.
 
         Args:
             problem: the deployment problem as last solved/deployed.
@@ -359,9 +384,9 @@ class AdvisorSession:
                 drift = float(relative_link_drift(problem.costs, costs).max())
             refresh_started = time.perf_counter()
             # Same instances (guaranteed above, and by construction for
-            # stream revisions), so revise() refreshes in place whenever a
-            # live engine exists — one condition, mirroring revise itself.
-            refreshable = peek_compiled(problem.graph, problem.costs) is not None
+            # stream revisions), so revise() derives the revised engine
+            # whenever the problem owns one — the condition revise uses.
+            refreshable = problem.engine is not None
             problem = problem.revise(costs=costs)
             incumbent_cost = problem.evaluate(plan)  # compiles if needed
             refresh_time = time.perf_counter() - refresh_started
@@ -529,18 +554,22 @@ class AdvisorSession:
         return request.with_id(f"req-{sequence:04d}")
 
     def _execute(self, request: SolveRequest,
-                 prepared: Tuple[DeploymentProblem, bool, threading.Lock],
+                 prepared: Union[Tuple[bool, float], Exception],
                  capture_errors: bool) -> SolverResponse:
-        problem, cache_hit, compile_lock = prepared
+        """Solve one request whose problem :meth:`prepare` has handled.
+
+        ``prepared`` is what :meth:`prepare` returned, or the error it
+        raised, which becomes an error response when errors are captured.
+        """
+        problem = request.problem
         started = time.perf_counter()
         solver_key = request.solver
-        compile_time = 0.0
+        cache_hit, compile_time = False, 0.0
         try:
+            if isinstance(prepared, Exception):
+                raise prepared
+            cache_hit, compile_time = prepared
             solver_key = request.resolved_solver_key(self.registry)
-            with compile_lock:
-                compile_started = time.perf_counter()
-                problem.compiled()
-                compile_time = time.perf_counter() - compile_started
             solver = self.registry.make(solver_key, **dict(request.config))
             result = solver.solve(problem, budget=request.budget,
                                   initial_plan=request.initial_plan)
@@ -548,7 +577,7 @@ class AdvisorSession:
                 compile_cache_hit=cache_hit,
                 compile_time_s=compile_time,
                 solve_time_s=result.solve_time_s,
-                total_time_s=time.perf_counter() - started,
+                total_time_s=compile_time + time.perf_counter() - started,
             )
             response = SolverResponse(
                 request_id=request.request_id, solver=solver_key,
@@ -560,7 +589,7 @@ class AdvisorSession:
             telemetry = SolveTelemetry(
                 compile_cache_hit=cache_hit,
                 compile_time_s=compile_time,
-                total_time_s=time.perf_counter() - started,
+                total_time_s=compile_time + time.perf_counter() - started,
             )
             response = SolverResponse(
                 request_id=request.request_id, solver=solver_key,

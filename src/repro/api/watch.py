@@ -1,8 +1,9 @@
 """Policy and telemetry types of the live re-deployment watch loop.
 
 :meth:`repro.api.AdvisorSession.watch` replays a stream of cost revisions
-against a deployed plan: every revision refreshes the compiled engine in
-place, the incumbent plan is re-scored under the revised costs, and a
+against a deployed plan: every revision revises the problem, whose engine
+is derived from the previous one, the incumbent plan is re-scored under
+the revised costs, and a
 re-solve is triggered only when the :class:`WatchPolicy` says the drift or
 the incumbent's degradation warrants one.  Each step is recorded as a
 :class:`WatchEvent` — including whether the engine was refreshed or
@@ -99,10 +100,10 @@ class WatchEvent:
         drift: the revision's largest per-link relative drift (0.0 for
             the initial solve).
         refresh_time_s: time spent adopting the revised costs.
-        engine_refreshed: ``True`` when the compiled engine was refreshed
-            in place (:meth:`CompiledProblem.refresh_costs`); ``False``
-            when a full (re)compile was needed — the initial solve, or a
-            revision finding no live engine.
+        engine_refreshed: ``True`` when the revision's engine was derived
+            from the previous one (:meth:`CompiledProblem.refresh_costs`);
+            ``False`` when a full (re)compile was needed — the initial
+            solve, or a revision finding no live engine.
         incumbent_cost: the standing plan's cost under the revised costs
             (``inf`` for the initial solve when no plan exists yet).
         resolved: whether a solver ran (or the result cache answered).

@@ -5,19 +5,14 @@ from .communication_graph import CommunicationGraph, augment_with_dummy_nodes
 from .cost_matrix import CostMatrix, LatencyMetric
 from .deployment import DeploymentPlan
 from .evaluation import (
-    CompileCacheStats,
     CompiledConstraints,
     CompiledProblem,
     DeltaEvaluator,
-    IndexedPlan,
     MoveBatch,
     ParallelStats,
-    compile_cache_stats,
     compile_problem,
-    configure_compile_cache,
     delta_counters,
     parallel_stats,
-    peek_compiled,
 )
 from .errors import (
     AllocationError,
@@ -52,7 +47,6 @@ __all__ = [
     "ClouDiAError",
     "ClusteringResult",
     "CommunicationGraph",
-    "CompileCacheStats",
     "CompiledConstraints",
     "CompiledProblem",
     "CostMatrix",
@@ -61,7 +55,6 @@ __all__ = [
     "MoveBatch",
     "DeploymentPlan",
     "DeploymentProblem",
-    "IndexedPlan",
     "InfeasibleProblemError",
     "InvalidCostMatrixError",
     "InvalidDeploymentError",
@@ -75,10 +68,8 @@ __all__ = [
     "SolverError",
     "augment_with_dummy_nodes",
     "cluster_costs",
-    "compile_cache_stats",
     "delta_counters",
     "compile_problem",
-    "configure_compile_cache",
     "critical_path",
     "deployment_cost",
     "improvement_ratio",
@@ -86,6 +77,5 @@ __all__ = [
     "longest_link_cost",
     "longest_path_cost",
     "parallel_stats",
-    "peek_compiled",
     "worst_link",
 ]

@@ -15,9 +15,6 @@ then evaluates plans with a handful of vectorized operations:
   longest-path objective) the edges grouped by the topological *level* of
   their source node so the DAG relaxation runs as a short sequence of
   gather + segmented-max operations instead of a per-edge Python loop.
-* :class:`IndexedPlan` — a plan as a flat ``assignment`` array mapping node
-  index to instance index, convertible to and from
-  :class:`~repro.core.deployment.DeploymentPlan`.
 * Batch evaluation (:meth:`CompiledProblem.evaluate_batch`) — scores many
   candidate plans at once with a single 2-D fancy-indexed gather, which is
   what makes ``R1``-style random search cheap at paper scale.
@@ -49,10 +46,7 @@ stays in place as the reference implementation the tests compare against.
 from __future__ import annotations
 
 import operator
-import threading
-import weakref
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -111,7 +105,7 @@ class _LpDeltaStructure:
     Everything here is plain Python (lists of ints and ``(neighbor, edge)``
     tuples): the delta's sparse re-relaxation touches a handful of nodes per
     move, where list indexing beats NumPy gathers by an order of magnitude.
-    Depends only on the graph, so it survives :meth:`CompiledProblem.refresh_costs`.
+    Depends only on the graph, so :meth:`CompiledProblem.refresh_costs` shares it.
     """
 
     __slots__ = ("levels", "order", "in_edges", "out_edges", "level_nodes",
@@ -138,17 +132,16 @@ class _LpDeltaStructure:
 class CompiledProblem:
     """A ``CommunicationGraph`` + ``CostMatrix`` lowered to index arrays.
 
-    Instances are cheap to query but not free to build (O(|V| + |E| + m^2));
-    use :func:`compile_problem` to share one compilation per (graph, costs)
-    pair across solvers.
+    Instances are cheap to query but not free to build (O(|V| + |E| + m^2)),
+    and never change their costs once built: a cost revision derives a new
+    engine through :meth:`refresh_costs`.  Solvers take the engine a
+    :class:`~repro.core.problem.DeploymentProblem` owns
+    (:meth:`~repro.core.problem.DeploymentProblem.compiled`), so every
+    consumer of one problem object shares one lowering.
     """
 
     def __init__(self, graph: CommunicationGraph, costs: CostMatrix):
         self.graph = graph
-        # Weakly referenced so the compile cache (whose values reach this
-        # object) cannot keep its own weak key alive; everything the engine
-        # evaluates with is copied into arrays below.
-        self._costs_ref = weakref.ref(costs)
         self.node_ids: Tuple[NodeId, ...] = graph.nodes
         self.instance_ids: Tuple[InstanceId, ...] = costs.instance_ids
         self.node_index: Dict[NodeId, int] = {n: k for k, n in enumerate(self.node_ids)}
@@ -193,59 +186,27 @@ class CompiledProblem:
         self._profiles: Optional[np.ndarray] = None
         self._sorted_link_costs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._assignment_lb: Optional[np.ndarray] = None
-        self._cost_epoch = 0
-
-    @property
-    def costs(self) -> Optional[CostMatrix]:
-        """The source cost matrix, or ``None`` once it has been collected.
-
-        The engine never needs it after compilation (the dense array is
-        copied); it is exposed for introspection only.
-        """
-        return self._costs_ref()
-
-    @property
-    def cost_epoch(self) -> int:
-        """Monotonic counter bumped by every :meth:`refresh_costs`.
-
-        :class:`DeltaEvaluator` records the epoch it was primed at and
-        refuses to score moves after a refresh until it is explicitly
-        re-primed, so stale incremental state can never leak across a cost
-        revision.
-        """
-        return self._cost_epoch
 
     def refresh_costs(self, costs: CostMatrix) -> "CompiledProblem":
-        """Swap in a revised cost matrix in place, keeping the lowering.
+        """A new engine for a revised cost matrix, sharing this lowering.
 
         The expensive graph-side lowering — node/instance index maps, edge
-        endpoint arrays, incident-edge lists, topological level groups,
-        degree profiles — depends only on the graph and the instance id
-        layout, neither of which a cost revision changes.  Refreshing
-        therefore replaces just the dense cost array and drops the
-        cost-derived bound caches (sorted link costs, per-assignment lower
-        bounds); everything else, including any
-        :class:`CompiledConstraints` built against this problem, stays
-        valid because the object identity and index space are unchanged.
-
-        The process-wide compile cache is re-keyed from the old cost
-        matrix to ``costs`` (when this compilation is cached), so
-        :func:`compile_problem` with the revised matrix finds the
-        refreshed engine while the old matrix honestly recompiles.
-
-        Refreshing is a *single-writer* operation: each evaluation call
-        reads one consistent cost array, but a solver interleaving many
-        calls against this object while another thread refreshes it would
-        mix pre- and post-revision scores.  The live pipeline's watch
-        loop runs refreshes and re-solves sequentially for exactly this
-        reason; do not refresh an engine a concurrent solve is using.
+        endpoint arrays, level groups, edge lists, the longest-path delta
+        structure, the padded incident matrix, degree profiles — depends
+        only on the graph and the instance id layout, neither of which a
+        cost revision changes.  The derived engine shares every such
+        structure built so far with this one, holds its own dense cost
+        array, and starts without the caches built from costs (cost rows,
+        sorted link costs, per-assignment lower bounds).  This engine is
+        left untouched and keeps scoring its own costs, so evaluators
+        primed against it stay valid.
 
         Args:
             costs: revised matrix covering the same instances in the same
-                order as the one this problem was compiled from.
+                order as the one this engine was compiled from.
 
         Returns:
-            ``self``, refreshed in place.
+            The derived engine.
 
         Raises:
             InvalidDeploymentError: if ``costs`` covers different
@@ -256,17 +217,12 @@ class CompiledProblem:
                 "refresh_costs requires a matrix over the same instances "
                 "in the same order; compile a new problem instead"
             )
-        old_costs = self._costs_ref()
-        if old_costs is costs:
-            return self
-        self.cost_array = np.ascontiguousarray(costs.as_array())
-        self._costs_ref = weakref.ref(costs)
-        self._sorted_link_costs = None
-        self._assignment_lb = None
-        self._cost_rows_cache = None
-        self._cost_epoch += 1
-        _COMPILE_CACHE.rehome(self, old_costs, costs)
-        return self
+        derived = object.__new__(CompiledProblem)
+        derived.__dict__ = dict(
+            self.__dict__, cost_array=np.ascontiguousarray(costs.as_array()),
+            _cost_rows_cache=None, _sorted_link_costs=None,
+            _assignment_lb=None)
+        return derived
 
     # ------------------------------------------------------------------ #
     # Index translation
@@ -358,7 +314,7 @@ class CompiledProblem:
 
         Plain Python lists for the serial peeks, whose loops touch a
         handful of edges per move.  Built once per compilation, graph-side
-        (survives :meth:`refresh_costs`), and shared by the longest-link
+        (shared by :meth:`refresh_costs`), and used by the longest-link
         peek and :meth:`_lp_delta_structure`.
         """
         if self._edge_lists_cache is None:
@@ -378,7 +334,7 @@ class CompiledProblem:
     def _lp_delta_structure(self) -> _LpDeltaStructure:
         """Pure-Python adjacency used by the incremental longest-path delta.
 
-        Built once per compilation (graph-only, survives
+        Built once per compilation (graph-only, shared by
         :meth:`refresh_costs`): node levels, a level-sorted topological node
         order, and the :meth:`_edge_lists` in/out edge lists.
         """
@@ -394,8 +350,8 @@ class CompiledProblem:
         """Nested-list mirror of the cost array for Python-loop gathers.
 
         Returns ``None`` for matrices beyond :data:`_COST_ROWS_MAX_CELLS`
-        (callers fall back to ``cost_array.item``).  Dropped by
-        :meth:`refresh_costs` alongside the other cost-derived caches.
+        (callers fall back to ``cost_array.item``).  Not carried over by
+        :meth:`refresh_costs`, like the other caches built from costs.
         """
         if self._cost_rows_cache is None:
             if self.cost_array.size > _COST_ROWS_MAX_CELLS:
@@ -411,8 +367,8 @@ class CompiledProblem:
         maximum incident degree (at least 1 so the array is never
         zero-width).  The batch move-scoring kernel gathers every
         candidate's touched edges through this matrix in one fancy index;
-        -1 entries are masked out by the kernel.  Graph-side only, so it
-        survives :meth:`refresh_costs`.
+        -1 entries are masked out by the kernel.  Graph-side only, so
+        :meth:`refresh_costs` shares it.
         """
         if self._incident_pad is None:
             out_edges, in_edges = self._edge_lists()
@@ -761,6 +717,11 @@ class CompiledConstraints:
     one-hot of its pin, and a pinned instance's column is ``False`` for
     every other node (the pin occupies it in any feasible plan).
 
+    The view keeps no reference to an engine: it depends only on the node
+    and instance index space, which every engine derived by
+    :meth:`CompiledProblem.refresh_costs` shares, so a revised problem
+    carries it over.
+
     Args:
         problem: the compiled problem the mask is indexed against.
         allowed_mask: boolean ``(num_nodes, num_instances)`` array;
@@ -771,8 +732,8 @@ class CompiledConstraints:
         InfeasibleProblemError: if some node has no allowed instance.
     """
 
-    __slots__ = ("problem", "allowed_mask", "allowed_indices",
-                 "forced_assignment", "_order")
+    __slots__ = ("allowed_mask", "allowed_indices", "forced_assignment",
+                 "_order")
 
     def __init__(self, problem: CompiledProblem, allowed_mask: np.ndarray):
         # Always copy: the mask is frozen below, and freezing a view of the
@@ -790,7 +751,6 @@ class CompiledConstraints:
                 f"node {problem.node_ids[empty]} has no allowed instance"
             )
         mask.setflags(write=False)
-        self.problem = problem
         self.allowed_mask = mask
         self.allowed_indices: Tuple[np.ndarray, ...] = tuple(
             np.flatnonzero(mask[i]) for i in range(problem.num_nodes)
@@ -833,9 +793,10 @@ class CompiledConstraints:
         sampling is what the randomized solvers need, not uniformity.
         """
         generator = make_rng(rng)
+        num_nodes, num_instances = self.allowed_mask.shape
         for _ in range(max(1, attempts)):
-            taken = np.zeros(self.problem.num_instances, dtype=bool)
-            out = np.empty(self.problem.num_nodes, dtype=np.intp)
+            taken = np.zeros(num_instances, dtype=bool)
+            out = np.empty(num_nodes, dtype=np.intp)
             dead_end = False
             for i in self._order:
                 candidates = self.allowed_indices[i]
@@ -894,45 +855,6 @@ class CompiledConstraints:
             f"instances={self.allowed_mask.shape[1]}, "
             f"forced={int((self.forced_assignment >= 0).sum())})"
         )
-
-
-class IndexedPlan:
-    """A deployment plan in engine coordinates (node index -> instance index)."""
-
-    __slots__ = ("problem", "assignment")
-
-    def __init__(self, problem: CompiledProblem, assignment: np.ndarray):
-        assignment = np.asarray(assignment, dtype=np.intp)
-        if assignment.shape != (problem.num_nodes,):
-            raise InvalidDeploymentError(
-                f"assignment must have shape ({problem.num_nodes},)"
-            )
-        if len(np.unique(assignment)) != assignment.size:
-            raise InvalidDeploymentError(
-                "deployment plan must be injective: two nodes share an instance"
-            )
-        if assignment.size and (
-            assignment.min() < 0 or assignment.max() >= problem.num_instances
-        ):
-            raise InvalidDeploymentError("assignment refers to unknown instance")
-        self.problem = problem
-        self.assignment = assignment
-
-    @classmethod
-    def from_plan(cls, problem: CompiledProblem, plan: DeploymentPlan) -> "IndexedPlan":
-        """Lower a :class:`DeploymentPlan` into engine coordinates."""
-        return cls(problem, problem.index_plan(plan))
-
-    def to_plan(self) -> DeploymentPlan:
-        """Rehydrate into a :class:`DeploymentPlan`."""
-        return self.problem.plan_from_assignment(self.assignment)
-
-    def cost(self, objective: Objective) -> float:
-        """Deployment cost of this plan under ``objective``."""
-        return self.problem.evaluate(self.assignment, objective)
-
-    def __repr__(self) -> str:
-        return f"IndexedPlan(nodes={self.assignment.size})"
 
 
 # Telemetry counters for the incremental evaluator: single-move peeks and
@@ -1086,9 +1008,8 @@ class DeltaEvaluator:
 
     The ascending array of free instances is kept, not rescanned: it is
     recomputed only after a committed relocate (the one move that changes
-    which instances are occupied) or a :meth:`reprime` to a new
-    assignment, and :meth:`free_instance_indices` hands out the cached
-    array read-only.
+    which instances are occupied), and :meth:`free_instance_indices` hands
+    out the cached array read-only.
 
     When constructed with an ``allowed_mask`` (see
     :class:`CompiledConstraints`), the evaluator also filters move
@@ -1098,11 +1019,10 @@ class DeltaEvaluator:
     :class:`InvalidDeploymentError` — constraint-aware solvers cannot
     silently wander out of the feasible region.
 
-    The cached edge costs embed the cost array the evaluator was primed
-    against.  After a :meth:`CompiledProblem.refresh_costs` every scoring
-    and committing method raises :class:`SolverError` until
-    :meth:`reprime` re-derives the incremental state — a stale evaluator
-    can never silently mix old and new costs.
+    The cached edge costs embed the problem's cost array, which never
+    changes: a cost revision derives a new engine
+    (:meth:`CompiledProblem.refresh_costs`), and an evaluator for the
+    revised costs is built against that engine.
     """
 
     def __init__(self, problem: CompiledProblem, assignment: np.ndarray,
@@ -1123,7 +1043,7 @@ class DeltaEvaluator:
         self._prime()
 
     def _prime(self) -> None:
-        """(Re)derive all cost-dependent state from the problem's cost array."""
+        """Derive all cost-dependent state from the problem's cost array."""
         # Python-int mirror of the assignment for the serial peeks' loops.
         self._asg: List[int] = self.assignment.tolist()
         if self.objective is Objective.LONGEST_LINK:
@@ -1139,8 +1059,6 @@ class DeltaEvaluator:
             self._prime_longest_path()
         else:
             raise ValueError(f"unknown objective {self.objective!r}")
-        self._last_peek = None
-        self._epoch = self.problem.cost_epoch
 
     def _prime_longest_path(self) -> None:
         """Build the incremental longest-path state from scratch.
@@ -1251,51 +1169,17 @@ class DeltaEvaluator:
             self._lp_suffix_start = s
         return suffix[idx]
 
-    def reprime(self, assignment: Optional[np.ndarray] = None) -> float:
-        """Re-derive cached costs after a :meth:`CompiledProblem.refresh_costs`.
-
-        Cached edge costs, the incumbent cost and the last peeked candidate
-        all embed the cost array the evaluator was primed against; after a
-        refresh they are stale, and every scoring method refuses to run
-        until this is called.  Optionally repositions the evaluator at a
-        different ``assignment`` in the same call.
-
-        Returns:
-            The current cost under the refreshed cost array.
-        """
-        if assignment is not None:
-            assignment = np.array(assignment, dtype=np.intp)
-            if assignment.shape != self.assignment.shape:
-                raise InvalidDeploymentError(
-                    f"assignment must have shape {self.assignment.shape}"
-                )
-            self.assignment = assignment
-            self._node_of_instance.fill(-1)
-            self._node_of_instance[self.assignment] = np.arange(
-                self.problem.num_nodes)
-            self._free = None
-        self._prime()
-        return self._cost
-
-    def _check_epoch(self) -> None:
-        if self._epoch != self.problem.cost_epoch:
-            raise SolverError(
-                "the compiled problem's costs were refreshed; call "
-                "DeltaEvaluator.reprime() before scoring or committing moves"
-            )
-
     @property
     def current_cost(self) -> float:
         """Cost of the current assignment."""
-        self._check_epoch()
         return self._cost
 
     def free_instance_indices(self, node: Optional[int] = None) -> np.ndarray:
         """Indices of instances not hosting any node, ascending.
 
         Without ``node`` this is the evaluator's cached array, read-only;
-        it is recomputed only after a committed relocate or a
-        :meth:`reprime` to a new assignment.  With ``node`` given (and an
+        it is recomputed only after a committed relocate.  With ``node``
+        given (and an
         allowed mask installed), only the free instances that node may
         legally move to are returned, as a fresh array.
         """
@@ -1318,10 +1202,6 @@ class DeltaEvaluator:
     def plan(self) -> DeploymentPlan:
         """The current assignment as a :class:`DeploymentPlan`."""
         return self.problem.plan_from_assignment(self.assignment)
-
-    def indexed_plan(self) -> IndexedPlan:
-        """The current assignment as an :class:`IndexedPlan` (copy)."""
-        return IndexedPlan(self.problem, self.assignment.copy())
 
     # ------------------------------------------------------------------ #
     # Move scoring
@@ -1631,11 +1511,10 @@ class DeltaEvaluator:
     def _candidate_cost(self, moves: Dict[int, int]) -> Tuple[float, tuple]:
         """Cost of applying ``moves`` plus the payload a commit would install.
 
-        Validates the move against the allowed mask and the cost epoch,
-        and memoises the last scored candidate so the solvers' ubiquitous
-        peek-then-apply sequence evaluates each move once.
+        Validates the move against the allowed mask and memoises the last
+        scored candidate so the solvers' ubiquitous peek-then-apply
+        sequence evaluates each move once.
         """
-        self._check_epoch()
         if self.allowed_mask is not None:
             for node, instance in moves.items():
                 if not self.allowed_mask[node, instance]:
@@ -1813,12 +1692,10 @@ class DeltaEvaluator:
         serial path.  One call counts as one batch call of ``k`` moves and
         no serial peeks.
 
-        Raises the same errors as the serial peeks: ``SolverError`` after
-        a cost refresh (until :meth:`reprime`), ``InvalidDeploymentError``
-        for out-of-range indices, occupied relocate targets, or moves the
-        allowed mask forbids.
+        Raises the same errors as the serial peeks:
+        ``InvalidDeploymentError`` for out-of-range indices, occupied
+        relocate targets, or moves the allowed mask forbids.
         """
-        self._check_epoch()
         batch = (moves if isinstance(moves, MoveBatch)
                  else MoveBatch.from_moves(moves))
         count = len(batch)
@@ -1920,211 +1797,13 @@ class DeltaEvaluator:
         )
 
 
-# --------------------------------------------------------------------------- #
-# Shared compilation cache
-# --------------------------------------------------------------------------- #
-
-#: Default bound on cached compilations.  Streaming workloads push a fresh
-#: cost matrix through the cache per revision; without a bound the identity
-#: cache is a slow leak (each entry pins a CompiledProblem and its graph).
-DEFAULT_COMPILE_CACHE_ENTRIES = 128
-
-
-@dataclass(frozen=True)
-class CompileCacheStats:
-    """Counters of the process-wide compilation cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    size: int = 0
-    max_entries: int = DEFAULT_COMPILE_CACHE_ENTRIES
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable snapshot (consumed by telemetry exporters)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": self.size,
-            "max_entries": self.max_entries,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class _CompileCache:
-    """Bounded LRU of shared compilations, keyed on object identity.
-
-    Entries are keyed on ``(id(graph), id(costs))`` with weak validity
-    checks (an id can be recycled after its object dies), hold the
-    compiled problem strongly, and are dropped eagerly when their cost
-    matrix is garbage collected — so the cache never outlives the data it
-    indexes, and never grows beyond ``max_entries`` compilations even
-    under a streaming workload that mints a new cost matrix per revision.
-    """
-
-    def __init__(self, max_entries: int = DEFAULT_COMPILE_CACHE_ENTRIES):
-        self._lock = threading.RLock()
-        self._max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[int, int], Tuple[weakref.ref, weakref.ref, CompiledProblem]]" = (
-            OrderedDict()
-        )
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    @staticmethod
-    def _key(graph: CommunicationGraph, costs: CostMatrix) -> Tuple[int, int]:
-        return (id(graph), id(costs))
-
-    def _drop(self, key: Tuple[int, int]) -> None:
-        """Finalizer hook: remove a dead cost matrix's entry (no eviction count)."""
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def _get_valid(self, key: Tuple[int, int], graph: CommunicationGraph,
-                   costs: CostMatrix) -> Optional[CompiledProblem]:
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        graph_ref, costs_ref, problem = entry
-        if graph_ref() is not graph or costs_ref() is not costs:
-            # Recycled id pair: the original owners died; discard the
-            # stale entry instead of serving a wrong compilation.
-            del self._entries[key]
-            return None
-        self._entries.move_to_end(key)
-        return problem
-
-    def peek(self, graph: CommunicationGraph,
-             costs: CostMatrix) -> Optional[CompiledProblem]:
-        """Cached compilation for the pair, without compiling or counting."""
-        with self._lock:
-            return self._get_valid(self._key(graph, costs), graph, costs)
-
-    def get_or_compile(self, graph: CommunicationGraph,
-                       costs: CostMatrix) -> CompiledProblem:
-        """Return the cached lowering for ``(graph, costs)``, compiling on miss."""
-        key = self._key(graph, costs)
-        with self._lock:
-            problem = self._get_valid(key, graph, costs)
-            if problem is not None:
-                self._hits += 1
-                return problem
-            self._misses += 1
-        # Compile outside the lock: lowering is the expensive part, and the
-        # advisor session already serialises same-instance compiles while
-        # letting distinct instances compile concurrently.
-        problem = CompiledProblem(graph, costs)
-        with self._lock:
-            raced = self._get_valid(key, graph, costs)
-            if raced is not None:
-                return raced
-            self._insert(key, graph, costs, problem)
-        return problem
-
-    def _insert(self, key: Tuple[int, int], graph: CommunicationGraph,
-                costs: CostMatrix, problem: CompiledProblem) -> None:
-        self._entries[key] = (weakref.ref(graph), weakref.ref(costs), problem)
-        weakref.finalize(costs, self._drop, key)
-        while len(self._entries) > self._max_entries:
-            self._entries.popitem(last=False)
-            self._evictions += 1
-
-    def rehome(self, problem: CompiledProblem,
-               old_costs: Optional[CostMatrix],
-               new_costs: CostMatrix) -> None:
-        """Re-key a refreshed compilation from its old cost matrix to the new.
-
-        Only compilations that were actually cached are re-keyed; a
-        privately constructed ``CompiledProblem`` refreshing its costs
-        does not enter the shared cache through the back door.
-        """
-        if old_costs is None:
-            return
-        with self._lock:
-            old_key = self._key(problem.graph, old_costs)
-            entry = self._entries.get(old_key)
-            if entry is None or entry[2] is not problem:
-                return
-            del self._entries[old_key]
-            self._insert(self._key(problem.graph, new_costs),
-                         problem.graph, new_costs, problem)
-
-    def stats(self) -> CompileCacheStats:
-        """Snapshot the hit/miss/eviction counters and current size."""
-        with self._lock:
-            return CompileCacheStats(
-                hits=self._hits, misses=self._misses,
-                evictions=self._evictions, size=len(self._entries),
-                max_entries=self._max_entries,
-            )
-
-    def configure(self, max_entries: Optional[int] = None,
-                  reset_stats: bool = False) -> None:
-        """Re-bound the cache (evicting LRU overflow) and/or reset counters."""
-        with self._lock:
-            if max_entries is not None:
-                if max_entries < 1:
-                    raise ValueError("max_entries must be >= 1")
-                self._max_entries = max_entries
-                while len(self._entries) > self._max_entries:
-                    self._entries.popitem(last=False)
-                    self._evictions += 1
-            if reset_stats:
-                self._hits = self._misses = self._evictions = 0
-
-    def clear(self) -> None:
-        """Drop every cached lowering (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
-
-_COMPILE_CACHE = _CompileCache()
-
-
 def compile_problem(graph: CommunicationGraph, costs: CostMatrix) -> CompiledProblem:
-    """Compile (or fetch a cached compilation of) a problem instance.
+    """Lower a problem instance into a new :class:`CompiledProblem`.
 
-    Compilations are shared process-wide per ``(graph, costs)`` object
-    pair; both objects are treated as immutable after construction, which
-    makes sharing safe across solvers (the portfolio warms this cache once
-    for all of its members).  The cache is a bounded LRU
-    (:data:`DEFAULT_COMPILE_CACHE_ENTRIES` entries by default — see
-    :func:`configure_compile_cache`), so long-lived streaming sessions
-    cannot leak one compilation per cost revision; an evicted pair is
-    simply recompiled on next use.
+    Every call compiles: nothing is cached here.  A
+    :class:`~repro.core.problem.DeploymentProblem` builds its engine once
+    through this function and keeps it
+    (:meth:`~repro.core.problem.DeploymentProblem.compiled`), and the
+    advisor session shares engines between problems of equal content.
     """
-    return _COMPILE_CACHE.get_or_compile(graph, costs)
-
-
-def peek_compiled(graph: CommunicationGraph,
-                  costs: CostMatrix) -> Optional[CompiledProblem]:
-    """The cached compilation of a pair, or ``None`` — never compiles.
-
-    Used by :meth:`repro.core.problem.DeploymentProblem.revise` to decide
-    whether a cost revision can refresh an existing engine in place.
-    """
-    return _COMPILE_CACHE.peek(graph, costs)
-
-
-def compile_cache_stats() -> CompileCacheStats:
-    """Hit / miss / eviction counters of the process-wide compile cache."""
-    return _COMPILE_CACHE.stats()
-
-
-def configure_compile_cache(max_entries: Optional[int] = None,
-                            reset_stats: bool = False) -> CompileCacheStats:
-    """Adjust the compile cache bound and/or reset its counters.
-
-    Shrinking the bound evicts least-recently-used compilations
-    immediately.  Returns the stats after reconfiguration.
-    """
-    _COMPILE_CACHE.configure(max_entries=max_entries, reset_stats=reset_stats)
-    return _COMPILE_CACHE.stats()
+    return CompiledProblem(graph, costs)

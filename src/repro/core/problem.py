@@ -14,9 +14,10 @@ of that contract — a frozen, validated value object bundling
 
 A problem owns its validation (enough instances, acyclicity for the
 longest-path objective, consistent constraints) so solvers no longer
-re-check the same invariants, and it lazily exposes the shared
-:class:`~repro.core.evaluation.CompiledProblem` through :meth:`compiled`,
-so every consumer of one problem object reuses a single lowering.
+re-check the same invariants, and it owns one
+:class:`~repro.core.evaluation.CompiledProblem`, built on first use by
+:meth:`~DeploymentProblem.compiled`, so every consumer of one problem
+object reuses a single lowering.
 
 Problems serialize to plain dictionaries (:meth:`to_dict` /
 :meth:`from_dict`) so a full solving request can leave the process as JSON
@@ -42,12 +43,7 @@ from .errors import (
     InvalidDeploymentError,
     InvalidGraphError,
 )
-from .evaluation import (
-    CompiledConstraints,
-    CompiledProblem,
-    compile_problem,
-    peek_compiled,
-)
+from .evaluation import CompiledConstraints, CompiledProblem, compile_problem
 from .objectives import Objective
 from .types import InstanceId, NodeId
 
@@ -379,7 +375,8 @@ class DeploymentProblem:
     """
 
     __slots__ = ("_graph", "_costs", "_objective", "_constraints", "_metadata",
-                 "_fingerprint", "_instance_key", "_compiled_constraints")
+                 "_fingerprint", "_instance_key", "_engine",
+                 "_compiled_constraints")
 
     def __init__(self, graph: CommunicationGraph, costs: CostMatrix,
                  objective: Objective = Objective.LONGEST_LINK,
@@ -407,6 +404,7 @@ class DeploymentProblem:
         self._metadata: Dict[str, Any] = dict(metadata or {})
         self._fingerprint: Optional[str] = None
         self._instance_key: Optional[str] = None
+        self._engine: Optional[CompiledProblem] = None
         self._compiled_constraints: Optional[CompiledConstraints] = None
 
     # ------------------------------------------------------------------ #
@@ -453,13 +451,32 @@ class DeploymentProblem:
     # ------------------------------------------------------------------ #
 
     def compiled(self) -> CompiledProblem:
-        """The shared compiled evaluation engine for this instance.
+        """The evaluation engine this problem owns, built on first use.
 
-        Compilations are cached process-wide per ``(graph, costs)`` object
-        pair (see :func:`repro.core.evaluation.compile_problem`), so every
-        consumer of this problem object reuses one lowering.
+        The first call lowers the instance through
+        :func:`~repro.core.evaluation.compile_problem` (unless the problem
+        was handed an engine by :meth:`adopt_engine` or :meth:`revise`);
+        every later call, from any solver, returns the same engine.
         """
-        return compile_problem(self._graph, self._costs)
+        engine = self._engine
+        if engine is None:
+            engine = self._engine = compile_problem(self._graph, self._costs)
+        return engine
+
+    @property
+    def engine(self) -> Optional[CompiledProblem]:
+        """The engine this problem owns, or ``None`` before it has one."""
+        return self._engine
+
+    def adopt_engine(self, engine: CompiledProblem) -> None:
+        """Own ``engine`` instead of compiling one.
+
+        The caller guarantees that ``engine`` was compiled from content
+        equal to this problem's graph and costs (an equal
+        :meth:`instance_key`); the advisor session uses this to share one
+        engine between problems decoded separately from the same JSON.
+        """
+        self._engine = engine
 
     def compiled_constraints(self) -> Optional[CompiledConstraints]:
         """The constraints lowered onto the compiled engine, built once.
@@ -514,7 +531,10 @@ class DeploymentProblem:
             digest.update(repr(self._graph.nodes).encode())
             digest.update(repr(self._graph.edges).encode())
             digest.update(repr(self._costs.instance_ids).encode())
-            digest.update(self._costs.as_array().tobytes())
+            # The stored matrix is always C-contiguous (CostMatrix keeps
+            # an ndarray.copy(), C order by default), so hashing its buffer
+            # gives the digest of as_array().tobytes() without two copies.
+            digest.update(self._costs._matrix)
             self._instance_key = digest.hexdigest()
         return self._instance_key
 
@@ -539,20 +559,19 @@ class DeploymentProblem:
         """Build this problem under a revised cost matrix, reusing the lowering.
 
         The live re-deployment pipeline's entry point for cost drift: when
-        the revised matrix covers the same instances in the same order —
-        the graph and allocation are unchanged, only measured latencies
-        moved — the shared :class:`CompiledProblem` is *refreshed in
-        place* (:meth:`CompiledProblem.refresh_costs`): all graph-side
-        index arrays, level groups and the compiled constraints view are
-        preserved, only the dense cost array and the cost-derived bound
-        caches are replaced.  No re-lowering, no re-validation of the
-        constraint structure.
+        this problem owns an engine and the revised matrix covers the same
+        instances in the same order — the graph and allocation are
+        unchanged, only measured latencies moved — the revised problem
+        owns an engine derived through
+        :meth:`CompiledProblem.refresh_costs`: it shares every graph-side
+        structure with this problem's engine and carries the compiled
+        constraints view over (the mask depends on the index space only),
+        so nothing is re-lowered or re-validated.  Otherwise the revised
+        problem compiles on first use, like any new problem.
 
         The revised problem has a new :meth:`instance_key` /
-        :meth:`fingerprint` (the costs changed); the original problem
-        object remains structurally valid, but its compiled engine is
-        considered superseded — asking it to compile again lowers a fresh
-        engine for the old costs.
+        :meth:`fingerprint` (the costs changed); this problem and its
+        engine are left untouched and keep scoring the old costs.
 
         Args:
             costs: the revised cost matrix.
@@ -570,40 +589,13 @@ class DeploymentProblem:
             constraints=self._constraints,
             metadata=self._metadata if metadata is None else metadata,
         )
-        if costs.instance_ids == self._costs.instance_ids:
-            engine = peek_compiled(self._graph, self._costs)
-            if engine is not None:
-                engine.refresh_costs(costs)
-                # The constraints view is indexed against that same engine
-                # object and is cost-independent, so it migrates as-is.
-                revised._compiled_constraints = self._compiled_constraints
+        if (self._engine is not None
+                and costs.instance_ids == self._costs.instance_ids):
+            revised._engine = self._engine.refresh_costs(costs)
+            # The constraints view depends only on the shared node and
+            # instance index space, so it carries over.
+            revised._compiled_constraints = self._compiled_constraints
         return revised
-
-    def rebound(self, graph: CommunicationGraph,
-                costs: CostMatrix) -> "DeploymentProblem":
-        """Re-express this problem over canonical graph / costs objects.
-
-        Used by the advisor session to make content-equal problems share the
-        process-wide compilation cache (which is keyed on object identity).
-        The caller guarantees content equality, so validation is skipped —
-        both this problem and the canonical pair were validated when they
-        were constructed, and re-running the acyclicity / constraint checks
-        on every cache hit would defeat the cache.
-        """
-        if graph is self._graph and costs is self._costs:
-            return self
-        clone = object.__new__(DeploymentProblem)
-        clone._graph = graph
-        clone._costs = costs
-        clone._objective = self._objective
-        clone._constraints = self._constraints
-        clone._metadata = dict(self._metadata)
-        clone._fingerprint = self._fingerprint
-        clone._instance_key = self._instance_key
-        # The compiled view is indexed against the clone's own engine
-        # (canonical graph / costs), so it cannot be carried over.
-        clone._compiled_constraints = None
-        return clone
 
     # ------------------------------------------------------------------ #
     # Serialization

@@ -6,7 +6,6 @@ from .base import (
     SearchBudget,
     SolverResult,
     Stopwatch,
-    best_constrained_random_plan,
     best_random_plan,
     constrained_warm_start,
     default_plan,
@@ -58,7 +57,6 @@ __all__ = [
     "SubgraphMonomorphismSearch",
     "SwapLocalSearch",
     "UnknownSolverError",
-    "best_constrained_random_plan",
     "best_random_plan",
     "constrained_warm_start",
     "default_plan",

@@ -27,7 +27,6 @@ from ..core.communication_graph import CommunicationGraph
 from ..core.cost_matrix import CostMatrix
 from ..core.deployment import DeploymentPlan, provider_order_plan
 from ..core.errors import SolverError
-from ..core.evaluation import CompiledProblem, compile_problem
 from ..core.objectives import Objective
 from ..core.problem import DeploymentProblem
 from ..core.types import make_rng
@@ -41,7 +40,12 @@ class SearchBudget:
         time_limit_s: wall-clock limit in seconds (``None`` = unlimited).
         max_iterations: iteration limit whose meaning is solver-specific
             (random plans generated, HiGHS branch-and-bound nodes for the
-            MIPs, CP backtracks).
+            MIPs).  The CP solver does not read it: under an
+            iterations-only budget CP stops only when its threshold
+            descent ends, each satisfaction search capped by its
+            ``max_backtracks_per_iteration`` (200,000 by default; with
+            ``max_iterations=5`` the seeded 10x10 golden mesh ran 12
+            searches in 8.5 s).
         target_cost: stop early once a plan at or below this cost is found.
     """
 
@@ -287,16 +291,6 @@ class DeploymentSolver(abc.ABC):
                 f"{problem.objective.value}"
             )
 
-    def compiled(self, graph: CommunicationGraph,
-                 costs: CostMatrix) -> CompiledProblem:
-        """The vectorized evaluation engine for a problem instance.
-
-        Compilations are shared process-wide (see
-        :func:`repro.core.evaluation.compile_problem`), so portfolio members
-        solving the same instance reuse one lowering.
-        """
-        return compile_problem(graph, costs)
-
     def solve(self, problem: DeploymentProblem, *,
               budget: SearchBudget | None = None,
               initial_plan: DeploymentPlan | None = None) -> SolverResult:
@@ -345,45 +339,31 @@ def random_plans(graph: CommunicationGraph, costs: CostMatrix, count: int,
     ]
 
 
-def best_random_plan(graph: CommunicationGraph, costs: CostMatrix,
-                     objective: Objective, count: int,
+def best_random_plan(problem: DeploymentProblem, count: int,
                      rng: np.random.Generator | int | None = None
                      ) -> Tuple[DeploymentPlan, float]:
-    """Best of ``count`` random plans; used to bootstrap exact solvers.
+    """Best of ``count`` random plans; used to bootstrap the solvers.
 
     The paper seeds its solvers with the best of 10 random deployments
-    (Sect. 6.3.1).  Plans are drawn one by one (keeping the RNG stream
-    identical to older releases) but scored in a single batch through the
-    vectorized evaluation engine; ties keep the earliest plan, matching the
-    previous strict-improvement loop.
+    (Sect. 6.3.1).  On an unconstrained problem plans are drawn one by one
+    (keeping the RNG stream identical to older releases); on a constrained
+    one, assignments are drawn through the problem's compiled constraint
+    view, so every sample honours pins and forbidden placements.  Either
+    way the samples are scored in a single batch through the problem's
+    engine, and ties keep the earliest plan, matching the previous
+    strict-improvement loop.
     """
-    generator = make_rng(rng)
-    plans = random_plans(graph, costs, count, generator)
-    if not plans:
-        raise SolverError("count must be positive to draw a random plan")
-    plan_costs = compile_problem(graph, costs).evaluate_plans(plans, objective)
-    best_index = int(np.argmin(plan_costs))
-    return plans[best_index], float(plan_costs[best_index])
-
-
-def best_constrained_random_plan(problem: DeploymentProblem, count: int,
-                                 rng: np.random.Generator | int | None = None
-                                 ) -> Tuple[DeploymentPlan, float]:
-    """Best of ``count`` random *feasible* plans of a constrained problem.
-
-    The constrained twin of :func:`best_random_plan`: assignments are drawn
-    through the problem's compiled constraint view (so every sample honours
-    pins and forbidden placements) and scored in one batch.  Falls back to
-    :func:`best_random_plan` for unconstrained problems.
-    """
-    view = problem.compiled_constraints()
-    if view is None:
-        return best_random_plan(problem.graph, problem.costs,
-                                problem.objective, count, rng)
     if count <= 0:
         raise SolverError("count must be positive to draw a random plan")
+    generator = make_rng(rng)
     engine = problem.compiled()
-    assignments = view.random_assignments(count, make_rng(rng))
+    view = problem.compiled_constraints()
+    if view is None:
+        plans = random_plans(problem.graph, problem.costs, count, generator)
+        plan_costs = engine.evaluate_plans(plans, problem.objective)
+        best_index = int(np.argmin(plan_costs))
+        return plans[best_index], float(plan_costs[best_index])
+    assignments = view.random_assignments(count, generator)
     plan_costs = engine.evaluate_batch(assignments, problem.objective)
     best_index = int(np.argmin(plan_costs))
     return (engine.plan_from_assignment(assignments[best_index]),

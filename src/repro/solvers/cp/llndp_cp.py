@@ -12,8 +12,8 @@ Cost clustering (Sect. 6.3) reduces the number of distinct values — and thus
 iterations — at the price of approximating the objective.
 
 All plan scoring and bound computation runs through the compiled evaluation
-engine (:func:`repro.core.evaluation.compile_problem`): incumbents are
-scored with ``evaluate_plan``, threshold graphs come from
+engine (the problem's own, plus one compiled per solve over the clustered
+costs): incumbents are scored with ``evaluate_plan``, threshold graphs come from
 ``threshold_adjacency`` over the compiled cost array, and the per-assignment
 degree bounds yield a proven lower bound that terminates the threshold loop
 early once the incumbent provably cannot improve.  Seeded results are pinned
@@ -38,7 +38,6 @@ from ..base import (
     SearchBudget,
     SolverResult,
     Stopwatch,
-    best_constrained_random_plan,
     best_random_plan,
     constrained_warm_start,
 )
@@ -101,7 +100,7 @@ class CPLongestLinkSolver(DeploymentSolver):
         view = problem.compiled_constraints()
         mask = None if view is None else view.allowed_mask
 
-        engine = compile_problem(graph, costs)
+        engine = problem.compiled()
         clustered_engine = compile_problem(graph, clustered)
 
         def true_cost(plan: DeploymentPlan) -> float:
@@ -121,13 +120,8 @@ class CPLongestLinkSolver(DeploymentSolver):
         # caller-provided warm start when available); on the constrained
         # path every seed candidate is feasible, so the final incumbent is
         # feasible no matter how the threshold loop ends.
-        if view is None:
-            plan, _ = best_random_plan(graph, costs, objective,
-                                       self.initial_random_plans, rng)
-        else:
-            plan, _ = best_constrained_random_plan(
-                problem, self.initial_random_plans, rng)
-            initial_plan = constrained_warm_start(problem, initial_plan)
+        plan, _ = best_random_plan(problem, self.initial_random_plans, rng)
+        initial_plan = constrained_warm_start(problem, initial_plan)
         if initial_plan is not None:
             if true_cost(initial_plan) < true_cost(plan):
                 plan = initial_plan

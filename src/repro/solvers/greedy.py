@@ -49,7 +49,7 @@ from ..core.communication_graph import CommunicationGraph
 from ..core.cost_matrix import CostMatrix
 from ..core.deployment import DeploymentPlan
 from ..core.errors import SolverError
-from ..core.evaluation import CompiledConstraints, CompiledProblem, compile_problem
+from ..core.evaluation import CompiledConstraints, CompiledProblem
 from ..core.problem import DeploymentProblem
 from ..core.types import InstanceId, NodeId
 from .base import (
@@ -110,13 +110,12 @@ class _GreedyState:
     """
 
     def __init__(self, graph: CommunicationGraph, costs: CostMatrix,
-                 problem: CompiledProblem | None = None,
+                 problem: CompiledProblem,
                  view: CompiledConstraints | None = None,
                  implicit: bool = False):
         self.graph = graph
         self.costs = costs
-        self.problem = problem = (problem if problem is not None
-                                  else compile_problem(graph, costs))
+        self.problem = problem
         self.view = view
         self.node_to_instance: Dict[NodeId, InstanceId] = {}
         self.instance_to_node: Dict[InstanceId, NodeId] = {}
@@ -335,7 +334,7 @@ class _Greedy(DeploymentSolver):
         graph, costs, objective = problem.graph, problem.costs, problem.objective
         budget = budget or SearchBudget.unlimited()
         watch = Stopwatch(budget)
-        engine = self.compiled(graph, costs)
+        engine = problem.compiled()
         view = problem.compiled_constraints()
         state = _GreedyState(graph, costs, engine, view,
                              implicit=self.implicit_links)

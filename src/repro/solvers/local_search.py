@@ -68,7 +68,6 @@ from .base import (
     SearchBudget,
     SolverResult,
     Stopwatch,
-    best_constrained_random_plan,
     best_random_plan,
     constrained_warm_start,
 )
@@ -429,12 +428,12 @@ class SwapLocalSearch(DeploymentSolver):
     def _solve(self, problem: DeploymentProblem,
                budget: SearchBudget | None = None,
                initial_plan: DeploymentPlan | None = None) -> SolverResult:
-        graph, costs, objective = problem.graph, problem.costs, problem.objective
+        objective = problem.objective
         budget = budget or SearchBudget.seconds(2.0)
         rng = make_rng(self._seed)
         watch = Stopwatch(budget)
         trace = ConvergenceTrace()
-        engine = self.compiled(graph, costs)
+        engine = problem.compiled()
         view = problem.compiled_constraints()
         mask = None if view is None else view.allowed_mask
         constrained = view is not None
@@ -465,10 +464,8 @@ class SwapLocalSearch(DeploymentSolver):
                 break
             if restart == 0 and initial_plan is not None:
                 plan, cost = initial_plan, best_cost
-            elif view is None:
-                plan, cost = best_random_plan(graph, costs, objective, 10, rng)
             else:
-                plan, cost = best_constrained_random_plan(problem, 10, rng)
+                plan, cost = best_random_plan(problem, 10, rng)
             trace.record(watch.elapsed(), min(cost, best_cost))
             evaluator = engine.delta_evaluator(plan, objective,
                                                allowed_mask=mask)
@@ -547,12 +544,7 @@ class SwapLocalSearch(DeploymentSolver):
                 break
 
         if best is None:
-            if view is None:
-                best, best_cost = best_random_plan(
-                    graph, costs, objective, 1, rng)
-            else:
-                best, best_cost = best_constrained_random_plan(
-                    problem, 1, rng)
+            best, best_cost = best_random_plan(problem, 1, rng)
             trace.record(watch.elapsed(), best_cost)
 
         return SolverResult(
@@ -589,12 +581,12 @@ class SimulatedAnnealing(DeploymentSolver):
     def _solve(self, problem: DeploymentProblem,
                budget: SearchBudget | None = None,
                initial_plan: DeploymentPlan | None = None) -> SolverResult:
-        graph, costs, objective = problem.graph, problem.costs, problem.objective
+        objective = problem.objective
         budget = budget or SearchBudget.seconds(2.0)
         rng = make_rng(self._seed)
         watch = Stopwatch(budget)
         trace = ConvergenceTrace()
-        engine = self.compiled(graph, costs)
+        engine = problem.compiled()
         view = problem.compiled_constraints()
         mask = None if view is None else view.allowed_mask
         constrained = view is not None
@@ -603,10 +595,8 @@ class SimulatedAnnealing(DeploymentSolver):
         if initial_plan is not None:
             plan = initial_plan
             cost = engine.evaluate_plan(plan, objective)
-        elif view is None:
-            plan, cost = best_random_plan(graph, costs, objective, 10, rng)
         else:
-            plan, cost = best_constrained_random_plan(problem, 10, rng)
+            plan, cost = best_random_plan(problem, 10, rng)
         evaluator = engine.delta_evaluator(plan, objective, allowed_mask=mask)
         # A plan or an assignment copy, as in local search.
         best: "DeploymentPlan | np.ndarray" = plan

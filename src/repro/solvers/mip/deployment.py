@@ -31,7 +31,6 @@ import numpy as np
 from ...core.communication_graph import CommunicationGraph, augment_with_dummy_nodes
 from ...core.cost_matrix import CostMatrix
 from ...core.deployment import DeploymentPlan
-from ...core.evaluation import compile_problem
 from ...core.problem import DeploymentProblem
 from ..base import (
     ConvergenceTrace,
@@ -39,7 +38,6 @@ from ..base import (
     SearchBudget,
     SolverResult,
     Stopwatch,
-    best_constrained_random_plan,
     best_random_plan,
     constrained_warm_start,
 )
@@ -246,13 +244,8 @@ class MipDeploymentSolver(DeploymentSolver):
         if view is not None:
             initial_plan = constrained_warm_start(problem, initial_plan)
         if initial_plan is None and self._seed is not None:
-            if view is None:
-                initial_plan, _ = best_random_plan(
-                    graph, costs, objective, self.initial_random_plans,
-                    rng=self._seed)
-            else:
-                initial_plan, _ = best_constrained_random_plan(
-                    problem, self.initial_random_plans, rng=self._seed)
+            initial_plan, _ = best_random_plan(
+                problem, self.initial_random_plans, rng=self._seed)
 
         clustered = costs.clustered(self.k_clusters, round_to=self.round_to) \
             if self.k_clusters is not None else costs
@@ -261,7 +254,7 @@ class MipDeploymentSolver(DeploymentSolver):
             allowed_mask=None if view is None else view.allowed_mask,
         )
 
-        engine = compile_problem(graph, costs)
+        engine = problem.compiled()
 
         def score(plan: DeploymentPlan) -> float:
             return engine.evaluate_plan(plan, objective)

@@ -67,12 +67,12 @@ class PortfolioSolver(DeploymentSolver):
     def _solve(self, problem: DeploymentProblem,
                budget: SearchBudget | None = None,
                initial_plan: DeploymentPlan | None = None) -> SolverResult:
-        graph, costs, objective = problem.graph, problem.costs, problem.objective
+        objective = problem.objective
         budget = budget or SearchBudget.seconds(10.0)
-        # Lower the instance once before starting the clock on members: the
-        # compilation is cached process-wide, so every engine-backed member
-        # (greedy, random search, local search) reuses this single lowering.
-        self.compiled(graph, costs)
+        # Lower the instance before starting the clock on members: the
+        # problem owns its engine, so every engine-backed member (greedy,
+        # random search, local search) reuses this single lowering.
+        problem.compiled()
         watch = Stopwatch(budget)
         members = self._solvers if self._solvers is not None \
             else self._default_members(problem)

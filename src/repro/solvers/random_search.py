@@ -93,7 +93,7 @@ class RandomSearch(DeploymentSolver):
         watch = Stopwatch(budget)
         trace = ConvergenceTrace()
         instances = list(costs.instance_ids)
-        engine = self.compiled(graph, costs)
+        engine = problem.compiled()
         view = problem.compiled_constraints()
         initial_plan = constrained_warm_start(problem, initial_plan)
 

@@ -36,7 +36,7 @@ from repro.solvers import (
     PortfolioSolver,
     SearchBudget,
     SimulatedAnnealing,
-    best_constrained_random_plan,
+    best_random_plan,
 )
 from repro.solvers.registry import default_registry
 
@@ -139,7 +139,7 @@ class TestCompiledConstraints:
             engine.longest_link_lower_bound()
 
     def test_best_constrained_random_plan_is_feasible(self, link_problem):
-        plan, cost = best_constrained_random_plan(link_problem, 10, rng=2)
+        plan, cost = best_random_plan(link_problem, 10, rng=2)
         assert link_problem.constraints.satisfied_by(plan)
         assert cost == pytest.approx(link_problem.evaluate(plan))
 

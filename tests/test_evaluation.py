@@ -15,7 +15,6 @@ from repro.core import (
     CommunicationGraph,
     CompiledProblem,
     DeploymentPlan,
-    IndexedPlan,
     InvalidDeploymentError,
     InvalidGraphError,
     Objective,
@@ -48,10 +47,13 @@ class TestCompiledProblem:
         assignment = problem.index_plan(plan)
         assert problem.plan_from_assignment(assignment) == plan
 
-    def test_compile_cache_shares_instances(self):
+    def test_compile_problem_builds_a_new_engine_per_call(self):
         graph = CommunicationGraph.ring(4)
         costs = deterministic_cost_matrix(6, seed=4)
-        assert compile_problem(graph, costs) is compile_problem(graph, costs)
+        first, second = compile_problem(graph, costs), \
+            compile_problem(graph, costs)
+        assert first is not second
+        assert np.array_equal(first.cost_array, second.cost_array)
 
     def test_incomplete_plan_rejected(self):
         graph = CommunicationGraph.ring(4)
@@ -88,33 +90,6 @@ class TestCompiledProblem:
             plan = DeploymentPlan.random(graph.nodes, costs.instance_ids, rng)
             expected = deployment_cost(plan, graph, costs, objective)
             assert problem.evaluate_plan(plan, objective) == expected
-
-
-class TestIndexedPlan:
-    def test_from_plan_and_back(self):
-        graph = CommunicationGraph.star(4)
-        costs = deterministic_cost_matrix(7, seed=8)
-        problem = compile_problem(graph, costs)
-        plan = DeploymentPlan.random(graph.nodes, costs.instance_ids, rng=1)
-        indexed = IndexedPlan.from_plan(problem, plan)
-        assert indexed.to_plan() == plan
-        assert indexed.cost(Objective.LONGEST_LINK) == deployment_cost(
-            plan, graph, costs, Objective.LONGEST_LINK
-        )
-
-    def test_rejects_non_injective_assignment(self):
-        graph = CommunicationGraph.ring(3)
-        costs = deterministic_cost_matrix(4, seed=9)
-        problem = compile_problem(graph, costs)
-        with pytest.raises(InvalidDeploymentError):
-            IndexedPlan(problem, np.array([0, 0, 1]))
-
-    def test_rejects_out_of_range_instance(self):
-        graph = CommunicationGraph.ring(3)
-        costs = deterministic_cost_matrix(4, seed=10)
-        problem = compile_problem(graph, costs)
-        with pytest.raises(InvalidDeploymentError):
-            IndexedPlan(problem, np.array([0, 1, 7]))
 
 
 class TestBatchEvaluation:

@@ -399,9 +399,11 @@ def test_free_instances_track_the_occupancy_through_any_walk(seed, steps,
             evaluator.relocate_cost(node, target)
             evaluator.apply_relocate(node, target)
         elif roll < 0.9:
-            evaluator.reprime(problem.random_assignments(1, rng)[0])
+            evaluator = problem.delta_evaluator(
+                problem.random_assignments(1, rng)[0], objective)
         else:
-            evaluator.reprime()
+            evaluator = problem.delta_evaluator(evaluator.assignment,
+                                                objective)
         free = evaluator.free_instance_indices()
         occupancy = np.full(m, -1)
         occupancy[evaluator.assignment] = np.arange(n)

@@ -37,7 +37,6 @@ from repro.core import (
     MoveBatch,
     Objective,
     PlacementConstraints,
-    SolverError,
     compile_problem,
 )
 from repro.core.evaluation import (
@@ -303,20 +302,19 @@ def test_peek_many_rejects_mask_violations():
         evaluator.peek_many(MoveBatch.from_moves([("swap", 0, 1)]))
 
 
-def test_peek_many_stale_after_cost_refresh():
+def test_peek_many_keeps_its_costs_after_a_refresh():
     graph, costs = _random_instance(9)
     problem = compile_problem(graph, costs)
     start = problem.random_assignments(1, 9)[0]
     evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
     batch = MoveBatch.from_moves([("swap", 0, 1)])
-    evaluator.peek_many(batch)
+    before = evaluator.peek_many(batch)
     matrix = costs.as_array() * 1.5
-    problem.refresh_costs(CostMatrix(costs.instance_ids, matrix))
-    with pytest.raises(SolverError):
-        evaluator.peek_many(batch)
-    evaluator.reprime()
-    assert np.array_equal(evaluator.peek_many(batch),
-                          [evaluator.swap_cost(0, 1)])
+    revised = problem.refresh_costs(CostMatrix(costs.instance_ids, matrix))
+    assert np.array_equal(evaluator.peek_many(batch), before)
+    twin = revised.delta_evaluator(start, Objective.LONGEST_LINK)
+    assert np.array_equal(twin.peek_many(batch), [twin.swap_cost(0, 1)])
+    assert np.array_equal(twin.peek_many(batch), before * 1.5)
 
 
 # --------------------------------------------------------------------------- #

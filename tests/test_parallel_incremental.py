@@ -2,12 +2,12 @@
 
 The incremental longest-path delta inside
 :class:`~repro.core.evaluation.DeltaEvaluator` stays exactly consistent
-with a from-scratch priming across long mixed swap/relocate walks, and is
-invalidated by ``cost_epoch`` like every other cost-derived cache.
+with a from-scratch priming across long mixed swap/relocate walks, and a
+cost revision leaves it untouched: the revision derives a new engine, and
+the evaluator keeps scoring the costs it was primed against.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from repro.core import (
     DeploymentProblem,
     Objective,
     PlacementConstraints,
-    SolverError,
     compile_problem,
 )
 
@@ -37,7 +36,7 @@ def _random_instance(seed, n_lo=4, n_hi=10, extra=3, dag=False):
 
 
 # --------------------------------------------------------------------------- #
-# Incremental longest-path delta: state consistency and epoch invalidation
+# Incremental longest-path delta: state consistency across cost revisions
 # --------------------------------------------------------------------------- #
 
 @given(seed=st.integers(0, 3000))
@@ -58,7 +57,7 @@ def test_incremental_lp_state_equals_fresh_prime_after_walk(seed):
         elif n >= 2:
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             evaluator.apply_swap(a, b)
-    fresh = problem.delta_evaluator(evaluator.indexed_plan().assignment,
+    fresh = problem.delta_evaluator(evaluator.assignment.copy(),
                                     Objective.LONGEST_PATH)
     assert evaluator.current_cost == fresh.current_cost
     assert evaluator._lp_finish == fresh._lp_finish
@@ -70,36 +69,40 @@ def test_incremental_lp_state_equals_fresh_prime_after_walk(seed):
         assert evaluator.swap_cost(a, b) == fresh.swap_cost(a, b)
 
 
-def test_incremental_lp_stale_after_cost_refresh():
+def _drifted(costs, rng, sigma):
+    matrix = costs.as_array()
+    off = ~np.eye(costs.num_instances, dtype=bool)
+    matrix[off] *= rng.lognormal(0.0, sigma, size=matrix.shape)[off]
+    return CostMatrix(list(costs.instance_ids), matrix)
+
+
+def test_incremental_lp_keeps_its_costs_across_a_refresh():
     graph, costs = _random_instance(21, dag=True)
     problem = DeploymentProblem(graph, costs,
                                 objective=Objective.LONGEST_PATH)
     engine = problem.compiled()
     assignment = engine.random_assignments(1, 21)[0]
     evaluator = engine.delta_evaluator(assignment, Objective.LONGEST_PATH)
-    _ = evaluator.current_cost
+    before = evaluator.current_cost
 
-    rng = np.random.default_rng(22)
-    matrix = costs.as_array()
-    off = ~np.eye(costs.num_instances, dtype=bool)
-    matrix[off] *= rng.lognormal(0.0, 0.05, size=matrix.shape)[off]
-    engine.refresh_costs(CostMatrix(list(costs.instance_ids), matrix))
+    revised = engine.refresh_costs(_drifted(costs, np.random.default_rng(22),
+                                            0.05))
 
-    with pytest.raises(SolverError):
-        _ = evaluator.current_cost
-    with pytest.raises(SolverError):
-        evaluator.apply_swap(0, 1)
-
-    evaluator.reprime()
-    expected = engine.evaluate(assignment, Objective.LONGEST_PATH)
-    assert evaluator.current_cost == expected
-    # And the re-primed incremental walk still agrees with full evaluation.
+    # The evaluator's engine never changed its costs.
+    assert evaluator.current_cost == before
     n = engine.num_nodes
     a, b = 0, n - 1
     candidate = assignment.copy()
     candidate[[a, b]] = candidate[[b, a]]
     assert evaluator.apply_swap(a, b) == \
         engine.evaluate(candidate, Objective.LONGEST_PATH)
+    # An evaluator on the derived engine scores the revised costs, and its
+    # incremental walk agrees with full evaluation.
+    twin = revised.delta_evaluator(assignment, Objective.LONGEST_PATH)
+    assert twin.current_cost == \
+        revised.evaluate(assignment, Objective.LONGEST_PATH)
+    assert twin.apply_swap(a, b) == \
+        revised.evaluate(candidate, Objective.LONGEST_PATH)
 
 
 # --------------------------------------------------------------------------- #
@@ -131,13 +134,13 @@ def test_peeked_deltas_agree_with_full_eval_and_commits(seed, objective):
             move = ("relocate", int(rng.integers(n)),
                     int(free[rng.integers(free.size)]))
             peek = evaluator.relocate_cost(move[1], move[2])
-            candidate = evaluator.indexed_plan().assignment
+            candidate = evaluator.assignment.copy()
             candidate[move[1]] = move[2]
         elif n >= 2:
             a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
             move = ("swap", a, b)
             peek = evaluator.swap_cost(a, b)
-            candidate = evaluator.indexed_plan().assignment
+            candidate = evaluator.assignment.copy()
             candidate[[a, b]] = candidate[[b, a]]
         else:
             continue
@@ -148,7 +151,7 @@ def test_peeked_deltas_agree_with_full_eval_and_commits(seed, objective):
             else:
                 committed = evaluator.apply_relocate(move[1], move[2])
             assert committed == peek
-    fresh = problem.delta_evaluator(evaluator.indexed_plan().assignment,
+    fresh = problem.delta_evaluator(evaluator.assignment.copy(),
                                     objective)
     assert evaluator.current_cost == fresh.current_cost
     if objective is Objective.LONGEST_PATH:
@@ -178,20 +181,20 @@ def test_peeked_lp_deltas_agree_on_constrained_instances(seed):
         if not evaluator.swap_allowed(a, b):
             continue
         peek = evaluator.swap_cost(a, b)
-        candidate = evaluator.indexed_plan().assignment
+        candidate = evaluator.assignment.copy()
         candidate[[a, b]] = candidate[[b, a]]
         assert peek == engine.evaluate(candidate, Objective.LONGEST_PATH)
         checked += 1
         if rng.random() < 0.25:
             evaluator.apply_swap(a, b)
     if checked:
-        fresh = engine.delta_evaluator(evaluator.indexed_plan().assignment,
+        fresh = engine.delta_evaluator(evaluator.assignment.copy(),
                                        Objective.LONGEST_PATH)
         assert evaluator.current_cost == fresh.current_cost
 
 
-def test_peek_window_state_invalidated_and_rebuilt_after_refresh():
-    """The per-level prefix/suffix maxima die with the cost epoch."""
+def test_peek_window_state_is_per_evaluator_across_a_refresh():
+    """The per-level prefix/suffix maxima belong to the primed evaluator."""
     graph, costs = _random_instance(41, n_lo=8, n_hi=10, dag=True)
     problem = compile_problem(graph, costs)
     rng = np.random.default_rng(41)
@@ -205,25 +208,26 @@ def test_peek_window_state_invalidated_and_rebuilt_after_refresh():
     struct = evaluator._lp_struct
     assert (evaluator._lp_prefix_len > 0
             or evaluator._lp_suffix_start < struct.num_levels)
+    level_max = list(evaluator._lp_level_max)
 
-    matrix = costs.as_array()
-    off = ~np.eye(costs.num_instances, dtype=bool)
-    matrix[off] *= rng.lognormal(0.0, 0.2, size=matrix.shape)[off]
-    problem.refresh_costs(CostMatrix(list(costs.instance_ids), matrix))
+    revised_costs = _drifted(costs, rng, 0.2)
+    revised = problem.refresh_costs(revised_costs)
 
-    with pytest.raises(SolverError):
-        evaluator.swap_cost(0, 1)
-    evaluator.reprime()
-    # All window state was rebuilt against the new costs: lazy bounds are
-    # reset, the level maxima match a fresh prime, and peeks agree with
-    # full evaluation again.
-    assert evaluator._lp_prefix_len == 0
-    assert evaluator._lp_suffix_start == struct.num_levels
-    fresh = problem.delta_evaluator(assignment, Objective.LONGEST_PATH)
-    assert evaluator._lp_level_max == fresh._lp_level_max
+    # The walked evaluator's window state is untouched, and a new evaluator
+    # on the derived engine builds its own against the revised costs: lazy
+    # bounds start empty, the level maxima match a fresh compile, and
+    # peeks agree with full evaluation.
+    assert evaluator._lp_level_max == level_max
+    twin = revised.delta_evaluator(assignment, Objective.LONGEST_PATH)
+    assert twin._lp_struct is struct
+    assert twin._lp_prefix_len == 0
+    assert twin._lp_suffix_start == struct.num_levels
+    fresh = compile_problem(graph, revised_costs).delta_evaluator(
+        assignment, Objective.LONGEST_PATH)
+    assert twin._lp_level_max == fresh._lp_level_max
     for _ in range(10):
         a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        peek = evaluator.swap_cost(a, b)
-        candidate = evaluator.indexed_plan().assignment
+        peek = twin.swap_cost(a, b)
+        candidate = twin.assignment.copy()
         candidate[[a, b]] = candidate[[b, a]]
-        assert peek == problem.evaluate(candidate, Objective.LONGEST_PATH)
+        assert peek == revised.evaluate(candidate, Objective.LONGEST_PATH)

@@ -1,9 +1,14 @@
 """Tests for DeploymentProblem and PlacementConstraints."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 
 from repro.core import (
     CommunicationGraph,
+    CostMatrix,
     DeploymentPlan,
     DeploymentProblem,
     Objective,
@@ -14,7 +19,9 @@ from repro.core.errors import (
     InvalidDeploymentError,
     InvalidGraphError,
 )
-from repro.solvers import GreedyG2, RandomSearch
+from repro.core.evaluation import CompiledProblem
+from repro.solvers import GreedyG2, RandomSearch, SearchBudget
+from repro.solvers.registry import default_registry
 
 from conftest import deterministic_cost_matrix
 
@@ -125,6 +132,51 @@ class TestEngineAccess:
         problem = DeploymentProblem(mesh_graph, deterministic_cost_matrix(12))
         assert problem.default_plan().used_instances() == tuple(range(9))
 
+    def test_engine_is_built_on_first_use(self, mesh_graph):
+        problem = DeploymentProblem(mesh_graph, deterministic_cost_matrix(10))
+        assert problem.engine is None
+        engine = problem.compiled()
+        assert problem.engine is engine
+
+    def test_adopted_engine_is_the_one_compiled_returns(self, mesh_graph):
+        problem = DeploymentProblem(mesh_graph, deterministic_cost_matrix(10))
+        twin = DeploymentProblem.from_dict(
+            json.loads(json.dumps(problem.to_dict())))
+        twin.adopt_engine(problem.compiled())
+        assert twin.compiled() is problem.compiled()
+        plan = problem.default_plan()
+        assert twin.evaluate(plan) == problem.evaluate(plan)
+
+    @pytest.mark.parametrize("key", default_registry.available())
+    def test_solvers_score_with_the_problem_engine(self, key, mesh_graph,
+                                                   tree_graph, monkeypatch):
+        """No solver lowers the problem's own (graph, costs) again: each
+        takes the engine the problem owns (CP compiles only its clustered
+        costs)."""
+        spec = default_registry.spec(key)
+        if Objective.LONGEST_LINK in spec.objectives:
+            problem = DeploymentProblem(mesh_graph,
+                                        deterministic_cost_matrix(10, seed=3))
+        else:
+            problem = DeploymentProblem(tree_graph,
+                                        deterministic_cost_matrix(8, seed=3),
+                                        objective=Objective.LONGEST_PATH)
+        problem.compiled()
+        lowered = []
+        original = CompiledProblem.__init__
+
+        def recording(self, graph, costs):
+            lowered.append(costs)
+            original(self, graph, costs)
+
+        monkeypatch.setattr(CompiledProblem, "__init__", recording)
+        solver = default_registry.make(key, **default_registry.seeded_config(
+            key, 1))
+        result = solver.solve(problem, budget=SearchBudget(
+            time_limit_s=5.0, max_iterations=20))
+        assert all(costs is not problem.costs for costs in lowered)
+        assert result.cost == problem.evaluate(result.plan)
+
 
 class TestIdentity:
     def test_instance_key_ignores_objective(self, tree_graph):
@@ -150,15 +202,26 @@ class TestIdentity:
         assert a == b
         assert hash(a) == hash(b)
 
-    def test_rebound_preserves_content(self, mesh_graph):
-        costs = deterministic_cost_matrix(10)
-        original = DeploymentProblem(mesh_graph, costs, metadata={"k": 1})
-        other_graph = CommunicationGraph.mesh_2d(3, 3)
-        other_costs = deterministic_cost_matrix(10)
-        rebound = original.rebound(other_graph, other_costs)
-        assert rebound.graph is other_graph
-        assert rebound.costs is other_costs
-        assert rebound == original
+    def test_instance_key_hashes_the_matrix_in_any_memory_order(
+            self, mesh_graph):
+        """The key hashes the stored C-ordered matrix: a Fortran-ordered
+        input and a transposed view give the digest of the C-ordered
+        copy's bytes."""
+        matrix = np.random.default_rng(4).uniform(0.1, 2.0, size=(10, 10))
+        ids = list(range(10))
+        keys = {
+            DeploymentProblem(mesh_graph, CostMatrix(ids, array)).instance_key()
+            for array in (np.ascontiguousarray(matrix),
+                          np.asfortranarray(matrix),
+                          np.ascontiguousarray(matrix.T).T)
+        }
+        assert len(keys) == 1
+        costs = CostMatrix(ids, matrix)
+        digest = hashlib.sha256()
+        for part in (mesh_graph.nodes, mesh_graph.edges, costs.instance_ids):
+            digest.update(repr(part).encode())
+        digest.update(costs.as_array().tobytes())
+        assert keys == {digest.hexdigest()}
 
 
 class TestConstraintEnforcement:

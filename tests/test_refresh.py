@@ -1,11 +1,12 @@
-"""In-place cost refresh: the engine side of the live re-deployment loop.
+"""Derived engines: the engine side of the live re-deployment loop.
 
 Pins the acceptance contract of ``CompiledProblem.refresh_costs`` /
-``DeploymentProblem.revise``: for randomized drifts, a refreshed engine —
-including its ``DeltaEvaluator`` after re-prime, its bound caches and any
-``CompiledConstraints`` built against it — scores bit-identical to a
-from-scratch ``compile_problem`` of the revised matrix, and stale
-incremental state can never leak across a refresh.
+``DeploymentProblem.revise``: for randomized drifts, a derived engine —
+including a ``DeltaEvaluator`` built on it, its bound caches and any
+``CompiledConstraints`` carried over to it — scores bit-identical to a
+from-scratch ``compile_problem`` of the revised matrix, shares the
+original's graph-side lowering, and leaves the original engine (and every
+evaluator primed on it) scoring the old costs.
 """
 
 from __future__ import annotations
@@ -19,22 +20,10 @@ from repro.core import (
     DeploymentProblem,
     Objective,
     PlacementConstraints,
-    compile_cache_stats,
-    compile_problem,
-    configure_compile_cache,
-    peek_compiled,
 )
-from repro.core.errors import InvalidDeploymentError, SolverError
+from repro.core.errors import InvalidDeploymentError
 from repro.core.evaluation import CompiledProblem
 from repro.testing import deterministic_cost_matrix
-
-
-@pytest.fixture(autouse=True)
-def _restore_compile_cache():
-    """Keep cache reconfiguration local to each test."""
-    stats = compile_cache_stats()
-    yield
-    configure_compile_cache(max_entries=stats.max_entries)
 
 
 def drifted(costs: CostMatrix, seed: int, sigma: float = 0.05) -> CostMatrix:
@@ -65,46 +54,53 @@ class TestRefreshAgreement:
         live = CompiledProblem(graph, costs)
         for round_number in range(3):
             revised = drifted(costs, seed=100 * seed + round_number)
-            assert live.refresh_costs(revised) is live
+            derived = live.refresh_costs(revised)
+            assert derived is not live
             fresh = CompiledProblem(graph, revised)
+            stale = CompiledProblem(graph, costs)
             batch = fresh.random_assignments(32, rng=seed)
-            assert np.array_equal(live.evaluate_batch(batch, objective),
+            assert np.array_equal(derived.evaluate_batch(batch, objective),
                                   fresh.evaluate_batch(batch, objective))
+            assert np.array_equal(live.evaluate_batch(batch, objective),
+                                  stale.evaluate_batch(batch, objective))
             single = batch[0]
-            assert live.evaluate(single, objective) == \
+            assert derived.evaluate(single, objective) == \
                 fresh.evaluate(single, objective)
-            costs = revised
+            live, costs = derived, revised
 
     @pytest.mark.parametrize("seed", range(3))
     def test_refreshed_bounds_match_fresh_compile(self, seed):
         graph, costs = make_problem(seed, Objective.LONGEST_LINK)
         live = CompiledProblem(graph, costs)
-        live.assignment_cost_lower_bounds()  # populate the caches pre-drift
+        bounds = live.assignment_cost_lower_bounds()  # populate pre-drift
         live.sorted_link_costs()
         revised = drifted(costs, seed=seed + 50)
-        live.refresh_costs(revised)
+        derived = live.refresh_costs(revised)
         fresh = CompiledProblem(graph, revised)
-        assert np.array_equal(live.assignment_cost_lower_bounds(),
+        assert np.array_equal(derived.assignment_cost_lower_bounds(),
                               fresh.assignment_cost_lower_bounds())
         for side in (0, 1):
-            assert np.array_equal(live.sorted_link_costs()[side],
+            assert np.array_equal(derived.sorted_link_costs()[side],
                                   fresh.sorted_link_costs()[side])
-        assert live.longest_link_lower_bound() == \
+        assert derived.longest_link_lower_bound() == \
             fresh.longest_link_lower_bound()
         threshold = float(np.median(revised.link_costs()))
-        assert np.array_equal(live.threshold_adjacency(threshold),
+        assert np.array_equal(derived.threshold_adjacency(threshold),
                               fresh.threshold_adjacency(threshold))
+        # The original keeps the bounds of its own costs.
+        assert live.assignment_cost_lower_bounds() is bounds
 
-    def test_refresh_preserves_graph_side_lowering(self):
+    def test_refresh_shares_graph_side_lowering(self):
         graph, costs = make_problem(1, Objective.LONGEST_PATH)
         live = CompiledProblem(graph, costs)
         levels = live._level_groups()
         degrees = live.node_degrees()
-        revised = drifted(costs, seed=9)
-        live.refresh_costs(revised)
-        assert live._level_groups() is levels
-        assert live.node_degrees() is degrees
-        assert live.costs is revised
+        edge_lists = live._edge_lists()
+        derived = live.refresh_costs(drifted(costs, seed=9))
+        assert derived._level_groups() is levels
+        assert derived.node_degrees() is degrees
+        assert derived._edge_lists() is edge_lists
+        assert derived.cost_array is not live.cost_array
 
     def test_refresh_rejects_different_instances(self):
         graph, costs = make_problem(2, Objective.LONGEST_LINK)
@@ -116,41 +112,39 @@ class TestRefreshAgreement:
         with pytest.raises(InvalidDeploymentError):
             live.refresh_costs(relabeled)
 
-    def test_refresh_same_matrix_is_a_noop(self):
+    def test_refresh_leaves_the_original_engine_untouched(self):
         graph, costs = make_problem(3, Objective.LONGEST_LINK)
         live = CompiledProblem(graph, costs)
-        epoch = live.cost_epoch
-        live.refresh_costs(costs)
-        assert live.cost_epoch == epoch
+        rows = live._cost_rows()
+        live.refresh_costs(drifted(costs, seed=10))
+        assert np.array_equal(live.cost_array, costs.as_array())
+        assert live._cost_rows() is rows
 
 
-class TestDeltaEvaluatorReprime:
-    def test_stale_evaluator_refuses_every_scoring_entry_point(self):
+class TestEvaluatorsAcrossRefresh:
+    def test_evaluator_keeps_scoring_its_engine_costs(self):
         graph, costs = make_problem(4, Objective.LONGEST_LINK)
         live = CompiledProblem(graph, costs)
         evaluator = live.delta_evaluator(
             live.random_assignments(1, rng=0)[0], Objective.LONGEST_LINK)
         free = evaluator.free_instance_indices()
+        before = (evaluator.current_cost, evaluator.swap_cost(0, 1),
+                  evaluator.relocate_cost(0, int(free[0])))
         live.refresh_costs(drifted(costs, seed=11))
-        with pytest.raises(SolverError):
-            evaluator.swap_cost(0, 1)
-        with pytest.raises(SolverError):
-            evaluator.apply_swap(0, 1)
-        with pytest.raises(SolverError):
-            evaluator.relocate_cost(0, int(free[0]))
-        with pytest.raises(SolverError):
-            _ = evaluator.current_cost
+        assert (evaluator.current_cost, evaluator.swap_cost(0, 1),
+                evaluator.relocate_cost(0, int(free[0]))) == before
+        assert evaluator.apply_swap(0, 1) == before[1]
 
     @pytest.mark.parametrize("objective", list(Objective))
-    def test_reprimed_evaluator_matches_fresh_evaluator(self, objective):
+    def test_derived_engine_evaluator_matches_fresh_evaluator(self,
+                                                              objective):
         graph, costs = make_problem(5, objective)
         live = CompiledProblem(graph, costs)
         assignment = live.random_assignments(1, rng=1)[0]
-        evaluator = live.delta_evaluator(assignment, objective)
-        evaluator.swap_cost(0, 1)  # populate the peek cache pre-refresh
+        live.delta_evaluator(assignment, objective).swap_cost(0, 1)
         revised = drifted(costs, seed=12)
-        live.refresh_costs(revised)
-        evaluator.reprime()
+        evaluator = live.refresh_costs(revised).delta_evaluator(
+            assignment, objective)
         fresh = CompiledProblem(graph, revised)
         twin = fresh.delta_evaluator(assignment, objective)
         assert evaluator.current_cost == twin.current_cost
@@ -163,17 +157,6 @@ class TestDeltaEvaluatorReprime:
             assert evaluator.relocate_cost(0, target) == \
                 twin.relocate_cost(0, target)
 
-    def test_reprime_can_reposition_in_the_same_call(self):
-        graph, costs = make_problem(6, Objective.LONGEST_LINK)
-        live = CompiledProblem(graph, costs)
-        first, second = live.random_assignments(2, rng=2)
-        evaluator = live.delta_evaluator(first, Objective.LONGEST_LINK)
-        live.refresh_costs(drifted(costs, seed=13))
-        cost = evaluator.reprime(second)
-        assert cost == live.longest_link(second)
-        assert np.array_equal(evaluator.assignment, second)
-        evaluator.apply_swap(0, 1)  # the inverse index was rebuilt too
-
 
 class TestRefreshWithConstraints:
     def test_compiled_constraints_survive_a_refresh(self):
@@ -184,86 +167,19 @@ class TestRefreshWithConstraints:
         view = problem.compiled_constraints()
         engine = problem.compiled()
         revised_problem = problem.revise(costs=drifted(costs, seed=14))
-        assert revised_problem.compiled() is engine
+        derived = revised_problem.compiled()
+        assert derived is not engine
         assert revised_problem.compiled_constraints() is view
-        # The mask still indexes the same engine, and constrained scoring
-        # agrees bit-for-bit with a from-scratch compile of the revision.
+        # The mask indexes the derived engine's (shared) index space, and
+        # constrained scoring agrees bit-for-bit with a from-scratch
+        # compile of the revision.
         fresh = CompiledProblem(graph, revised_problem.costs)
         assignments = view.random_assignments(16, rng=3)
         assert np.array_equal(
-            engine.evaluate_batch(assignments, Objective.LONGEST_LINK),
+            derived.evaluate_batch(assignments, Objective.LONGEST_LINK),
             fresh.evaluate_batch(assignments, Objective.LONGEST_LINK))
-        assert engine.longest_link_lower_bound(view.allowed_mask) == \
+        assert derived.longest_link_lower_bound(view.allowed_mask) == \
             fresh.longest_link_lower_bound(view.allowed_mask)
-
-
-class TestCompileCacheRehoming:
-    def test_refresh_rehomes_the_shared_compilation(self):
-        graph, costs = make_problem(8, Objective.LONGEST_LINK)
-        live = compile_problem(graph, costs)
-        revised = drifted(costs, seed=15)
-        live.refresh_costs(revised)
-        assert peek_compiled(graph, revised) is live
-        assert peek_compiled(graph, costs) is None
-        assert compile_problem(graph, revised) is live
-        # The superseded matrix honestly recompiles (fresh object, old costs).
-        recompiled = compile_problem(graph, costs)
-        assert recompiled is not live
-        assert recompiled.longest_link(
-            recompiled.random_assignments(1, rng=4)[0]) == \
-            CompiledProblem(graph, costs).longest_link(
-                recompiled.random_assignments(1, rng=4)[0])
-
-    def test_private_compilations_stay_out_of_the_cache(self):
-        graph, costs = make_problem(9, Objective.LONGEST_LINK)
-        private = CompiledProblem(graph, costs)
-        revised = drifted(costs, seed=16)
-        private.refresh_costs(revised)
-        assert peek_compiled(graph, revised) is None
-
-
-class TestBoundedCompileCache:
-    def test_lru_bound_and_counters(self):
-        graph = CommunicationGraph.ring(4)
-        configure_compile_cache(max_entries=2, reset_stats=True)
-        matrices = [deterministic_cost_matrix(6, seed=20 + k)
-                    for k in range(3)]
-        compiled = [compile_problem(graph, costs) for costs in matrices]
-        stats = compile_cache_stats()
-        assert stats.misses == 3 and stats.size == 2
-        assert stats.evictions == 1
-        # The oldest entry was evicted; the newest two still hit.
-        assert compile_problem(graph, matrices[2]) is compiled[2]
-        assert compile_problem(graph, matrices[1]) is compiled[1]
-        assert compile_problem(graph, matrices[0]) is not compiled[0]
-        stats = compile_cache_stats()
-        assert stats.hits == 2 and stats.misses == 4
-        assert 0.0 < stats.hit_rate < 1.0
-
-    def test_shrinking_the_bound_evicts_immediately(self):
-        graph = CommunicationGraph.ring(3)
-        configure_compile_cache(max_entries=4, reset_stats=True)
-        matrices = [deterministic_cost_matrix(5, seed=30 + k)
-                    for k in range(4)]
-        for costs in matrices:
-            compile_problem(graph, costs)
-        stats = configure_compile_cache(max_entries=1)
-        assert stats.size == 1
-        assert peek_compiled(graph, matrices[-1]) is not None
-
-    def test_dead_cost_matrices_leave_the_cache(self):
-        graph = CommunicationGraph.ring(3)
-        configure_compile_cache(reset_stats=True)
-        before = compile_cache_stats().size
-        costs = deterministic_cost_matrix(5, seed=40)
-        compile_problem(graph, costs)
-        assert compile_cache_stats().size == before + 1
-        del costs
-        assert compile_cache_stats().size == before
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            configure_compile_cache(max_entries=0)
 
 
 class TestRevise:
@@ -302,17 +218,56 @@ class TestRevise:
         problem = DeploymentProblem(graph, costs)
         revised_costs = drifted(costs, seed=20)
         revised = problem.revise(costs=revised_costs)  # nothing compiled yet
-        assert peek_compiled(graph, revised_costs) is None
+        assert revised.engine is None
         plan = revised.default_plan()
         assert revised.evaluate(plan) == \
             CompiledProblem(graph, revised_costs).evaluate_plan(
                 plan, Objective.LONGEST_LINK)
 
     def test_unrevised_problems_keep_their_engine_behaviour(self):
-        # A problem that never revises must not notice the refresh
-        # machinery at all: same engine object, epoch 0, same scores.
+        # A revision never reaches back into the problem it came from:
+        # same engine object, same scores.
         graph, costs = make_problem(14, Objective.LONGEST_LINK)
         problem = DeploymentProblem(graph, costs)
         engine = problem.compiled()
-        assert engine.cost_epoch == 0
+        plan = problem.default_plan()
+        before = problem.evaluate(plan)
+        problem.revise(costs=drifted(costs, seed=21)).evaluate(plan)
         assert problem.compiled() is engine
+        assert problem.evaluate(plan) == before
+
+    @pytest.mark.parametrize("objective", list(Objective))
+    def test_revise_derives_an_engine_sharing_the_lowering(self, objective):
+        graph, costs = make_problem(15, objective)
+        problem = DeploymentProblem(graph, costs, objective=objective)
+        engine = problem.compiled()
+        batch = engine.random_assignments(24, rng=5)
+        old_scores = engine.evaluate_batch(batch, objective)
+        # Build the graph-side structures the solvers use before revising.
+        engine.delta_evaluator(batch[0], objective)
+        engine._incident_padded()
+        engine.neighbor_degree_profiles()
+        revised_costs = drifted(costs, seed=22)
+        revised = problem.revise(costs=revised_costs)
+        derived = revised.compiled()
+
+        # The original problem still scores its old costs...
+        assert problem.compiled() is engine
+        assert np.array_equal(engine.evaluate_batch(batch, objective),
+                              old_scores)
+        # ...the derived engine shares every graph-side structure...
+        for name in ("node_ids", "instance_ids", "node_index",
+                     "instance_index", "edge_src", "edge_dst",
+                     "_instance_sort", "_sorted_instance_ids",
+                     "_edge_lists_cache", "_incident_pad", "_degrees",
+                     "_profiles", "_levels", "_node_level", "_lp_struct"):
+            assert getattr(derived, name) is getattr(engine, name), name
+        # ...and agrees bit for bit with a fresh compile.
+        fresh = CompiledProblem(graph, revised_costs)
+        assert np.array_equal(derived.cost_array, fresh.cost_array)
+        assert np.array_equal(derived.evaluate_batch(batch, objective),
+                              fresh.evaluate_batch(batch, objective))
+        walked = derived.delta_evaluator(batch[0], objective)
+        twin = fresh.delta_evaluator(batch[0], objective)
+        assert walked.current_cost == twin.current_cost
+        assert walked.apply_swap(0, 1) == twin.apply_swap(0, 1)

@@ -1,12 +1,24 @@
 """Tests for the batch advisor session (compile dedup, batches, telemetry)."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
+import repro.api.session as session_module
 import repro.core.evaluation as evaluation
-from repro.api import AdvisorSession, SolveRequest, SolverResponse
-from repro.core import CommunicationGraph, DeploymentProblem, Objective
+import repro.core.problem as problem_module
+from repro.api import AdvisorSession, SolveRequest, SolverResponse, WatchPolicy
+from repro.core import (
+    ClouDiAError,
+    CommunicationGraph,
+    CostMatrix,
+    DeploymentProblem,
+    Objective,
+    deployment_cost,
+)
 from repro.solvers import SearchBudget
 
 from conftest import deterministic_cost_matrix
@@ -90,23 +102,28 @@ class TestCompilationDedup:
         assert stats.compile_cache_hits == 1
         assert stats.requests == 3
 
-    def test_canonical_cache_is_bounded_lru(self):
+    def test_canonical_cache_is_bounded_lru(self, monkeypatch):
+        monkeypatch.setattr(session_module, "ENGINE_CACHE_ENTRIES", 1)
         p1, p2 = _problem(seed=1), _problem(seed=2)
-        session = AdvisorSession(max_cached_problems=1)
+        session = AdvisorSession()
         session.solve(SolveRequest(p1, solver="greedy"))
         session.solve(SolveRequest(p1, solver="greedy"))  # hit
         session.solve(SolveRequest(p2, solver="greedy"))  # evicts p1
-        session.solve(SolveRequest(p1, solver="greedy"))  # recompiled
+        # A fresh copy of p1 (p1 itself owns its engine) is recompiled.
+        session.solve(SolveRequest(_roundtrip(p1), solver="greedy"))
         stats = session.stats
         assert stats.compilations == 3
         assert stats.compile_cache_hits == 1
+        assert stats.engine_cache.evictions == 2
+        assert stats.engine_cache.size == 1
 
-    def test_batch_exactly_once_despite_tiny_cache(self):
+    def test_batch_exactly_once_despite_tiny_cache(self, monkeypatch):
         """A batch with more distinct instances than the LRU bound must
         still compile each distinct instance exactly once: the per-batch
         memo outlives the session cache's evictions."""
+        monkeypatch.setattr(session_module, "ENGINE_CACHE_ENTRIES", 1)
         p1, p2, p3 = (_problem(seed=s) for s in (1, 2, 3))
-        session = AdvisorSession(max_cached_problems=1)
+        session = AdvisorSession()
         responses = session.solve_many([
             SolveRequest(p, solver="greedy")
             for p in (p1, p2, p3, p1, p2)
@@ -117,12 +134,31 @@ class TestCompilationDedup:
         hits = [r.telemetry.compile_cache_hit for r in responses]
         assert hits == [False, False, False, True, True]
 
+    def test_batch_memo_serves_fresh_copies_after_eviction(self,
+                                                          monkeypatch):
+        """Content-equal copies decoded separately still compile once per
+        batch after the session cache evicted their instance."""
+        monkeypatch.setattr(session_module, "ENGINE_CACHE_ENTRIES", 1)
+        p1, p2 = _problem(seed=1), _problem(seed=2)
+        session = AdvisorSession()
+        responses = session.solve_many([
+            SolveRequest(p, solver="greedy")
+            for p in (p1, p2, _roundtrip(p1), _roundtrip(p2))
+        ])
+        assert all(r.ok for r in responses)
+        assert session.stats.compilations == 2
+        assert [r.telemetry.compile_cache_hit for r in responses] == [
+            False, False, True, True]
+        assert responses[2].cost == responses[0].cost
+
     def test_clear_cache_forces_recompilation(self):
         problem = _problem(seed=1)
         session = AdvisorSession()
         session.solve(SolveRequest(problem, solver="greedy"))
         session.clear_cache()
-        session.solve(SolveRequest(problem, solver="greedy"))
+        # The cleared cache recompiles a fresh copy; the problem object
+        # itself keeps the engine it owns.
+        session.solve(SolveRequest(_roundtrip(problem), solver="greedy"))
         assert session.stats.compilations == 2
 
     def test_dedup_spans_objectives(self, tree_graph):
@@ -153,6 +189,98 @@ class TestCompilationDedup:
         ])
         assert direct.plan == replayed.plan
         assert direct.cost == replayed.cost
+
+
+class TestEngineOwnership:
+    def test_watch_leaves_the_cached_engine_on_original_costs(self):
+        """A watched revision derives a new engine: a later copy of the
+        original instance is handed the cached engine and is scored with
+        the original costs."""
+        problem = _problem(seed=5)
+        original = _roundtrip(problem)
+        session = AdvisorSession()
+        session.solve(SolveRequest(original, solver="greedy"))
+        revised_costs = CostMatrix(list(problem.costs.instance_ids),
+                                   problem.costs.as_array() * 1.5)
+        report = session.watch(
+            original, [revised_costs],
+            WatchPolicy(solver="greedy", drift_threshold=0.0))
+        assert [event.engine_refreshed for event in report.events] == [
+            False, True]
+        response = session.solve(SolveRequest(_roundtrip(problem),
+                                              solver="greedy"))
+        assert response.telemetry.compile_cache_hit
+        assert response.cost == deployment_cost(
+            response.plan, problem.graph, problem.costs, problem.objective)
+        assert response.cost != deployment_cost(
+            response.plan, problem.graph, revised_costs, problem.objective)
+
+    def test_concurrent_prepares_of_equal_content_compile_once(
+            self, monkeypatch):
+        """Threads preparing fresh copies of two instances at once build
+        exactly one engine per instance, and every copy gets its own
+        instance's engine."""
+        constructions = []
+        original = problem_module.compile_problem
+
+        def slow_compile(graph, costs):
+            constructions.append(graph)
+            time.sleep(0.01)  # widen the window for the racing threads
+            return original(graph, costs)
+
+        monkeypatch.setattr(problem_module, "compile_problem", slow_compile)
+        sources = [_problem(seed=6), _problem(seed=7)]
+        copies = [_roundtrip(sources[i % 2]) for i in range(8)]
+        session = AdvisorSession()
+        barrier = threading.Barrier(len(copies))
+        results = [None] * len(copies)
+
+        def prepare(index):
+            barrier.wait()
+            results[index] = session.prepare(copies[index])
+
+        threads = [threading.Thread(target=prepare, args=(i,))
+                   for i in range(len(copies))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(constructions) == 2
+        for index, copy in enumerate(copies):
+            assert copy.engine is copies[index % 2].engine is not None
+        assert sorted(hit for hit, _ in results) == [False] * 2 + [True] * 6
+        stats = session.stats
+        assert stats.compilations == 2
+        assert stats.compile_cache_hits == stats.engine_cache.hits == 6
+
+    def test_batch_captures_an_engine_that_cannot_be_built(
+            self, monkeypatch):
+        original = problem_module.compile_problem
+
+        def failing_compile(graph, costs):
+            if graph.num_nodes == 5:
+                raise ClouDiAError("cannot lower this instance")
+            return original(graph, costs)
+
+        monkeypatch.setattr(problem_module, "compile_problem",
+                            failing_compile)
+        session = AdvisorSession()
+        responses = session.solve_many([
+            SolveRequest(_problem(seed=1), solver="greedy"),
+            SolveRequest(_problem(seed=2, graph=CommunicationGraph.ring(5)),
+                         solver="greedy"),
+            SolveRequest(_problem(seed=3), solver="greedy"),
+        ])
+        assert [r.ok for r in responses] == [True, False, True]
+        assert "cannot lower this instance" in responses[1].error
+        assert responses[1].result is None
+        assert session.stats.compilations == 2
 
 
 class TestBatches:

@@ -86,14 +86,13 @@ class TestHelpers:
 
     def test_best_random_plan_is_best_of_batch(self, mesh_graph):
         costs = deterministic_cost_matrix(12, seed=3)
-        plan, cost = best_random_plan(mesh_graph, costs, Objective.LONGEST_LINK,
-                                      20, rng=1)
+        problem = DeploymentProblem(mesh_graph, costs)
+        plan, cost = best_random_plan(problem, 20, rng=1)
         assert cost == pytest.approx(
             deployment_cost(plan, mesh_graph, costs, Objective.LONGEST_LINK)
         )
         # It should not be worse than a single random draw with the same seed.
-        single, single_cost = best_random_plan(mesh_graph, costs,
-                                               Objective.LONGEST_LINK, 1, rng=1)
+        single, single_cost = best_random_plan(problem, 1, rng=1)
         assert cost <= single_cost
 
     def test_infeasible_problem_detected(self):
