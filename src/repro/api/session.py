@@ -353,9 +353,11 @@ class AdvisorSession:
         #: (each adopted revision gets its own, recorded per event).
         root_fingerprint = problem.fingerprint()
 
-        # Initial solve: establish the incumbent (never a "hold").
+        # Initial solve: establish the incumbent (never a "hold").  The
+        # engine comes from the session's content cache, and a compiled
+        # one enters it, so a later request for the same content hits.
         compile_started = time.perf_counter()
-        problem.compiled()
+        self.prepare(problem)
         refresh_time = time.perf_counter() - compile_started
         incumbent_cost = (problem.evaluate(initial_plan)
                           if initial_plan is not None else float("inf"))
@@ -454,7 +456,7 @@ class AdvisorSession:
         fingerprint = problem.fingerprint()
         cache_tag = self._solver_cache_tag(solver_key, policy)
         warm = policy.warm_start and warm_capable and warm_plan is not None
-        cached = self._cached_result(problem, fingerprint, cache_tag)
+        cached = self.cached_result(problem, fingerprint, cache_tag)
         if cached is not None:
             result, solve_time, cache_hit = cached, 0.0, True
             candidate_cost = problem.evaluate(result.plan)
@@ -527,9 +529,13 @@ class AdvisorSession:
         except StoreError:
             pass
 
-    def _cached_result(self, problem: DeploymentProblem, fingerprint: str,
-                       cache_tag: str) -> Optional[SolverResult]:
-        """A validated persistent-cache entry for the revision, or ``None``."""
+    def cached_result(self, problem: DeploymentProblem, fingerprint: str,
+                      cache_tag: str) -> Optional[SolverResult]:
+        """A stored result whose plan is valid for ``problem``, or ``None``.
+
+        The one store read of :meth:`watch` and of the service's submit
+        path.
+        """
         if self.result_cache is None:
             return None
         result = self.result_cache.get(fingerprint, cache_tag)

@@ -71,15 +71,6 @@ from .types import InstanceId, NodeId, make_rng
 #: allocations are dominated by page faults, not the gather itself.
 _BATCH_GATHER_BUDGET = 262_144
 
-#: Cap (in cells) on the nested-list mirror of the cost array kept for the
-#: pure-Python incremental longest-path delta.  A list-of-lists costs about
-#: 32 B per cell against NumPy's 8 B (3.50 MB against 0.87 MB at 330^2), so
-#: a 1024x1024 matrix is ~32 MiB as lists; beyond the cap the delta falls
-#: back to ``ndarray.item`` gathers instead of quadrupling the cost array's
-#: footprint.
-_COST_ROWS_MAX_CELLS = 1 << 20
-
-
 class _LevelGroup:
     """Edges of a DAG whose source nodes share the same topological level.
 
@@ -181,7 +172,6 @@ class CompiledProblem:
         self._edge_lists_cache: Optional[Tuple[
             List[List[Tuple[int, int]]], List[List[Tuple[int, int]]]]] = None
         self._incident_pad: Optional[np.ndarray] = None
-        self._cost_rows_cache: Optional[List[List[float]]] = None
         self._degrees: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._profiles: Optional[np.ndarray] = None
         self._sorted_link_costs: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -196,8 +186,8 @@ class CompiledProblem:
         only on the graph and the instance id layout, neither of which a
         cost revision changes.  The derived engine shares every such
         structure built so far with this one, holds its own dense cost
-        array, and starts without the caches built from costs (cost rows,
-        sorted link costs, per-assignment lower bounds).  This engine is
+        array, and starts without the caches built from costs (sorted
+        link costs, per-assignment lower bounds).  This engine is
         left untouched and keeps scoring its own costs, so evaluators
         primed against it stay valid.
 
@@ -220,8 +210,7 @@ class CompiledProblem:
         derived = object.__new__(CompiledProblem)
         derived.__dict__ = dict(
             self.__dict__, cost_array=np.ascontiguousarray(costs.as_array()),
-            _cost_rows_cache=None, _sorted_link_costs=None,
-            _assignment_lb=None)
+            _sorted_link_costs=None, _assignment_lb=None)
         return derived
 
     # ------------------------------------------------------------------ #
@@ -345,19 +334,6 @@ class CompiledProblem:
             self._lp_struct = _LpDeltaStructure(levels, order, in_edges,
                                                 out_edges)
         return self._lp_struct
-
-    def _cost_rows(self) -> Optional[List[List[float]]]:
-        """Nested-list mirror of the cost array for Python-loop gathers.
-
-        Returns ``None`` for matrices beyond :data:`_COST_ROWS_MAX_CELLS`
-        (callers fall back to ``cost_array.item``).  Not carried over by
-        :meth:`refresh_costs`, like the other caches built from costs.
-        """
-        if self._cost_rows_cache is None:
-            if self.cost_array.size > _COST_ROWS_MAX_CELLS:
-                return None
-            self._cost_rows_cache = self.cost_array.tolist()
-        return self._cost_rows_cache
 
     def _incident_padded(self) -> np.ndarray:
         """The per-node incident edge ids as one ``(n, W)`` array, -1 padded.
@@ -1077,7 +1053,6 @@ class DeltaEvaluator:
         problem = self.problem
         struct = problem._lp_delta_structure()
         self._lp_struct = struct
-        self._lp_rows = problem._cost_rows()
         self._lp_item = problem.cost_array.item
         ec: List[float] = (problem.edge_costs(self.assignment).tolist()
                            if problem.num_edges else [])
@@ -1284,7 +1259,6 @@ class DeltaEvaluator:
         ec = self._lp_ec
         finish = self._lp_finish
         argmax = self._lp_argmax
-        rows = self._lp_rows
         item = self._lp_item
         in_edges = struct.in_edges
         out_edges = struct.out_edges
@@ -1308,12 +1282,11 @@ class DeltaEvaluator:
         touched: List[Tuple[int, float, float]] = []  # (edge, old, new)
         pending: Dict[int, List[Tuple[int, int]]] = {}
         for v, inst in moves.items():
-            row = rows[inst] if rows is not None else None
             for w, e in out_edges[v]:
                 wi = moves.get(w)
                 if wi is None:
                     wi = asg[w]
-                c = row[wi] if row is not None else item(inst, wi)
+                c = item(inst, wi)
                 touched.append((e, ec[e], c))
                 ec[e] = c
                 if w not in moves:
@@ -1326,7 +1299,7 @@ class DeltaEvaluator:
                 if u in moves:
                     continue
                 ui = asg[u]
-                c = rows[ui][inst] if rows is not None else item(ui, inst)
+                c = item(ui, inst)
                 touched.append((e, ec[e], c))
                 ec[e] = c
 

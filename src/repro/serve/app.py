@@ -32,7 +32,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 from urllib.parse import parse_qsl
 
 from ..api.schema import SolveRequest, SolverResponse, SolveTelemetry
-from ..core.errors import ClouDiAError, InvalidDeploymentError
+from ..core.errors import ClouDiAError
 from ..solvers.registry import SolverRegistry
 from ..store import SQLiteResultCache
 from ..api.session import AdvisorSession
@@ -139,18 +139,10 @@ class AdvisorApp:
     def _store_lookup(self, request: SolveRequest, fingerprint: str,
                       cache_tag: str) -> Optional[SolverResponse]:
         """A validated persistent-store response for the request, or None."""
-        cache = self.session.result_cache
-        if cache is None:
-            return None
         started = time.perf_counter()
-        result = cache.get(fingerprint, cache_tag)
+        result = self.session.cached_result(request.problem, fingerprint,
+                                            cache_tag)
         if result is None:
-            return None
-        try:
-            request.problem.check_plan(result.plan)
-        except InvalidDeploymentError:
-            # Foreign or corrupt entry: degrade to a miss, never into
-            # recommending an infeasible plan.
             return None
         elapsed = time.perf_counter() - started
         return SolverResponse(

@@ -18,12 +18,7 @@ from .cp import (
 )
 from .greedy import GreedyG1, GreedyG2
 from .local_search import SimulatedAnnealing, SwapLocalSearch
-from .mip import (
-    LLNDPEncoding,
-    LPNDPEncoding,
-    MIPLongestLinkSolver,
-    MIPLongestPathSolver,
-)
+from .mip import MIPLongestLinkSolver, MIPLongestPathSolver
 from .portfolio import PortfolioSolver
 from .random_search import RandomSearch
 from .registry import (
@@ -40,8 +35,6 @@ __all__ = [
     "DeploymentSolver",
     "GreedyG1",
     "GreedyG2",
-    "LLNDPEncoding",
-    "LPNDPEncoding",
     "MIPLongestLinkSolver",
     "MIPLongestPathSolver",
     "PortfolioSolver",

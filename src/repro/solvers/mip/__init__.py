@@ -1,21 +1,17 @@
-"""Mixed-integer programming formulations and the HiGHS-backed solvers."""
+"""The deployment MIPs, built as HiGHS arrays, and their solvers."""
 
-from .deployment import DeploymentEncoding, MipDeploymentSolver
-from .llndp_mip import LLNDPEncoding, MIPLongestLinkSolver
-from .lpndp_mip import LPNDPEncoding, MIPLongestPathSolver
-from .model import LinearConstraintRow, MipModel, MipSolution, Variable
-from .scipy_backend import solve_milp
+from .deployment import MipDeploymentSolver, decode_plan, encode_mip
+from .llndp_mip import MIPLongestLinkSolver
+from .lpndp_mip import MIPLongestPathSolver
+from .scipy_backend import MipArrays, MipSolution, solve_milp
 
 __all__ = [
-    "DeploymentEncoding",
-    "LLNDPEncoding",
-    "LPNDPEncoding",
-    "LinearConstraintRow",
     "MIPLongestLinkSolver",
     "MIPLongestPathSolver",
+    "MipArrays",
     "MipDeploymentSolver",
-    "MipModel",
     "MipSolution",
-    "Variable",
+    "decode_plan",
+    "encode_mip",
     "solve_milp",
 ]

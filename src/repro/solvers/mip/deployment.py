@@ -1,37 +1,40 @@
-"""Shared skeleton of the deployment MIP encodings and solvers.
+"""The deployment MIPs as HiGHS arrays, and the solver that drives them.
 
-The longest-link (Sect. 4.1) and longest-path (Sect. 4.4) MIPs differ only
-in their objective machinery; everything else — the padded assignment
-block, the Hungarian decode, the warm-start comparison, the HiGHS driving
-logic — is shared.  This module is the template-method factoring:
+The longest-link (Sect. 4.1) and longest-path (Sect. 4.4) MIPs share one
+structure and differ only in their objective columns:
 
-* :class:`DeploymentEncoding` builds the common model structure (binary
-  assignment variables over the dummy-padded graph, the two assignment
-  equality blocks, the solution decoding) and defers the objective
-  variables / constraints to two hooks subclasses implement.
+* :func:`encode_mip` builds either model directly as the arrays SciPy's
+  HiGHS ``milp`` reads (:class:`~repro.solvers.mip.scipy_backend.MipArrays`):
+  binary ``x_ij`` assignment columns over the dummy-padded graph, the
+  per-node and per-instance assignment equalities, one link row per edge
+  and ordered pair of distinct instances with a positive cost, and, for
+  longest path, the path-propagation rows.
+* :func:`decode_plan` turns a solution vector back into a plan.
 * :class:`MipDeploymentSolver` is the common ``_solve`` body: clustering,
   warm starts, the HiGHS ``milp`` call, fallback plans and result assembly;
-  a subclass only names its encoding class and solver metadata.
+  a subclass only names its objective and solver metadata.
 
-Placement constraints are lowered directly into the model through the
-variable-fixing hook: a disallowed assignment variable is fixed to 0 (and a
-pin's variable to 1) via bounds, which eliminates the disallowed block of
-the ``|E| * |S|^2`` constraint interactions from every LP relaxation — the
-MIP searches only the feasible region.
+Placement constraints are lowered into the variable bounds: a disallowed
+assignment column is fixed to 0 (and a pin's column to 1), which removes
+the disallowed block of the ``|E| * |S|^2`` link interactions from every LP
+relaxation — the MIP searches only the feasible region.
 
 The paper ran CPLEX; SciPy's HiGHS ``milp`` stands in for it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from ...core.communication_graph import CommunicationGraph, augment_with_dummy_nodes
-from ...core.cost_matrix import CostMatrix
+from ...core.communication_graph import CommunicationGraph
 from ...core.deployment import DeploymentPlan
+from ...core.errors import InvalidGraphError
+from ...core.objectives import Objective
 from ...core.problem import DeploymentProblem
+from ...core.types import InstanceId, NodeId
 from ..base import (
     ConvergenceTrace,
     DeploymentSolver,
@@ -41,167 +44,137 @@ from ..base import (
     best_random_plan,
     constrained_warm_start,
 )
-from .model import MipModel
-from .scipy_backend import solve_milp
+from .scipy_backend import MipArrays, solve_milp
 
 
-class DeploymentEncoding:
-    """Template-method base of the two deployment MIP encodings.
+def encode_mip(graph: CommunicationGraph, cost_array: np.ndarray,
+               objective: Objective,
+               allowed_mask: Optional[np.ndarray] = None) -> MipArrays:
+    """Build the longest-link or longest-path MIP of one problem.
 
-    Builds the shared structure — binary ``x_ij`` assignment variables over
-    the dummy-padded graph, the per-node and per-instance assignment
-    equalities, the gather map used to decode solution vectors — and calls
-    two hooks in a fixed order that keeps variable and constraint indices
-    identical to the historical hand-written encodings:
-
-    1. ``_add_objective_variables()`` — right after the ``x`` block;
-    2. ``_add_objective_constraints()`` — after the assignment equalities
-       (this hook also sets the objective).
+    The graph is padded with dummy nodes up to ``m = len(cost_array)`` rows
+    (a dummy has no edges), so the assignment is a perfect matching.
+    Columns: ``x`` of padded node row ``r`` on instance ``j`` at
+    ``r * m + j``; then ``c`` for longest link, or one ``c_e`` per edge,
+    one ``t_i`` per node and ``t`` for longest path.  Rows: one equality per
+    padded node, one per instance, then the link rows
+    ``c_e >= CL(j, j') (x_ij + x_i'j' - 1)`` edge by edge (``c_e`` is ``c``
+    for longest link), then for longest path ``t_i' >= t_i + c_e`` per edge
+    and ``t >= t_i`` per node.  The objective minimises the last column.
 
     Args:
         graph: the application communication graph.
-        costs: pairwise link costs over the allocated instances.
+        cost_array: ``(m, m)`` link costs in instance-index order.
+        objective: which of the two MIPs to build.
         allowed_mask: optional boolean ``(num_nodes, num_instances)``
             placement mask in ``graph.nodes`` × instance-index order (see
-            :class:`~repro.core.evaluation.CompiledConstraints`).  When
-            given, disallowed assignment variables are fixed to 0 and
-            forced ones to 1 via bounds, and the Hungarian decode is
-            steered away from disallowed cells.
+            :class:`~repro.core.evaluation.CompiledConstraints`).  A
+            disallowed ``x`` column gets upper bound 0; a node whose row
+            leaves a single instance (a pin, or a forbidden set squeezed to
+            one value) gets that column's lower bound 1, and dummy rows are
+            barred from that instance, which the node occupies.
+
+    Raises:
+        InvalidGraphError: for longest path on a cyclic graph.
     """
+    longest_path = objective is Objective.LONGEST_PATH
+    if longest_path and not graph.is_dag():
+        raise InvalidGraphError("LPNDP requires an acyclic communication graph")
+    m, n = len(cost_array), graph.num_nodes
+    row_of = {node: row for row, node in enumerate(graph.nodes)}
+    edges = np.array([(row_of[i], row_of[k]) for i, k in graph.edges],
+                     dtype=np.intp).reshape(-1, 2)
+    num_edges = len(edges)
+    x = np.arange(m * m).reshape(m, m)
+    num_columns = m * m + (num_edges + n + 1 if longest_path else 1)
 
-    def __init__(self, graph: CommunicationGraph, costs: CostMatrix,
-                 allowed_mask: Optional[np.ndarray] = None):
-        self._validate_graph(graph)
-        self.graph = graph
-        self.costs = costs
-        self.instance_ids = list(costs.instance_ids)
-        self.cost_array = costs.as_array()
-        self.padded_graph = augment_with_dummy_nodes(graph, costs.num_instances)
-        self.nodes = list(self.padded_graph.nodes)
-        self.num_instances = costs.num_instances
+    objective_vector = np.zeros(num_columns)
+    objective_vector[-1] = 1.0
+    integrality = np.zeros(num_columns)
+    integrality[: m * m] = 1.0
+    lower = np.zeros(num_columns)
+    upper = np.full(num_columns, np.inf)
+    upper[: m * m] = 1.0
+    if allowed_mask is not None:
+        mask = np.asarray(allowed_mask, dtype=bool)
+        x_lower = lower[: m * m].reshape(m, m)  # views
+        x_upper = upper[: m * m].reshape(m, m)
+        x_upper[:n][~mask] = 0.0
+        forced = np.flatnonzero(mask.sum(axis=1) == 1)
+        forced_columns = mask[forced].argmax(axis=1)
+        x_lower[forced, forced_columns] = 1.0
+        x_upper[n:, forced_columns] = 0.0
 
-        self.model = MipModel()
-        self.x_index: Dict[Tuple[int, int], int] = {}
-        for node in self.nodes:
-            for j in range(self.num_instances):
-                self.x_index[(node, j)] = self.model.add_binary(f"x[{node},{j}]")
-        self._add_objective_variables()
-        # Variable indices of the x block as a (nodes, instances) gather map,
-        # so solution vectors can be reshaped into assignment weights without
-        # a per-entry Python loop.
-        self._x_block = np.array(
-            [[self.x_index[(node, j)] for j in range(self.num_instances)]
-             for node in self.nodes],
-            dtype=np.intp,
-        )
+    # Link rows, edge-major, then instance pairs in row-major order.
+    pair_j, pair_k = np.nonzero((cost_array > 0) & ~np.eye(m, dtype=bool))
+    edge = np.repeat(np.arange(num_edges), len(pair_j))
+    link_cost = np.tile(cost_array[pair_j, pair_k], num_edges)
+    link_column = m * m + edge if longest_path else np.full(len(edge), m * m)
+    blocks = [  # (columns, coefficients, row lower, row upper) per row block
+        (x, np.ones((m, m)), 1.0, 1.0),
+        (x.T, np.ones((m, m)), 1.0, 1.0),
+        (np.column_stack([link_column,
+                          x[edges[edge, 0], np.tile(pair_j, num_edges)],
+                          x[edges[edge, 1], np.tile(pair_k, num_edges)]]),
+         np.column_stack([np.ones_like(link_cost), -link_cost, -link_cost]),
+         -link_cost, np.inf),
+    ]
+    if longest_path:
+        t = m * m + num_edges + np.arange(n)
+        blocks += [
+            (np.column_stack([t[edges[:, 1]], t[edges[:, 0]],
+                              m * m + np.arange(num_edges)]),
+             np.tile([1.0, -1.0, -1.0], (num_edges, 1)), 0.0, np.inf),
+            (np.column_stack([np.full(n, num_columns - 1), t]),
+             np.tile([1.0, -1.0], (n, 1)), 0.0, np.inf),
+        ]
 
-        # Assignment constraints: each node on exactly one instance and each
-        # instance hosting exactly one (possibly dummy) node.
-        for node in self.nodes:
-            self.model.add_equality(
-                {self.x_index[(node, j)]: 1.0 for j in range(self.num_instances)}, 1.0
-            )
-        for j in range(self.num_instances):
-            self.model.add_equality(
-                {self.x_index[(node, j)]: 1.0 for node in self.nodes}, 1.0
-            )
+    columns, coefficients, row_lower, row_upper = zip(*blocks)
+    counts = [len(block) for block in columns]
+    widths = np.repeat([block.shape[1] for block in columns], counts)
+    # The COO -> CSR conversion sorts each row's columns.
+    matrix = sparse.csr_matrix(
+        (np.concatenate([block.ravel() for block in coefficients]),
+         (np.repeat(np.arange(len(widths)), widths),
+          np.concatenate([block.ravel() for block in columns]))),
+        shape=(len(widths), num_columns))
+    return MipArrays(
+        objective_vector, integrality, lower, upper, matrix,
+        np.concatenate([np.broadcast_to(bound, count)
+                        for bound, count in zip(row_lower, counts)]),
+        np.concatenate([np.broadcast_to(bound, count)
+                        for bound, count in zip(row_upper, counts)]))
 
-        self._decode_mask: Optional[np.ndarray] = None
-        if allowed_mask is not None:
-            self._fix_placements(np.asarray(allowed_mask, dtype=bool))
 
-        self._add_objective_constraints()
+def decode_plan(arrays: MipArrays, values: np.ndarray, nodes: Sequence[NodeId],
+                instance_ids: Sequence[InstanceId]) -> DeploymentPlan:
+    """Extract an injective deployment plan from a solution vector.
 
-    # ------------------------------------------------------------------ #
-    # Hooks
-    # ------------------------------------------------------------------ #
+    A Hungarian assignment on the ``x`` block guards against slightly
+    fractional or degenerate solutions.  Assignment weights live in
+    ``[0, 1]``, so a penalty below ``-m`` on every column fixed to 0 keeps
+    the matching off them whenever a feasible perfect matching exists (it
+    does: joint feasibility is validated at problem construction).
+    """
+    from scipy.optimize import linear_sum_assignment
 
-    def _validate_graph(self, graph: CommunicationGraph) -> None:
-        """Reject graphs the encoding cannot express (hook; default: none)."""
-
-    def _add_objective_variables(self) -> None:
-        """Add the objective-side variables (hook)."""
-        raise NotImplementedError
-
-    def _add_objective_constraints(self) -> None:
-        """Add the objective-side constraints and set the objective (hook)."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Constraint lowering
-    # ------------------------------------------------------------------ #
-
-    def _fix_placements(self, mask: np.ndarray) -> None:
-        """Fix assignment variables according to a placement mask.
-
-        Disallowed ``(node, instance)`` pairs get ``x_ij`` fixed to 0 —
-        eliminating their share of the ``|E| * |S|^2`` objective
-        interactions from every LP relaxation — and a node whose row leaves
-        a single instance (a pin, or a forbidden set squeezed to one value)
-        gets that variable fixed to 1.  Dummy (padding) nodes are barred
-        from forced instances: the forced node occupies them in any
-        feasible solution.
-        """
-        forced_columns = []
-        for row, node in enumerate(self.graph.nodes):
-            allowed = np.flatnonzero(mask[row])
-            for j in range(self.num_instances):
-                if not mask[row, j]:
-                    self.model.set_variable_bounds(
-                        self.x_index[(node, j)], upper=0.0)
-            if allowed.size == 1:
-                self.model.set_variable_bounds(
-                    self.x_index[(node, int(allowed[0]))], lower=1.0)
-                forced_columns.append(int(allowed[0]))
-        real_nodes = set(self.graph.nodes)
-        for node in self.nodes:
-            if node in real_nodes:
-                continue
-            for j in forced_columns:
-                self.model.set_variable_bounds(self.x_index[(node, j)],
-                                               upper=0.0)
-        decode_mask = np.ones((len(self.nodes), self.num_instances), dtype=bool)
-        decode_mask[: len(self.graph.nodes)] = mask
-        if forced_columns:
-            decode_mask[len(self.graph.nodes):, forced_columns] = False
-        self._decode_mask = decode_mask
-
-    # ------------------------------------------------------------------ #
-    # Decoding
-    # ------------------------------------------------------------------ #
-
-    def decode(self, values: np.ndarray) -> DeploymentPlan:
-        """Extract an injective deployment plan from a solution vector.
-
-        A Hungarian assignment on the ``x`` block guards against slightly
-        fractional or degenerate solutions.
-        """
-        weights = np.asarray(values)[self._x_block]
-        if self._decode_mask is not None:
-            # Assignment weights live in [0, 1], so a penalty below
-            # -(num rows) makes the matching avoid every disallowed cell
-            # whenever a feasible perfect matching exists (it does: joint
-            # feasibility is validated at problem construction).
-            weights = np.where(self._decode_mask, weights,
-                               -float(len(self.nodes) + 1))
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(-weights)
-        assignment = {self.nodes[int(r)]: int(c) for r, c in zip(rows, cols)}
-        return DeploymentPlan({
-            node: self.instance_ids[assignment[node]] for node in self.graph.nodes
-        })
+    m = len(instance_ids)
+    weights = np.where(arrays.upper[: m * m].reshape(m, m) > 0,
+                       np.asarray(values)[: m * m].reshape(m, m),
+                       -float(m + 1))
+    _, columns = linear_sum_assignment(-weights)
+    return DeploymentPlan({node: instance_ids[int(columns[row])]
+                           for row, node in enumerate(nodes)})
 
 
 class MipDeploymentSolver(DeploymentSolver):
     """Template-method base of the two deployment MIP solvers.
 
-    Subclasses set :attr:`encoding_factory` (their
-    :class:`DeploymentEncoding` subclass) plus the usual solver metadata;
-    the whole ``_solve`` body — clustering, warm starts, constraint
-    lowering, the HiGHS ``milp`` call, fallbacks, result assembly — lives
-    here once.  ``SolverResult.iterations`` is the number of
-    branch-and-bound nodes HiGHS explored.
+    A subclass names its objective through ``supported_objectives`` plus the
+    usual solver metadata; the whole ``_solve`` body — clustering, warm
+    starts, constraint lowering, the HiGHS ``milp`` call, fallbacks, result
+    assembly — lives here once.  ``SolverResult.iterations`` is the number
+    of branch-and-bound nodes HiGHS explored.
 
     Args:
         k_clusters: optional cost clustering applied before encoding.
@@ -216,8 +189,6 @@ class MipDeploymentSolver(DeploymentSolver):
             draws no warm start.
     """
 
-    #: Encoding class instantiated per problem; set by subclasses.
-    encoding_factory = None
     #: HiGHS takes no incumbent, so the warm start bounds the result
     #: instead: it is returned whenever it beats the decoded MIP plan.
     supports_warm_start = True
@@ -249,10 +220,9 @@ class MipDeploymentSolver(DeploymentSolver):
 
         clustered = costs.clustered(self.k_clusters, round_to=self.round_to) \
             if self.k_clusters is not None else costs
-        encoding = type(self).encoding_factory(
-            graph, clustered,
-            allowed_mask=None if view is None else view.allowed_mask,
-        )
+        arrays = encode_mip(
+            graph, clustered.as_array(), objective,
+            allowed_mask=None if view is None else view.allowed_mask)
 
         engine = problem.compiled()
 
@@ -266,7 +236,7 @@ class MipDeploymentSolver(DeploymentSolver):
         # 0 it returns at once with no solution and the fallback answers.
         remaining = watch.remaining()
         solution = solve_milp(
-            encoding.model,
+            arrays,
             time_limit_s=None if remaining is None else max(0.0, remaining),
             node_limit=self.node_limit if budget.max_iterations is None
             else budget.max_iterations)
@@ -282,7 +252,8 @@ class MipDeploymentSolver(DeploymentSolver):
                 plan = constraints.repair(plan, costs.instance_ids)
             optimal = False
         else:
-            plan = encoding.decode(solution.values)
+            plan = decode_plan(arrays, solution.values, graph.nodes,
+                               costs.instance_ids)
 
         cost = score(plan)
         if initial_plan is not None:

@@ -9,6 +9,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core import (
     CommunicationGraph,
@@ -25,9 +26,13 @@ from repro.solvers import (
     RandomSearch,
     SearchBudget,
 )
-from repro.solvers.mip.llndp_mip import LLNDPEncoding
-from repro.solvers.mip.lpndp_mip import LPNDPEncoding
-from repro.solvers.mip.scipy_backend import solve_milp
+from repro.solvers.mip import (
+    MipArrays,
+    MipSolution,
+    decode_plan,
+    encode_mip,
+    solve_milp,
+)
 
 from conftest import brute_force_optimum, deterministic_cost_matrix
 
@@ -46,35 +51,83 @@ def tiny_lp_problem():
     return graph, costs
 
 
+class TestScipyBackend:
+    @staticmethod
+    def knapsack(capacity_row_lower=-np.inf):
+        """max 3a + 4b + 2c s.t. 2a + 3b + c <= 4, as a minimisation."""
+        return MipArrays(
+            objective=np.array([-3.0, -4.0, -2.0]), integrality=np.ones(3),
+            lower=np.zeros(3), upper=np.ones(3),
+            matrix=sparse.csr_matrix(np.array([[2.0, 3.0, 1.0]])),
+            row_lower=np.array([capacity_row_lower]), row_upper=np.array([4.0]))
+
+    def test_milp_solves_knapsack(self):
+        solution = solve_milp(self.knapsack())
+        assert solution.optimal
+        # b + c fills the capacity exactly and is worth 6.
+        assert solution.objective_value == pytest.approx(-6.0)
+        assert np.allclose(solution.values, [0.0, 1.0, 1.0])
+
+    def test_milp_infeasible_model(self):
+        solution = solve_milp(self.knapsack(capacity_row_lower=7.0))
+        assert not solution.feasible
+        assert not solution.optimal
+        assert solution.status == "infeasible"
+
+
 class TestLLNDPEncoding:
     def test_model_dimensions(self, tiny_ll_problem):
         graph, costs = tiny_ll_problem
-        encoding = LLNDPEncoding(graph, costs)
+        arrays = encode_mip(graph, costs.as_array(), Objective.LONGEST_LINK)
         # |S| padded nodes * |S| instances binaries + the objective variable.
-        assert encoding.model.num_variables == 5 * 5 + 1
+        assert arrays.objective.shape == (5 * 5 + 1,)
+        assert arrays.integrality.sum() == 5 * 5
         # Assignment constraints: 2 * |S|.
         assignment_constraints = 2 * 5
         link_constraints = graph.num_edges * 5 * 4
-        assert encoding.model.num_constraints == assignment_constraints + link_constraints
+        assert arrays.matrix.shape == (
+            assignment_constraints + link_constraints, 5 * 5 + 1)
+        assert arrays.row_lower.shape == arrays.row_upper.shape == (
+            assignment_constraints + link_constraints,)
 
     def test_decode_roundtrip(self, tiny_ll_problem):
         graph, costs = tiny_ll_problem
-        encoding = LLNDPEncoding(graph, costs)
-        assignment = {node: (index + 2) % len(encoding.nodes)
-                      for index, node in enumerate(encoding.nodes)}
-        values = np.zeros(encoding.model.num_variables)
-        for node, j in assignment.items():
-            values[encoding.x_index[(node, j)]] = 1.0
-        plan = encoding.decode(values)
+        arrays = encode_mip(graph, costs.as_array(), Objective.LONGEST_LINK)
+        assignment = [(row + 2) % 5 for row in range(5)]
+        values = np.zeros(arrays.objective.shape)
+        for row, j in enumerate(assignment):
+            values[row * 5 + j] = 1.0
+        plan = decode_plan(arrays, values, graph.nodes, costs.instance_ids)
         assert plan.covers(graph)
-        for node in graph.nodes:
-            assert plan.instance_for(node) == costs.instance_ids[assignment[node]]
+        for row, node in enumerate(graph.nodes):
+            assert plan.instance_for(node) == costs.instance_ids[assignment[row]]
+
+    def test_placements_become_bounds(self, tiny_ll_problem):
+        graph, costs = tiny_ll_problem
+        mask = np.ones((4, 5), dtype=bool)
+        mask[0] = [False, False, True, False, False]  # node 0 pinned to 2
+        mask[1, [0, 4]] = False
+        arrays = encode_mip(graph, costs.as_array(), Objective.LONGEST_LINK,
+                            allowed_mask=mask)
+        lower = arrays.lower[:25].reshape(5, 5)
+        upper = arrays.upper[:25].reshape(5, 5)
+        assert np.array_equal(upper[:4], mask.astype(float))
+        # The dummy row may not take the pinned instance.
+        assert np.array_equal(upper[4], [1.0, 1.0, 0.0, 1.0, 1.0])
+        assert np.argwhere(lower).tolist() == [[0, 2]]
+        # A solution vector that prefers the forbidden cells still decodes
+        # to an allowed plan.
+        values = np.zeros(arrays.objective.shape)
+        values[1 * 5 + 0] = values[4 * 5 + 2] = 1.0
+        plan = decode_plan(arrays, values, graph.nodes, costs.instance_ids)
+        assert plan.instance_for(0) == 2
+        assert plan.instance_for(1) not in (0, 4)
 
     def test_milp_backend_reaches_optimum(self, tiny_ll_problem):
         graph, costs = tiny_ll_problem
         _, optimum = brute_force_optimum(graph, costs, Objective.LONGEST_LINK)
-        encoding = LLNDPEncoding(graph, costs)
-        solution = solve_milp(encoding.model, time_limit_s=30.0)
+        arrays = encode_mip(graph, costs.as_array(), Objective.LONGEST_LINK)
+        solution = solve_milp(arrays, time_limit_s=30.0)
         assert solution.feasible
         assert solution.objective_value == pytest.approx(optimum, abs=1e-6)
 
@@ -108,14 +161,24 @@ class TestLPNDPEncoding:
         graph = CommunicationGraph([0, 1], [(0, 1), (1, 0)])
         costs = deterministic_cost_matrix(3, seed=13)
         with pytest.raises(InvalidGraphError):
-            LPNDPEncoding(graph, costs)
+            encode_mip(graph, costs.as_array(), Objective.LONGEST_PATH)
+
+    def test_model_dimensions(self, tiny_lp_problem):
+        graph, costs = tiny_lp_problem
+        arrays = encode_mip(graph, costs.as_array(), Objective.LONGEST_PATH)
+        n, m, e = graph.num_nodes, 8, graph.num_edges
+        # x block, one c_e per edge, one t_i per node, and t.
+        assert arrays.objective.shape == (m * m + e + n + 1,)
+        assert arrays.objective[-1] == 1.0 and arrays.objective.sum() == 1.0
+        # Assignment rows, link rows, path rows and t rows.
+        assert arrays.matrix.shape[0] == 2 * m + e * m * (m - 1) + e + n
 
     def test_milp_backend_reaches_optimum_on_tiny_tree(self):
         graph = CommunicationGraph.aggregation_tree(2, 1)  # 3 nodes
         costs = deterministic_cost_matrix(4, seed=14)
         _, optimum = brute_force_optimum(graph, costs, Objective.LONGEST_PATH)
-        encoding = LPNDPEncoding(graph, costs)
-        solution = solve_milp(encoding.model, time_limit_s=30.0)
+        arrays = encode_mip(graph, costs.as_array(), Objective.LONGEST_PATH)
+        solution = solve_milp(arrays, time_limit_s=30.0)
         assert solution.feasible
         assert solution.objective_value == pytest.approx(optimum, abs=1e-6)
 
@@ -257,9 +320,9 @@ class TestTimeLimit:
 
         seen = []
 
-        def recording(model, time_limit_s=None, node_limit=None):
+        def recording(arrays, time_limit_s=None, node_limit=None):
             seen.append(time_limit_s)
-            return solve_milp(model, time_limit_s=time_limit_s,
+            return solve_milp(arrays, time_limit_s=time_limit_s,
                               node_limit=node_limit)
 
         monkeypatch.setattr(deployment, "solve_milp", recording)
@@ -287,3 +350,30 @@ class TestTimeLimit:
                                            SearchBudget.seconds(0.0))
         assert seen == [0.0]
         assert not result.optimal
+
+    def test_paper_scale_build_leaves_highs_most_of_the_budget(self,
+                                                               monkeypatch):
+        """A 63-node tree over 70 instances (~300k link rows) builds fast.
+
+        The solve is recorded, not run: HiGHS would take the whole second.
+        """
+        from repro.solvers.mip import deployment
+
+        seen = []
+
+        def recording(arrays, time_limit_s=None, node_limit=None):
+            seen.append(time_limit_s)
+            return MipSolution(status="milp-status-1", objective_value=None,
+                               values=None, optimal=False, solve_time_s=0.0)
+
+        monkeypatch.setattr(deployment, "solve_milp", recording)
+        problem = DeploymentProblem(
+            CommunicationGraph.aggregation_tree(2, 5),
+            deterministic_cost_matrix(70, seed=1),
+            objective=Objective.LONGEST_PATH)
+        result = MIPLongestPathSolver(seed=1).solve(
+            problem, budget=SearchBudget.seconds(1.0))
+        assert len(seen) == 1
+        assert seen[0] > 0.5
+        assert not result.optimal
+        assert result.cost == problem.evaluate(result.plan)

@@ -18,7 +18,12 @@ import numpy as np
 import pytest
 
 from repro.api import SolveRequest, WatchPolicy
-from repro.core import CommunicationGraph, CostMatrix, DeploymentProblem
+from repro.core import (
+    CommunicationGraph,
+    CostMatrix,
+    DeploymentProblem,
+    PlacementConstraints,
+)
 from repro.core.errors import InvalidCostMatrixError
 from repro.serve import (
     PRIORITY_INTERACTIVE,
@@ -27,6 +32,7 @@ from repro.serve import (
     create_server,
 )
 from repro.serve.http import AdvisorRequestHandler
+from repro.serve.scheduler import coalesce_key
 from repro.solvers import SearchBudget
 from repro.store import SQLiteResultCache
 from repro.testing import deterministic_cost_matrix
@@ -133,6 +139,29 @@ class TestSubmitPath:
             assert restarted.metrics.store_hits == 1
         finally:
             restarted.close(timeout=5.0)
+
+    def test_stored_plan_violating_the_constraints_is_a_miss(self, app):
+        job, source = app.submit_solve(
+            make_request(), "public", PRIORITY_INTERACTIVE)
+        assert source == "solver" and job.wait(30.0)
+        stored = job.response.result
+        pin = (stored.plan.instance_for(0) + 1) % 7
+        problem = make_problem()
+        constrained = SolveRequest(
+            problem=DeploymentProblem(
+                problem.graph, problem.costs,
+                constraints=PlacementConstraints(pinned={0: pin})),
+            solver="local-search", config={"seed": 3},
+            budget=SearchBudget(max_iterations=200))
+        # Forge an entry under the constrained request's key pointing at
+        # the pin-violating plan: the submit path must treat it as a miss.
+        app.store.put(*coalesce_key(app.session.registry, constrained),
+                      stored)
+        job, source = app.submit_solve(constrained, "public",
+                                       PRIORITY_INTERACTIVE)
+        assert source == "solver" and job.wait(30.0)
+        assert job.response.result.plan.instance_for(0) == pin
+        assert app.metrics.store_hits == 0
 
     def test_store_writeback_happens_once_for_coalesced_pair(self, app):
         job, _ = app.submit_solve(make_request(), "public",

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api import AdvisorSession, WatchPolicy
+from repro.api import AdvisorSession, SolveRequest, WatchPolicy
 from repro.api.watch import (
     REASON_DEGRADATION,
     REASON_DRIFT,
@@ -161,6 +161,20 @@ class TestWatchLoop:
         assert stats.watch_resolves == 2  # initial + drift re-solve
         assert stats.result_cache_hits == 0  # no cache configured
         assert stats.engine_cache.max_entries >= 1
+
+    def test_watched_engine_enters_the_session_cache(self):
+        costs = deterministic_cost_matrix(8, seed=24)
+        problem = DeploymentProblem(CommunicationGraph.ring(6), costs)
+        session = AdvisorSession()
+        session.watch(problem, [drifted(costs, seed=13, sigma=0.4)],
+                      fast_policy(solver="greedy", config={}))
+        assert session.stats.compilations == 1
+        copy = DeploymentProblem.from_dict(
+            json.loads(json.dumps(problem.to_dict())))
+        response = session.solve(SolveRequest(problem=copy, solver="greedy"))
+        assert response.ok and response.telemetry.compile_cache_hit
+        assert copy.engine is problem.engine
+        assert session.stats.compilations == 1
 
     def test_report_serializes_to_json(self, watch_problem):
         session = AdvisorSession()
