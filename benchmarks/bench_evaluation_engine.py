@@ -15,8 +15,8 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
   ``swap_cost`` versus the pre-rewrite full-suffix re-relaxation peek;
 * block-scored neighborhood peeks: scoring candidate-move blocks through
   ``DeltaEvaluator.peek_many`` versus the per-move NumPy peek it replaced
-  in the search loops (longest link, the one objective with a vectorized
-  neighborhood kernel);
+  in the search loops (longest link, the one objective ``peek_many``
+  scores);
 * local-search move proposals on the n = 300 mesh: the samplers decoding
   raw PCG64 words against the cached free-instance array versus the
   per-draw sampler they replaced (an occupancy scan and NumPy
@@ -386,8 +386,8 @@ def bench_neighborhood_batch(block=64):
     candidate swap moves one at a time through the frozen
     :func:`per_move_swap_cost` versus scoring the same moves in
     solver-sized blocks through ``DeltaEvaluator.peek_many``, longest link
-    at paper scale.  Longest path has no batched kernel (``peek_many``
-    scores it move by move), so it has no row here.  Both paths, and the
+    at paper scale.  Longest path has no row here: ``peek_many`` refuses
+    it, and its solvers peek one move at a time.  Both paths, and the
     live serial ``swap_cost``, must produce bit-identical cost arrays.
 
     Returns ``(graph, loop_s, batch_s, speedup)``.

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from ..core.deployment import DeploymentPlan
 from ..core.errors import ClouDiAError
@@ -99,8 +99,15 @@ class SolveRequest:
         return payload
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SolveRequest":
-        """Rebuild a request from :meth:`to_dict` output."""
+    def from_dict(cls, payload: Mapping[str, Any],
+                  decode_problem: Callable[[Any], DeploymentProblem] =
+                  DeploymentProblem.from_dict) -> "SolveRequest":
+        """Rebuild a request from :meth:`to_dict` output.
+
+        ``decode_problem`` builds the problem from its payload.  The
+        service passes its :class:`~repro.serve.decode_memo.DecodeMemo`,
+        so a repeated problem is decoded once.
+        """
         _require_mapping(payload, "solve request")
         _check_version(payload, "request")
         if "problem" not in payload:
@@ -108,7 +115,7 @@ class SolveRequest:
         budget = payload.get("budget")
         initial_plan = payload.get("initial_plan")
         return cls(
-            problem=DeploymentProblem.from_dict(payload["problem"]),
+            problem=decode_problem(payload["problem"]),
             solver=payload.get("solver", AUTO_SOLVER),
             config=dict(payload.get("config", {})),
             budget=None if budget is None else SearchBudget.from_dict(budget),

@@ -1653,22 +1653,31 @@ class DeltaEvaluator:
 
     def peek_many(self, moves: "MoveBatch | Sequence[Tuple[str, int, int]]"
                   ) -> np.ndarray:
-        """Score a whole block of candidate moves.
+        """Score a whole block of candidate longest-link moves.
 
         Returns a ``(k,)`` float array whose entry ``k`` equals what
         :meth:`swap_cost` / :meth:`relocate_cost` would return for move
         ``k`` — bit-identical, so solvers can batch their peeks without
-        perturbing seeded trajectories.  Longest link is scored in one
-        vectorized pass (:meth:`_peek_many_ll`); longest path scores each
-        move through the serial window-local peek.  Either way no commit
-        payload is kept: committing a chosen move re-peeks it through the
-        serial path.  One call counts as one batch call of ``k`` moves and
-        no serial peeks.
+        perturbing seeded trajectories.  The block is scored in one
+        vectorized pass (:meth:`_peek_many_ll`) and no commit payload is
+        kept: committing a chosen move re-peeks it through the serial
+        path.  One call counts as one batch call of ``k`` moves and no
+        serial peeks.
 
-        Raises the same errors as the serial peeks:
-        ``InvalidDeploymentError`` for out-of-range indices, occupied
-        relocate targets, or moves the allowed mask forbids.
+        Longest path has no batched kernel: its solvers peek one move at
+        a time through :meth:`swap_cost` / :meth:`relocate_cost`.
+
+        Raises:
+            ValueError: on a longest-path evaluator.
+            InvalidDeploymentError: like the serial peeks, for
+                out-of-range indices, occupied relocate targets, or moves
+                the allowed mask forbids.
         """
+        if self.objective is not Objective.LONGEST_LINK:
+            raise ValueError(
+                f"peek_many scores longest_link moves only; this evaluator "
+                f"scores {self.objective.value}: peek each move through "
+                f"swap_cost / relocate_cost")
         batch = (moves if isinstance(moves, MoveBatch)
                  else MoveBatch.from_moves(moves))
         count = len(batch)
@@ -1678,18 +1687,7 @@ class DeltaEvaluator:
         global _BATCH_PEEK_CALLS, _BATCH_PEEKED_MOVES
         _BATCH_PEEK_CALLS += 1
         _BATCH_PEEKED_MOVES += count
-        if self.objective is Objective.LONGEST_LINK:
-            return self._peek_many_ll(batch)
-        # Each peek overwrites the scratch a memoised peek's commit would
-        # read, so the memo goes too.
-        self._last_peek = None
-        peek = self._candidate_cost_lp
-        swap = MoveBatch.SWAP
-        return np.array([
-            peek(self._swap_moves(a, b) if kind == swap else {a: b})[0]
-            for kind, a, b in zip(batch.kinds.tolist(), batch.first.tolist(),
-                                  batch.second.tolist())
-        ], dtype=np.float64)
+        return self._peek_many_ll(batch)
 
     # ------------------------------------------------------------------ #
     # Committing moves

@@ -1,4 +1,4 @@
-"""Common type aliases and small value objects shared across the library.
+"""Common type aliases and helpers shared across the library.
 
 The paper distinguishes between *application nodes* (the logical components
 of the tenant's distributed application) and *instances* (the virtual
@@ -8,7 +8,6 @@ this library; the aliases below make signatures self-documenting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -35,18 +34,3 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-@dataclass(frozen=True)
-class TimeBudget:
-    """Wall-clock style budget expressed in seconds.
-
-    The solvers in :mod:`repro.solvers` measure their own elapsed time and
-    stop once ``seconds`` have passed.  A ``None`` value means unlimited.
-    """
-
-    seconds: float | None = None
-
-    def is_unlimited(self) -> bool:
-        """Return ``True`` when no time limit applies."""
-        return self.seconds is None

@@ -7,6 +7,7 @@ related serving systems are::
 
     http.py          transport: ThreadingHTTPServer, JSON, signals
     app.py           wiring + the submit path (store -> coalesce -> queue)
+    decode_memo.py   repeated problem text is decoded once
     routes/          one thin module per endpoint family
     queries.py       read-side: solver catalog, history rendering
     dependencies.py  config, tenancy, the HttpError status mapping

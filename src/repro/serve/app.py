@@ -7,10 +7,11 @@ table and the metrics — and exposes exactly two things to the transport:
 :meth:`handle` (dispatch one parsed request through the route table) and
 the lifecycle methods (:meth:`start`, :meth:`drain`, :meth:`close`).
 
-The submit path implements the layering the ISSUE's serving design calls
-for::
+The submit path is layered so that every dedup opportunity is taken
+before a solver runs::
 
-    request -> fingerprint + solver tag          (content addressing)
+    request -> decode memo                       (repeated problem text)
+            -> fingerprint + solver tag          (content addressing)
             -> persistent store short-circuit    (repeats across restarts)
             -> in-flight coalescing              (concurrent duplicates)
             -> bounded fair queue                (priorities + tenants)
@@ -36,6 +37,7 @@ from ..core.errors import ClouDiAError
 from ..solvers.registry import SolverRegistry
 from ..store import SQLiteResultCache
 from ..api.session import AdvisorSession
+from .decode_memo import DecodeMemo
 from .dependencies import HttpError, Request, ServeConfig, resolve_tenant
 from .metrics import ServiceMetrics
 from .routes import build_router
@@ -87,6 +89,7 @@ class AdvisorApp:
             tenant_weights=self.config.tenant_weights,
         )
         self.metrics = ServiceMetrics()
+        self.decode_memo = DecodeMemo()
         self.jobs = JobTable(max_finished=self.config.max_finished_jobs)
         self.pool = WorkerPool(self.scheduler, self.session, self.metrics,
                                workers=self.config.workers, jobs=self.jobs)
@@ -233,6 +236,7 @@ class AdvisorApp:
             "service": self.metrics.to_dict(),
             "scheduler": self.scheduler.stats.to_dict(),
             "session": self.session.stats.to_dict(),
+            "decode_memo": self.decode_memo.to_dict(),
             "store": store_stats,
             "tracked_jobs": len(self.jobs),
         }

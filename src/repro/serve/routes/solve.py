@@ -7,8 +7,10 @@ fields: ``priority`` (``"drift"`` / ``"interactive"`` / ``"batch"``) and
 job id to poll).  Batch bodies carry a ``requests`` list sharing one
 ``priority`` / ``mode``.
 
-Both routes go through :meth:`AdvisorApp.submit_solve`, so every request
-gets the same treatment: persistent-store short-circuit, in-flight
+Both routes decode each problem through the app's
+:class:`~repro.serve.decode_memo.DecodeMemo` and go through
+:meth:`AdvisorApp.submit_solve`, so every request gets the same
+treatment: decode memo, persistent-store short-circuit, in-flight
 coalescing, bounded queueing with 429 back-pressure, tenant-fair
 scheduling.
 """
@@ -45,9 +47,10 @@ def _parse_mode(payload: Dict) -> str:
     return mode
 
 
-def _parse_solve_request(payload: Dict) -> SolveRequest:
+def _parse_solve_request(app, payload: Dict) -> SolveRequest:
     try:
-        return SolveRequest.from_dict(payload)
+        return SolveRequest.from_dict(payload,
+                                      decode_problem=app.decode_memo.decode)
     except (ClouDiAError, ValueError, TypeError, KeyError) as exc:
         raise HttpError(400, f"invalid solve request: {exc}") from None
 
@@ -59,7 +62,7 @@ def _submit(app, request: Request, payload: Dict,
         priority = parse_priority(payload.get("priority"), default_priority)
     except ClouDiAError as exc:
         raise HttpError(400, str(exc)) from None
-    solve_request = _parse_solve_request(payload)
+    solve_request = _parse_solve_request(app, payload)
     try:
         return app.submit_solve(solve_request, tenant=request.tenant,
                                 priority=priority)

@@ -4,9 +4,9 @@ Three contracts are pinned here:
 
 * :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` returns
   bit-identical costs to the sequential per-move ``swap_cost`` /
-  ``relocate_cost`` peeks — for both objectives (longest link through the
-  vectorized kernel, longest path through the per-move window-local peek),
-  constrained and unconstrained instances, and mid-walk after commits;
+  ``relocate_cost`` peeks for longest link — constrained and
+  unconstrained instances, and mid-walk after commits — and refuses a
+  longest-path evaluator;
 * the search loops are bit-identical seed for seed to the historical
   per-move loops: the committed golden trajectories in
   ``tests/data/golden_trajectories.json`` (captured from the pre-batching
@@ -110,18 +110,14 @@ def _serial_costs(evaluator, moves):
 # peek_many == sequential per-move peeks, bit for bit
 # --------------------------------------------------------------------------- #
 
-@given(seed=st.integers(0, 5000),
-       objective=st.sampled_from([Objective.LONGEST_LINK,
-                                  Objective.LONGEST_PATH]),
-       count=st.integers(2, 40))
+@given(seed=st.integers(0, 5000), count=st.integers(2, 40))
 @settings(max_examples=60, deadline=None)
-def test_peek_many_matches_serial_peeks(seed, objective, count):
-    graph, costs = _random_instance(
-        seed, dag=objective is Objective.LONGEST_PATH)
+def test_peek_many_matches_serial_peeks(seed, count):
+    graph, costs = _random_instance(seed)
     problem = compile_problem(graph, costs)
     rng = np.random.default_rng(seed + 1)
     start = problem.random_assignments(1, rng)[0]
-    evaluator = problem.delta_evaluator(start, objective)
+    evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
     moves = _random_moves(problem, evaluator, rng, count)
     got = evaluator.peek_many(MoveBatch.from_moves(moves))
     assert np.array_equal(got, _serial_costs(evaluator, moves))
@@ -143,37 +139,31 @@ def _constrained_problem(graph, costs, rng, objective):
                                  forbidden=forbidden))
 
 
-@given(seed=st.integers(0, 3000),
-       objective=st.sampled_from([Objective.LONGEST_LINK,
-                                  Objective.LONGEST_PATH]),
-       count=st.integers(2, 24))
+@given(seed=st.integers(0, 3000), count=st.integers(2, 24))
 @settings(max_examples=40, deadline=None)
-def test_peek_many_matches_serial_peeks_constrained(seed, objective, count):
-    graph, costs = _random_instance(
-        seed, n_lo=5, dag=objective is Objective.LONGEST_PATH)
+def test_peek_many_matches_serial_peeks_constrained(seed, count):
+    graph, costs = _random_instance(seed, n_lo=5)
     rng = np.random.default_rng(seed + 2)
-    problem = _constrained_problem(graph, costs, rng, objective)
+    problem = _constrained_problem(graph, costs, rng,
+                                   Objective.LONGEST_LINK)
     engine = problem.compiled()
     view = problem.compiled_constraints()
     start = view.random_assignments(1, rng)[0]
-    evaluator = engine.delta_evaluator(start, objective,
+    evaluator = engine.delta_evaluator(start, Objective.LONGEST_LINK,
                                        allowed_mask=view.allowed_mask)
     moves = _random_moves(problem, evaluator, rng, count, constrained=True)
     got = evaluator.peek_many(MoveBatch.from_moves(moves))
     assert np.array_equal(got, _serial_costs(evaluator, moves))
 
 
-@given(seed=st.integers(0, 2000),
-       objective=st.sampled_from([Objective.LONGEST_LINK,
-                                  Objective.LONGEST_PATH]))
+@given(seed=st.integers(0, 2000))
 @settings(max_examples=25, deadline=None)
-def test_peek_many_consistent_after_commits(seed, objective):
-    graph, costs = _random_instance(
-        seed, dag=objective is Objective.LONGEST_PATH)
+def test_peek_many_consistent_after_commits(seed):
+    graph, costs = _random_instance(seed)
     problem = compile_problem(graph, costs)
     rng = np.random.default_rng(seed + 3)
     start = problem.random_assignments(1, rng)[0]
-    evaluator = problem.delta_evaluator(start, objective)
+    evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
     for _ in range(3):
         moves = _random_moves(problem, evaluator, rng, 12)
         got = evaluator.peek_many(MoveBatch.from_moves(moves))
@@ -202,49 +192,35 @@ def test_peek_many_large_block_matches_serial_peeks(seed):
     graph, costs, rng = _large_instance(seed)
     problem = compile_problem(graph, costs)
     start = problem.random_assignments(1, rng)[0]
-    for objective in (Objective.LONGEST_LINK, Objective.LONGEST_PATH):
-        evaluator = problem.delta_evaluator(start, objective)
-        moves = _random_moves(problem, evaluator, rng, 600)
-        got = evaluator.peek_many(MoveBatch.from_moves(moves))
-        assert np.array_equal(got, _serial_costs(evaluator, moves))
+    evaluator = problem.delta_evaluator(start, Objective.LONGEST_LINK)
+    moves = _random_moves(problem, evaluator, rng, 600)
+    got = evaluator.peek_many(MoveBatch.from_moves(moves))
+    assert np.array_equal(got, _serial_costs(evaluator, moves))
 
 
 def test_peek_many_large_block_matches_serial_peeks_constrained():
     graph, costs, rng = _large_instance(11)
-    for objective in (Objective.LONGEST_LINK, Objective.LONGEST_PATH):
-        problem = _constrained_problem(graph, costs, rng, objective)
-        view = problem.compiled_constraints()
-        evaluator = problem.compiled().delta_evaluator(
-            view.random_assignments(1, rng)[0], objective,
-            allowed_mask=view.allowed_mask)
-        moves = _random_moves(problem, evaluator, rng, 600,
-                              constrained=True)
-        got = evaluator.peek_many(MoveBatch.from_moves(moves))
-        assert np.array_equal(got, _serial_costs(evaluator, moves))
+    problem = _constrained_problem(graph, costs, rng, Objective.LONGEST_LINK)
+    view = problem.compiled_constraints()
+    evaluator = problem.compiled().delta_evaluator(
+        view.random_assignments(1, rng)[0], Objective.LONGEST_LINK,
+        allowed_mask=view.allowed_mask)
+    moves = _random_moves(problem, evaluator, rng, 600, constrained=True)
+    got = evaluator.peek_many(MoveBatch.from_moves(moves))
+    assert np.array_equal(got, _serial_costs(evaluator, moves))
 
 
-def test_longest_path_peek_many_between_peek_and_commit():
-    # peek_many reuses the scratch a serial peek's commit payload points
-    # into; committing the earlier peek must still install its own move.
-    graph, costs, rng = _large_instance(6)
+def test_peek_many_refuses_longest_path():
+    # Longest path has no batched kernel; its solvers peek serially.
+    graph, costs = _random_instance(4, dag=True)
     problem = compile_problem(graph, costs)
-    start = problem.random_assignments(1, rng)[0]
-    evaluator = problem.delta_evaluator(start, Objective.LONGEST_PATH)
-    n = problem.num_nodes
-    for _ in range(6):
-        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
-        expected = evaluator.swap_cost(a, b)
-        # Other moves of the same two nodes overwrite their scratch.
-        evaluator.peek_many(MoveBatch.from_moves(
-            [("swap", a, k) for k in range(n) if k not in (a, b)]
-            + [("swap", b, k) for k in range(n) if k not in (a, b)]))
-        assert evaluator.apply_swap(a, b) == expected
-        fresh = problem.delta_evaluator(evaluator.assignment,
-                                        Objective.LONGEST_PATH)
-        assert evaluator.current_cost == fresh.current_cost
-        probes = _random_moves(problem, evaluator, rng, 40)
-        assert np.array_equal(_serial_costs(evaluator, probes),
-                              _serial_costs(fresh, probes))
+    evaluator = problem.delta_evaluator(
+        problem.random_assignments(1, 4)[0], Objective.LONGEST_PATH)
+    before = delta_counters()
+    for moves in ([("swap", 0, 1)], []):
+        with pytest.raises(ValueError, match="longest_path"):
+            evaluator.peek_many(MoveBatch.from_moves(moves))
+    assert delta_counters() == before
 
 
 def test_peek_many_empty_batch():
@@ -464,8 +440,8 @@ def test_batch_peek_counters_surface_in_parallel_stats():
 def test_peek_and_commit_counters_count_each_evaluation_once(objective):
     # The solvers' peek-then-apply sequence scores a move once: a repeated
     # peek and the commit that follows it hit the last-peek memo.  A
-    # peek_many call is one batch call of its moves and no serial peeks,
-    # for longest path too, where it scores move by move.
+    # longest-link peek_many call is one batch call of its moves and no
+    # serial peeks.
     graph, costs = _random_instance(
         21, dag=objective is Objective.LONGEST_PATH)
     problem = compile_problem(graph, costs)
@@ -476,10 +452,13 @@ def test_peek_and_commit_counters_count_each_evaluation_once(objective):
     evaluator.swap_cost(0, 1)
     evaluator.apply_swap(0, 1)
     evaluator.swap_cost(0, 1)  # the state moved: a fresh evaluation
-    evaluator.peek_many(MoveBatch.from_moves([("swap", 0, 1),
-                                              ("swap", 1, 2)]))
+    batched = objective is Objective.LONGEST_LINK
+    if batched:
+        evaluator.peek_many(MoveBatch.from_moves([("swap", 0, 1),
+                                                  ("swap", 1, 2)]))
     after = delta_counters()
-    assert tuple(a - b for a, b in zip(after, before)) == (2, 1, 1, 2)
+    assert tuple(a - b for a, b in zip(after, before)) == \
+        ((2, 1, 1, 2) if batched else (2, 1, 0, 0))
 
 
 @pytest.mark.parametrize("objective", [Objective.LONGEST_LINK,
