@@ -21,6 +21,10 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
   raw PCG64 words against the cached free-instance array versus the
   per-draw sampler they replaced (an occupancy scan and NumPy
   ``Generator`` calls per proposal);
+* a first-improvement longest-path descent on a 1,000-node layered DAG
+  that peeks only the swaps moving a node of the critical witness
+  (``DeltaEvaluator.witness_nodes``) versus the same descent peeking
+  every swap;
 * one G2 greedy construction on the n = 100 mesh through the vectorized
   step kernel (one score matrix and ``argmin`` per step) versus the
   per-(frontier instance, unmapped neighbor) loop it replaced;
@@ -486,6 +490,70 @@ def bench_move_proposals(repeats=3):
     assert drawn == reference, \
         "raw-word proposals disagree with the per-draw sampler"
     return reference_s, draws_s, reference_s / draws_s
+
+
+def first_improvement_descent(evaluator, swaps):
+    """A first-improvement descent that peeks every proposal.
+
+    Walks ``swaps`` in order, peeks each through ``swap_cost`` and commits
+    it when it lowers the current cost, as local search did before its
+    critical-witness screen.  Frozen here, like ``per_move_swap_cost``, so
+    the ``screened_local_search`` ratio measures the screen alone.
+    Returns the accepted ``(proposal index, cost)`` sequence.
+    """
+    accepted = []
+    for k, (a, b) in enumerate(swaps):
+        cost = evaluator.swap_cost(a, b)
+        if cost < evaluator.current_cost:
+            evaluator.apply_swap(a, b)
+            accepted.append((k, cost))
+    return accepted
+
+
+def bench_screened_local_search(repeats=3):
+    """(peek_all_s, screened_s, speedup) for a longest-path descent.
+
+    A 1,000-node layered DAG (25 layers of 40 nodes, the ``ls-dag-1000``
+    size of the end-to-end search-lp workload) on 1,100 instances, from
+    a random plan, over NUM_MOVES pre-drawn swaps.  The reference,
+    :func:`first_improvement_descent`, peeks every swap; the screened
+    descent peeks only the swaps that move a node of
+    ``DeltaEvaluator.witness_nodes()``, since no other swap can lower the
+    cost.  Both must accept the same swaps at the same costs.
+    """
+    graph = _layered_dag(num_layers=25, width=40, edge_prob=0.04)
+    n = graph.num_nodes
+    rng = np.random.default_rng(SEED + 41)
+    m = n + n // 10
+    matrix = rng.uniform(0.2, 1.4, size=(m, m))
+    np.fill_diagonal(matrix, 0.0)
+    problem = compile_problem(graph, CostMatrix(list(range(m)), matrix))
+    start = problem.random_assignments(1, rng)[0]
+    swaps = [tuple(int(x) for x in rng.choice(n, size=2, replace=False))
+             for _ in range(NUM_MOVES)]
+
+    def peek_all():
+        evaluator = problem.delta_evaluator(start, Objective.LONGEST_PATH)
+        return first_improvement_descent(evaluator, swaps)
+
+    def screened():
+        evaluator = problem.delta_evaluator(start, Objective.LONGEST_PATH)
+        accepted = []
+        for k, (a, b) in enumerate(swaps):
+            witness = evaluator.witness_nodes()
+            if a not in witness and b not in witness:
+                continue
+            cost = evaluator.swap_cost(a, b)
+            if cost < evaluator.current_cost:
+                evaluator.apply_swap(a, b)
+                accepted.append((k, cost))
+        return accepted
+
+    peek_all_s, reference = _best_of(repeats, peek_all)
+    screened_s, accepted = _best_of(repeats, screened)
+    assert accepted == reference, \
+        "the screened descent accepted other moves than peeking every swap"
+    return peek_all_s, screened_s, peek_all_s / screened_s
 
 
 class PerPairG2(GreedyG2):
@@ -1027,6 +1095,14 @@ def build_report():
         f"local-search move proposals (15x20 mesh, m=330, {NUM_MOVES} "
         f"draws): per-draw {reference_s:7.3f} s   raw-word {draws_s:7.3f} s   "
         f"speedup {speedup:7.1f}x"
+    )
+
+    peek_all_s, screened_s, speedup = bench_screened_local_search()
+    metrics["screened_local_search"] = speedup
+    lines.append(
+        f"screened longest-path descent (25x40 layered DAG, m=1100, "
+        f"{NUM_MOVES} swaps): peek-all {peek_all_s:7.3f} s   "
+        f"screened {screened_s:7.3f} s   speedup {speedup:7.1f}x"
     )
 
     loop_s, kernel_s, speedup = bench_greedy_g2()

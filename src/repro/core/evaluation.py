@@ -49,7 +49,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -982,6 +982,16 @@ class DeltaEvaluator:
     (the same float64 adds and max reductions over the same entries),
     which the tests pin against the oracle move-by-move.
 
+    One critical witness fixes the current cost, and
+    :meth:`witness_nodes` names its nodes: both endpoints of a
+    maximum-cost edge (longest link), or the nodes of one longest path,
+    walked back through ``argmax`` (longest path).  A move that moves
+    none of them leaves the witness's edges at their old costs, so its
+    candidate cost is at least :attr:`current_cost` (IEEE ``+`` and
+    ``max`` are monotone).  A descent that accepts only improvements can
+    therefore skip such a move without peeking it.  The witness is built
+    on first use and dropped by every commit.
+
     The ascending array of free instances is kept, not rescanned: it is
     recomputed only after a committed relocate (the one move that changes
     which instances are occupied), and :meth:`free_instance_indices` hands
@@ -1016,6 +1026,7 @@ class DeltaEvaluator:
         self._last_peek: Optional[Tuple[Tuple[Tuple[int, int], ...],
                                         float, tuple]] = None
         self._free: Optional[np.ndarray] = None
+        self._witness: Optional[FrozenSet[int]] = None
         self._prime()
 
     def _prime(self) -> None:
@@ -1148,6 +1159,38 @@ class DeltaEvaluator:
     def current_cost(self) -> float:
         """Cost of the current assignment."""
         return self._cost
+
+    def witness_nodes(self) -> FrozenSet[int]:
+        """Node indices of one critical witness of :attr:`current_cost`.
+
+        Longest link: both endpoints of the first maximum-cost edge.
+        Longest path: the nodes of one longest path, walked back through
+        ``argmax`` from the first node whose ``finish`` equals the cost.
+        Every swap or relocate that moves none of these nodes scores at
+        least :attr:`current_cost` (see the class docstring).  Empty for
+        a longest-link problem with no edges, where no move changes the
+        cost.  Built on first use after each commit.
+        """
+        witness = self._witness
+        if witness is None:
+            problem = self.problem
+            nodes: List[int] = []
+            if self.objective is Objective.LONGEST_LINK:
+                if problem.num_edges:
+                    edge = int(np.argmax(self._edge_costs))
+                    nodes = [int(problem.edge_src[edge]),
+                             int(problem.edge_dst[edge])]
+            else:
+                argmax = self._lp_argmax
+                node = self._lp_finish.index(self._cost)
+                nodes.append(node)
+                edge = argmax[node]
+                while edge >= 0:
+                    node = int(problem.edge_src[edge])
+                    nodes.append(node)
+                    edge = argmax[node]
+            witness = self._witness = frozenset(nodes)
+        return witness
 
     def free_instance_indices(self, node: Optional[int] = None) -> np.ndarray:
         """Indices of instances not hosting any node, ascending.
@@ -1748,6 +1791,7 @@ class DeltaEvaluator:
                     self._lp_suffix_start = hi + 1
         self._cost = cost
         self._last_peek = None  # state advanced; cached peek no longer valid
+        self._witness = None
         return cost
 
     def apply_swap(self, node_a: int, node_b: int) -> float:

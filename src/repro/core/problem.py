@@ -376,7 +376,7 @@ class DeploymentProblem:
 
     __slots__ = ("_graph", "_costs", "_objective", "_constraints", "_metadata",
                  "_fingerprint", "_instance_key", "_engine",
-                 "_compiled_constraints")
+                 "_compiled_constraints", "__weakref__")
 
     def __init__(self, graph: CommunicationGraph, costs: CostMatrix,
                  objective: Objective = Objective.LONGEST_LINK,

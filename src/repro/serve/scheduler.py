@@ -125,12 +125,17 @@ class Job:
     same response.  ``source`` records how the response was produced —
     ``"solver"`` for a worker-executed solve, ``"store"`` for a submit-time
     persistent-cache hit (those jobs never enter the queue).
+
+    ``request`` is dropped (set to ``None``) when the job enters the
+    :class:`JobTable`'s finished LRU: polling reads only the response,
+    fingerprint and tag, and a kept request would pin its decoded problem
+    and that problem's engine for as long as the job is retained.
     """
 
     job_id: str
     tenant: str
     priority: int
-    request: SolveRequest
+    request: Optional[SolveRequest]
     fingerprint: str
     cache_tag: str
     created_at: float = field(default_factory=time.time)
@@ -483,6 +488,8 @@ class JobTable:
     kept in a bounded LRU so a long-lived server does not accumulate one
     entry per request forever.  A finished job evicted from the table
     simply answers 404 — its result lives on in the persistent store.
+    A job entering the LRU drops its request, so retained jobs hold their
+    responses but no decoded problem or engine.
     """
 
     def __init__(self, max_finished: int = 1024):
@@ -497,8 +504,7 @@ class JobTable:
         """Track a job (in whatever state it currently is)."""
         with self._lock:
             if job.done.is_set():
-                self._finished[job.job_id] = job
-                self._trim_locked()
+                self._finish_locked(job)
             else:
                 self._active[job.job_id] = job
 
@@ -506,8 +512,7 @@ class JobTable:
         """Move a finished job from the active set into the bounded LRU."""
         with self._lock:
             self._active.pop(job.job_id, None)
-            self._finished[job.job_id] = job
-            self._trim_locked()
+            self._finish_locked(job)
 
     def get(self, job_id: str) -> Optional[Job]:
         """The job registered under ``job_id``, or ``None``."""
@@ -519,7 +524,9 @@ class JobTable:
                     self._finished.move_to_end(job_id)
             return job
 
-    def _trim_locked(self) -> None:
+    def _finish_locked(self, job: Job) -> None:
+        job.request = None
+        self._finished[job.job_id] = job
         while len(self._finished) > self.max_finished:
             self._finished.popitem(last=False)
 

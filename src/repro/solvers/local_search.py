@@ -2,7 +2,7 @@
 
 These solvers are not part of the paper's evaluated algorithm set; they are
 the natural "next lightweight step" after R2 and are included as an ablation
-extension (DESIGN.md, experiment A3).  Moves preserve injectivity:
+extension.  Moves preserve injectivity:
 
 * *swap* — exchange the instances of two mapped nodes;
 * *relocate* — move a node to a currently unused (over-allocated) instance.
@@ -18,6 +18,20 @@ size.  The block size depends on the objective.  Longest link draws
 :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` call; longest path
 draws one, scored by the serial window-local peek, so no peek is spent
 past an accepted move (``docs/ARCHITECTURE.md`` has the measurements).
+
+Most proposals are not peeked at all.  One critical witness fixes a
+plan's cost: a maximum-cost edge under longest link, one longest path
+under longest path, with its nodes returned by
+:meth:`~repro.core.evaluation.DeltaEvaluator.witness_nodes`.  A move
+that moves none of them leaves the witness's edges at their old costs,
+and IEEE ``+`` and ``max`` are monotone, so its cost is at least the
+current one and the search, which accepts only ``cost < current``,
+would reject it.  Such a proposal counts as a rejection without a peek
+(the critical-path argument behind restricted job-shop neighbourhoods,
+Nowicki & Smutnicki, 1996).  The screen is exact, not a heuristic: no
+draw depends on a peek, and each block starts with the loop's cost equal
+to the evaluator's current cost, so trajectories do not move.
+
 Bit-identity rests on two invariants:
 
 * **Peeks are state-free.**  Every proposal in a block is scored against
@@ -38,7 +52,9 @@ its own calls and records positions as its state (:class:`_GeneratorDraws`).
 
 Simulated annealing keeps the per-move loop: Metropolis draws
 ``random()`` after every scored uphill candidate, so a pre-drawn block
-could never look ahead more than one move.
+could never look ahead more than one move.  It peeks every proposal:
+Metropolis needs the exact uphill cost, and annealing commits every
+non-worsening move.
 
 On constrained problems the search is natively constraint-aware: it starts
 from a feasible plan (constrained sampling, or the warm start repaired up
@@ -375,15 +391,21 @@ def _draw_proposals(evaluator: DeltaEvaluator, draws, constrained: bool,
 
 def _block_costs(evaluator: DeltaEvaluator,
                  proposals: List[Optional[Move]]) -> List[Optional[float]]:
-    """Scores aligned with ``proposals`` (``None`` rows stay ``None``).
+    """Peeked costs aligned with ``proposals``; ``None`` where not peeked.
 
-    A single real proposal — every longest-path block, and any longest-link
-    block with one — takes the serial peek, which also primes the commit
-    memo; larger blocks go through one
+    Only a proposal that moves a node of the evaluator's critical witness
+    (:meth:`~repro.core.evaluation.DeltaEvaluator.witness_nodes`) is
+    peeked.  Any other proposal scores at least ``current_cost``, so it
+    cannot be accepted and stays ``None``, like an empty proposal.  A
+    single peeked row takes the serial peek, which also primes the commit
+    memo; more go through one
     :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` call.  Either
     path returns bit-identical costs.
     """
-    rows = [k for k, move in enumerate(proposals) if move is not None]
+    witness = evaluator.witness_nodes()
+    rows = [k for k, move in enumerate(proposals)
+            if move is not None and (move[1] in witness or (
+                move[0] == "swap" and move[2] in witness))]
     costs: List[Optional[float]] = [None] * len(proposals)
     if not rows:
         return costs
@@ -491,24 +513,19 @@ class SwapLocalSearch(DeploymentSolver):
                     # costs, stopping at the first accepted move (later
                     # peeks would be stale) or wherever the serial loop
                     # would have stopped; then set the stream to where the
-                    # serial loop would stand.
+                    # serial loop would stand.  An unpeeked row (no
+                    # proposal, or one the witness screen skipped) is a
+                    # rejection: ``cost`` is the evaluator's current cost.
                     accept_idx: Optional[int] = None
                     consumed = 0
-                    for j, move in enumerate(proposals):
+                    for j, candidate in enumerate(costs_block):
                         if j > 0 and (
                                 stall >= self.max_moves_without_improvement
                                 or watch.expired()):
                             break
                         consumed = j + 1
                         iterations += 1
-                        if move is None:
-                            stall += 1
-                            if budget.max_iterations is not None \
-                                    and iterations >= budget.max_iterations:
-                                exit_inner = True
-                                break
-                            continue
-                        if costs_block[j] < cost:
+                        if candidate is not None and candidate < cost:
                             accept_idx = j
                             break
                         stall += 1

@@ -3,17 +3,20 @@
 A repeated problem text is served the problem decoded the first time;
 any other text, however small the difference, is decoded anew.  Payloads
 the decoder refuses stay a JSON 400 and never enter the memo, and the
-memo keeps serving repeats when every store call fails.
+memo keeps serving repeats when every store call fails.  A finished job
+keeps its response but not its problem, so memo eviction frees it.
 """
 
 from __future__ import annotations
 
 import base64
+import gc
 import json
 import sqlite3
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -53,9 +56,29 @@ def post(app, body, path="/v1/solve"):
     return app.handle("POST", path, body=json.dumps(body).encode())
 
 
+def record_problems(app):
+    """Record, weakly and by job id, the problem each job was submitted with.
+
+    A finished job drops its request, so :func:`problem_of` reads the
+    problem off the submit path instead.  A coalesced caller maps to the
+    job it joined, and so to that job's problem.
+    """
+    problems = weakref.WeakValueDictionary()
+    submit = app.submit_solve
+
+    def recording(request, tenant, priority):
+        job, source = submit(request, tenant=tenant, priority=priority)
+        problems.setdefault(job.job_id, request.problem)
+        return job, source
+
+    app.submit_solve = recording
+    app.submitted_problems = problems
+    return app
+
+
 def problem_of(app, envelope):
     """The problem object the service solved (or served) the body with."""
-    return app.jobs.get(envelope["job_id"]).request.problem
+    return app.submitted_problems[envelope["job_id"]]
 
 
 def memo_counts(app):
@@ -65,9 +88,9 @@ def memo_counts(app):
 
 @pytest.fixture
 def app(tmp_path):
-    instance = create_app(store=tmp_path / "serve.db",
-                          config=ServeConfig(workers=1,
-                                             request_timeout_s=20.0))
+    instance = record_problems(create_app(
+        store=tmp_path / "serve.db",
+        config=ServeConfig(workers=1, request_timeout_s=20.0)))
     yield instance
     instance.close(timeout=5.0)
 
@@ -340,8 +363,8 @@ class TestServeStoreFaults:
 
     def test_solves_answer_and_nothing_leaks(self, tmp_path):
         store = _FailingStore(tmp_path / "serve.db")
-        app = create_app(store=store, config=ServeConfig(
-            workers=2, request_timeout_s=20.0))
+        app = record_problems(create_app(store=store, config=ServeConfig(
+            workers=2, request_timeout_s=20.0)))
         try:
             body = solve_body()
             for _ in range(2):
@@ -371,3 +394,46 @@ class TestServeStoreFaults:
             assert all(thread.is_alive() for thread in app.pool._threads)
         finally:
             app.close(timeout=5.0)
+
+
+def _wait_retired(app, job_id):
+    """Wait until the worker has moved ``job_id`` into the finished LRU."""
+    deadline = time.monotonic() + 5.0
+    while job_id in app.jobs._active and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert job_id not in app.jobs._active
+
+
+class TestFinishedJobsPinNoProblem:
+    """The memo and engine-cache bounds bound what finished jobs keep."""
+
+    def test_an_evicted_problem_is_freed_while_its_job_answers(
+            self, app, monkeypatch):
+        monkeypatch.setattr(session, "ENGINE_CACHE_ENTRIES", 2)
+        status, first = post(app, solve_body(seed=0))
+        assert status == 200 and first["source"] == "solver"
+        job_id = first["job_id"]
+        _wait_retired(app, job_id)
+        problem = weakref.ref(problem_of(app, first))
+        engine = weakref.ref(problem().compiled())
+        assert app.jobs.get(job_id).request is None
+        # Two other problems evict the first from the memo and the
+        # engine cache; the finished job is all that could still hold it.
+        for seed in (1, 2):
+            status, other = post(app, solve_body(seed=seed))
+            assert status == 200 and other["source"] == "solver"
+        assert memo_counts(app) == (0, 3, 2)
+        gc.collect()
+        assert problem() is None and engine() is None
+        status, polled = app.handle("GET", f"/v1/jobs/{job_id}")
+        assert status == 200
+        assert polled["status"] == "done"
+        assert polled["response"] == first["response"]
+
+    def test_a_store_served_job_drops_its_request(self, app):
+        post(app, solve_body())
+        status, served = post(app, solve_body())
+        assert status == 200 and served["source"] == "store"
+        job = app.jobs.get(served["job_id"])
+        assert job.request is None
+        assert job.response.to_dict() == served["response"]
