@@ -9,10 +9,10 @@ over-allocated instance pools).  It compares, on an n = 100 problem:
 * scoring swap moves through the incremental ``DeltaEvaluator`` versus full
   re-evaluation of each candidate plan (longest link);
 * an applied longest-path swap walk on a deep layered DAG through the
-  incremental level-window delta versus a full vectorized re-relaxation
-  per move;
-* a mostly-rejected longest-path peek walk through the window-local
-  ``swap_cost`` versus the pre-rewrite full-suffix re-relaxation peek;
+  incremental delta (only the affected nodes recomputed, in level order)
+  versus a full vectorized re-relaxation per move;
+* a mostly-rejected longest-path peek walk through ``swap_cost`` versus
+  the full-suffix re-relaxation peek it replaced;
 * block-scored neighborhood peeks: scoring candidate-move blocks through
   ``DeltaEvaluator.peek_many`` versus the per-move NumPy peek it replaced
   in the search loops (longest link, the one objective ``peek_many``
@@ -187,7 +187,7 @@ def _layered_dag(num_layers=60, width=3, edge_prob=0.6, seed=SEED):
     ``edge_prob`` — the deep-and-narrow topology of streaming / dataflow
     deployments, and the regime where the incremental longest-path delta
     pays off most (a full re-relaxation walks all ~``num_layers`` levels
-    per move while a swap only perturbs a local window).
+    per move while a swap only perturbs the few nodes it reaches).
     """
     rng = np.random.default_rng(seed)
     edges = []
@@ -207,8 +207,10 @@ def bench_incremental_lp():
     ``DeltaEvaluator`` did for ``LONGEST_PATH`` before the incremental
     delta landed — a full vectorized re-relaxation of the whole DAG per
     candidate (``CompiledProblem.evaluate`` on the swapped assignment).
-    The incremental path re-relaxes only the level window each swap
-    touches.  Both walks must produce the exact same cost sequence.
+    The incremental path recomputes, in level order, only the nodes
+    whose longest path a swap can change: the moved nodes and the
+    successors of every node that moved or changed.  Both walks must
+    produce the exact same cost sequence.
     """
     graph = _layered_dag()
     n = graph.num_nodes
@@ -249,13 +251,14 @@ def bench_peeked_lp():
 
     The local-search reality: most peeked moves are rejected, so the peek
     itself is the hot operation.  The baseline is the peek the
-    ``DeltaEvaluator`` performed before the window-local rewrite — copy
-    the committed ``finish`` list (O(n)), recost the touched edges,
-    re-relax *every* node at levels >= the move's window through
+    ``DeltaEvaluator`` performed before its sparse rewrite — copy the
+    committed ``finish`` list (O(n)), recost the touched edges, re-relax
+    *every* node at levels >= the lowest moved node's through
     ``struct.in_edges``, and take ``max(finish)`` over all nodes (O(n)).
-    The measured path is ``swap_cost`` with the per-level prefix/suffix
-    maxima: overlays instead of copies, a rescan only where a level
-    maximum actually dropped, and a window-local cost combination.  Both
+    The measured path is ``swap_cost``: a version-stamped overlay
+    instead of a copy, only the affected nodes recomputed, and the cost
+    taken as ``max(current cost, changed values)`` (one C-level
+    ``max(finish)`` only when a node at the current cost dropped).  Both
     walks commit the same occasional move (1 in 25, the accepted ones)
     and must produce the exact same cost sequence.
 
@@ -330,7 +333,7 @@ def bench_peeked_lp():
                 finish = finish2
         return walk_costs
 
-    def window_walk():
+    def peek_walk():
         evaluator = problem.delta_evaluator(start, Objective.LONGEST_PATH)
         walk_costs = []
         for (a, b), commit in zip(swaps, committed):
@@ -340,10 +343,10 @@ def bench_peeked_lp():
         return walk_costs
 
     full_s, full_costs = _best_of(3, full_suffix_walk)
-    delta_s, delta_costs = _best_of(3, window_walk)
+    delta_s, delta_costs = _best_of(3, peek_walk)
 
     assert full_costs == delta_costs, \
-        "window-local peek disagrees with the full-suffix re-relaxation"
+        "swap_cost peek disagrees with the full-suffix re-relaxation"
     return graph, full_s, delta_s, full_s / delta_s
 
 
@@ -1076,7 +1079,7 @@ def build_report():
     lines.append(
         f"peeked longest_path (n={peek_graph.num_nodes}, "
         f"{peek_graph.num_edges} edges, mostly-rejected swaps): "
-        f"full-suffix {full_s:7.3f} s   window {delta_s:7.3f} s   "
+        f"full-suffix {full_s:7.3f} s   peek   {delta_s:7.3f} s   "
         f"speedup {speedup:7.1f}x"
     )
 

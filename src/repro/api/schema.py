@@ -112,11 +112,17 @@ class SolveRequest:
         _check_version(payload, "request")
         if "problem" not in payload:
             raise ClouDiAError("solve request payload misses 'problem'")
+        solver = payload.get("solver", AUTO_SOLVER)
+        if solver is not None and not isinstance(solver, str):
+            raise ClouDiAError(
+                f"'solver' must be a solver key string, got "
+                f"{type(solver).__name__}"
+            )
         budget = payload.get("budget")
         initial_plan = payload.get("initial_plan")
         return cls(
             problem=decode_problem(payload["problem"]),
-            solver=payload.get("solver", AUTO_SOLVER),
+            solver=solver,
             config=dict(payload.get("config", {})),
             budget=None if budget is None else SearchBudget.from_dict(budget),
             initial_plan=None if initial_plan is None

@@ -619,29 +619,33 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--samples", type=int, default=10,
                          help="target RTT samples per directed link")
 
+    def add_instance(sub: argparse.ArgumentParser) -> None:
+        """The graph template, its size, the objective and the allocation."""
+        sub.add_argument("--template", default="mesh",
+                         choices=sorted(TEMPLATE_DESCRIPTIONS),
+                         help="communication graph template")
+        sub.add_argument("--rows", type=int, default=4)
+        sub.add_argument("--cols", type=int, default=5)
+        sub.add_argument("--depth", type=int, default=2)
+        sub.add_argument("--branching", type=int, default=3)
+        sub.add_argument("--frontends", type=int, default=4)
+        sub.add_argument("--storage", type=int, default=12)
+        sub.add_argument("--nodes", type=int, default=8)
+        sub.add_argument("--dimension", type=int, default=3)
+        sub.add_argument("--objective", default=Objective.LONGEST_LINK.value,
+                         choices=[objective.value for objective in Objective])
+        sub.add_argument("--metric", default=LatencyMetric.MEAN.value,
+                         choices=[metric.value for metric in LatencyMetric])
+        sub.add_argument("--over-allocation", type=float, default=0.10,
+                         help="fraction of extra instances to allocate")
+
     advise = subparsers.add_parser("advise", help="run the full advisor pipeline")
     add_common(advise)
-    advise.add_argument("--template", default="mesh",
-                        choices=sorted(TEMPLATE_DESCRIPTIONS),
-                        help="communication graph template")
-    advise.add_argument("--rows", type=int, default=4)
-    advise.add_argument("--cols", type=int, default=5)
-    advise.add_argument("--depth", type=int, default=2)
-    advise.add_argument("--branching", type=int, default=3)
-    advise.add_argument("--frontends", type=int, default=4)
-    advise.add_argument("--storage", type=int, default=12)
-    advise.add_argument("--nodes", type=int, default=8)
-    advise.add_argument("--dimension", type=int, default=3)
-    advise.add_argument("--objective", default=Objective.LONGEST_LINK.value,
-                        choices=[objective.value for objective in Objective])
-    advise.add_argument("--metric", default=LatencyMetric.MEAN.value,
-                        choices=[metric.value for metric in LatencyMetric])
+    add_instance(advise)
     advise.add_argument("--solver", default="auto",
                         choices=solver_choices(aliases=True),
                         help="solver registry key ('random' is a legacy "
                              "alias for 'r2' here)")
-    advise.add_argument("--over-allocation", type=float, default=0.10,
-                        help="fraction of extra instances to allocate")
     advise.add_argument("--time-limit", type=float, default=5.0,
                         help="solver time limit in seconds")
     advise.add_argument("--show-plan", action="store_true",
@@ -652,23 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
         "make-problem",
         help="allocate + measure, then write a DeploymentProblem JSON")
     add_common(make_problem)
-    make_problem.add_argument("--template", default="mesh",
-                              choices=sorted(TEMPLATE_DESCRIPTIONS),
-                              help="communication graph template")
-    make_problem.add_argument("--rows", type=int, default=4)
-    make_problem.add_argument("--cols", type=int, default=5)
-    make_problem.add_argument("--depth", type=int, default=2)
-    make_problem.add_argument("--branching", type=int, default=3)
-    make_problem.add_argument("--frontends", type=int, default=4)
-    make_problem.add_argument("--storage", type=int, default=12)
-    make_problem.add_argument("--nodes", type=int, default=8)
-    make_problem.add_argument("--dimension", type=int, default=3)
-    make_problem.add_argument("--objective", default=Objective.LONGEST_LINK.value,
-                              choices=[objective.value for objective in Objective])
-    make_problem.add_argument("--metric", default=LatencyMetric.MEAN.value,
-                              choices=[metric.value for metric in LatencyMetric])
-    make_problem.add_argument("--over-allocation", type=float, default=0.10,
-                              help="fraction of extra instances to allocate")
+    add_instance(make_problem)
     make_problem.add_argument("--out", required=True,
                               help="path of the problem JSON to write")
     make_problem.set_defaults(handler=command_make_problem)

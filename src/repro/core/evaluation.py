@@ -27,11 +27,10 @@ then evaluates plans with a handful of vectorized operations:
   the moved nodes, so a candidate is scored in O(degree) (with an O(|E|)
   vectorized fallback only when the current critical edge is itself
   touched).  The longest-path objective is scored through a sparse
-  level-ordered re-relaxation: the per-node longest-path-ending-here maxima
-  (and the in-edge realising each maximum) are cached, a move re-relaxes
+  level-ordered recompute: the per-node longest-path-ending-here maxima
+  (and the in-edge realising each maximum) are cached, a move recomputes
   only the nodes its perturbation actually reaches, and everything
-  downstream of a washed-out change is reused untouched — the full DAG is
-  never re-relaxed unless the move genuinely re-routes it.
+  downstream of a node whose value did not change is reused untouched.
 
 Evaluation is serial: thread- and process-pooled batch scoring measured
 slower end to end on the search workloads (see ``docs/ARCHITECTURE.md``).
@@ -99,8 +98,7 @@ class _LpDeltaStructure:
     Depends only on the graph, so :meth:`CompiledProblem.refresh_costs` shares it.
     """
 
-    __slots__ = ("levels", "order", "in_edges", "out_edges", "level_nodes",
-                 "num_levels")
+    __slots__ = ("levels", "order", "in_edges", "out_edges", "num_levels")
 
     def __init__(self, levels: List[int], order: List[int],
                  in_edges: List[List[Tuple[int, int]]],
@@ -109,15 +107,9 @@ class _LpDeltaStructure:
         self.order = order
         self.in_edges = in_edges
         self.out_edges = out_edges
-        # Nodes bucketed by level, for the window-local peek's per-level
-        # maxima (a level is rescanned only when its committed maximum
-        # decreases).  Levels are contiguous 0..num_levels-1 by
-        # construction: a node at level L has a predecessor at L-1.
+        # Levels are contiguous 0..num_levels-1 by construction: a node at
+        # level L has a predecessor at L-1.
         self.num_levels = (max(levels) + 1) if levels else 0
-        level_nodes: List[List[int]] = [[] for _ in range(self.num_levels)]
-        for v in order:
-            level_nodes[levels[v]].append(v)
-        self.level_nodes = level_nodes
 
 
 class CompiledProblem:
@@ -970,17 +962,22 @@ class DeltaEvaluator:
 
     The longest-path objective is scored incrementally as well: the
     evaluator caches, per node, the longest path *ending* at that node
-    (``finish``) and the in-edge realising it (``argmax``).  A move recosts
-    only the edges incident to the moved nodes, then re-relaxes a sparse
-    frontier in topological-level order — a node is fully recomputed only
-    when moved or when the edge realising its cached maximum got cheaper;
-    any other touched in-edge is a constant-time "does it beat the cached
-    maximum" test, and a node whose value washes out stops the propagation
-    dead.  Commits are O(touched): the peeked ``finish``/``argmax`` vectors
-    and edge-cost updates are installed without re-relaxing anything.  Both
-    objectives return costs bit-identical to re-evaluating from scratch
-    (the same float64 adds and max reductions over the same entries),
-    which the tests pin against the oracle move-by-move.
+    (``finish``) and the in-edge realising it (``argmax``: the first
+    in-edge that reaches the maximum, as a from-scratch relaxation picks
+    it).  A move recosts only the edges incident to the moved nodes, then
+    recomputes the affected nodes in topological-level order, each from
+    all of its in-edges; a node's successors are affected only if it moved
+    or its ``finish`` changed.  The candidate cost is the current cost
+    raised by any new ``finish`` value, unless a node that sat at the
+    current cost dropped: then one C-level ``max(finish)`` over the
+    candidate values recomputes it, as the longest-link peek falls back to
+    its masked max.  Commits are O(touched): the peeked ``finish`` /
+    ``argmax`` entries and edge-cost updates are installed without
+    re-relaxing anything, so the state equals a fresh prime of the new
+    assignment.  Both objectives return costs bit-identical to
+    re-evaluating from scratch (the same float64 adds and max reductions
+    over the same entries), which the tests pin against the oracle
+    move-by-move.
 
     One critical witness fixes the current cost, and
     :meth:`witness_nodes` names its nodes: both endpoints of a
@@ -1052,14 +1049,10 @@ class DeltaEvaluator:
 
         One full relaxation in topological-level order, tracking per node
         the longest path ending there (``finish``) and the in-edge
-        realising it (``argmax``, -1 for sources).  Edge costs live in a
-        plain Python list: the sparse deltas touch a handful of entries
-        per move, where list indexing beats array access hands down.
-
-        Also derives the window-local peek state: per-level finish maxima
-        plus lazily extended prefix/suffix maxima over levels, so a peek's
-        cost is ``max(prefix, changed window, suffix)`` instead of an O(n)
-        ``max(finish)`` over fresh O(n) list copies.
+        realising it (``argmax``, the first in-edge that reaches the
+        maximum, -1 for sources).  Edge costs live in a plain Python list:
+        the sparse deltas touch a handful of entries per move, where list
+        indexing beats array access hands down.
         """
         problem = self.problem
         struct = problem._lp_delta_structure()
@@ -1083,77 +1076,19 @@ class DeltaEvaluator:
             argmax[v] = arg
         self._lp_finish = finish
         self._lp_argmax = argmax
-        num_levels = struct.num_levels
-        level_max = [float("-inf")] * num_levels
-        levels = struct.levels
-        for v in range(problem.num_nodes):
-            fv = finish[v]
-            lv = levels[v]
-            if fv > level_max[lv]:
-                level_max[lv] = fv
-        self._lp_level_max = level_max
-        # Lazy running maxima over levels.  prefix[i] = max(level_max[:i+1])
-        # is valid for i < _lp_prefix_len; suffix[i] = max(level_max[i:]) is
-        # valid for i >= _lp_suffix_start.  Commits invalidate in O(1) by
-        # clamping the validity bounds to the committed window; peeks extend
-        # them on demand, so the amortised cost tracks how far the window
-        # actually moves between commits.
-        self._lp_prefix = [float("-inf")] * num_levels
-        self._lp_prefix_len = 0
-        self._lp_suffix = [float("-inf")] * num_levels
-        self._lp_suffix_start = num_levels
-        # Version-stamped candidate scratch: ``_cand_finish[v]`` /
+        # Version-stamped candidate overlay: ``_cand_finish[v]`` /
         # ``_cand_argmax[v]`` hold a peeked value iff ``_cand_stamp[v]``
         # equals the current ``_cand_version`` (bumped per peek, an O(1)
         # reset).  Plain lists instead of per-peek dicts: the sparse
-        # re-relaxation is all point reads/writes, where list indexing
-        # beats dict hashing — and nothing is allocated per peek.
+        # recompute is all point reads/writes, where list indexing beats
+        # dict hashing — and nothing is allocated per node.
         n = problem.num_nodes
         self._cand_finish = [0.0] * n
         self._cand_argmax = [-1] * n
         self._cand_stamp = [0] * n
-        self._cand_recompute = [0] * n
-        self._cand_sched = [0] * n
-        self._cand_buckets = [[] for _ in range(num_levels)]
+        self._cand_buckets = [[] for _ in range(struct.num_levels)]
         self._cand_version = 0
         self._cost = max(finish) if finish else 0.0
-
-    def _lp_prefix_upto(self, idx: int) -> float:
-        """Max committed level maximum over levels ``0..idx`` (-inf if idx < 0)."""
-        if idx < 0:
-            return float("-inf")
-        prefix = self._lp_prefix
-        k = self._lp_prefix_len
-        if k <= idx:
-            level_max = self._lp_level_max
-            run = prefix[k - 1] if k else float("-inf")
-            while k <= idx:
-                val = level_max[k]
-                if val > run:
-                    run = val
-                prefix[k] = run
-                k += 1
-            self._lp_prefix_len = k
-        return prefix[idx]
-
-    def _lp_suffix_from(self, idx: int) -> float:
-        """Max committed level maximum over levels ``idx..`` (-inf past the end)."""
-        num_levels = self._lp_struct.num_levels
-        if idx >= num_levels:
-            return float("-inf")
-        suffix = self._lp_suffix
-        s = self._lp_suffix_start
-        if s > idx:
-            level_max = self._lp_level_max
-            run = suffix[s] if s < num_levels else float("-inf")
-            while s > idx:
-                s -= 1
-                val = level_max[s]
-                if val > run:
-                    run = val
-                suffix[s] = run
-            self._lp_suffix_start = s
-        return suffix[idx]
 
     @property
     def current_cost(self) -> float:
@@ -1281,248 +1216,111 @@ class DeltaEvaluator:
     def _candidate_cost_lp(self, moves: Dict[int, int]) -> Tuple[float, tuple]:
         """Incremental longest-path cost of ``moves`` plus its commit payload.
 
-        Recosts the incident edges in place (restored before returning),
-        then re-relaxes only the affected frontier in level order — see the
-        class docstring for the argmax-test / recompute / washout rules.
-        The re-relaxation writes version-stamped scratch arrays overlaying
-        the committed ``finish`` / ``argmax`` lists instead of copying
-        them (a node reads as peeked iff its stamp matches the current
-        peek version, so resetting the overlay is a counter bump), and
-        the cost combines per-level maxima window-locally —
-        ``max(prefix(lo-1), changed levels, suffix(hi+1))`` — so a peek
-        is O(frontier + window), not O(n).  Returns ``(cost,
-        (touched nodes, edge updates, level-max overlay))``; the payload
-        is exactly what :meth:`_commit` installs (reading the scratch
-        arrays directly — valid because a commit always consumes its own
-        immediately-preceding peek via the ``_last_peek`` memo), so
-        committing a peeked move costs O(touched).
+        Recosts the moved nodes' edges in place (restored before
+        returning), recomputes the affected nodes in level order, and
+        takes the cost as the class docstring says.  Candidate values go
+        to the version-stamped overlay on the committed ``finish`` /
+        ``argmax`` lists instead of copies of them (a node reads as peeked
+        iff its stamp matches the current peek version, so resetting the
+        overlay is a counter bump).  Returns ``(cost, (recomputed nodes,
+        edge updates))``; :meth:`_commit` installs the payload by reading
+        the overlay directly, which is valid because a commit always
+        consumes its own immediately preceding peek via the ``_last_peek``
+        memo.
         """
         struct = self._lp_struct
         asg = self._asg
         ec = self._lp_ec
         finish = self._lp_finish
-        argmax = self._lp_argmax
         item = self._lp_item
         in_edges = struct.in_edges
         out_edges = struct.out_edges
         levels = struct.levels
-
-        # The candidate overlay for this peek: bumping the version
-        # invalidates every stamp from prior peeks in O(1).
+        buckets = self._cand_buckets
         self._cand_version += 1
         version = self._cand_version
         cand_finish = self._cand_finish
         cand_argmax = self._cand_argmax
         stamp = self._cand_stamp
-        resc = self._cand_recompute
-        sched = self._cand_sched
-        touched_nodes: List[int] = []
 
-        # Phase 1 — recost every edge incident to a moved node, in place
-        # (restored before returning).  Each touched edge is visited
-        # exactly once: an edge between two moved nodes is handled by the
-        # source's out-edge pass and skipped by the in-edge pass.
+        # Step 1 — recost every edge incident to a moved node, in place.
+        # An edge between two moved nodes is handled by its source's
+        # out-edge pass and skipped by the in-edge pass.
         touched: List[Tuple[int, float, float]] = []  # (edge, old, new)
-        pending: Dict[int, List[Tuple[int, int]]] = {}
         for v, inst in moves.items():
             for w, e in out_edges[v]:
                 wi = moves.get(w)
-                if wi is None:
-                    wi = asg[w]
-                c = item(inst, wi)
+                c = item(inst, asg[w] if wi is None else wi)
                 touched.append((e, ec[e], c))
                 ec[e] = c
-                if w not in moves:
-                    tests = pending.get(w)
-                    if tests is None:
-                        pending[w] = [(v, e)]
-                    else:
-                        tests.append((v, e))
             for u, e in in_edges[v]:
                 if u in moves:
                     continue
-                ui = asg[u]
-                c = item(ui, inst)
+                c = item(asg[u], inst)
                 touched.append((e, ec[e], c))
                 ec[e] = c
 
-        # Phase 2 — sparse re-relaxation over the affected frontier, in
-        # level order so every node sees final predecessor values.  The
-        # candidate state lives in the stamped scratch arrays (a node
-        # whose stamp misses the version reads as ``finish[v]``), so the
-        # peek touches O(frontier) entries and allocates nothing per
-        # node.  Levels are contiguous ints, so the level-ordered agenda
-        # is a cursor over persistent per-level buckets (cleared after
-        # processing) rather than a dict keyed priority queue; edges go
-        # to strictly higher levels, so the cursor never backtracks.
-        level_buckets = self._cand_buckets
-        first_lv = struct.num_levels
-        last_lv = -1
-        for v in moves:
-            resc[v] = version
-            sched[v] = version
-            lv = levels[v]
-            level_buckets[lv].append(v)
-            if lv < first_lv:
-                first_lv = lv
-            if lv > last_lv:
-                last_lv = lv
-        for v in pending:
-            if sched[v] != version:
-                sched[v] = version
-                lv = levels[v]
-                level_buckets[lv].append(v)
-                if lv < first_lv:
-                    first_lv = lv
-                if lv > last_lv:
-                    last_lv = lv
-        lv = first_lv
-        while lv <= last_lv:
-            bucket = level_buckets[lv]
+        # Step 2 — recompute the affected nodes level by level, each from
+        # all of its in-edges.  A node is stamped when it is scheduled:
+        # edges climb strictly in level, so it is recomputed before any
+        # node that reads it.
+        nodes = list(moves)
+        for v in nodes:
+            stamp[v] = version
+            buckets[levels[v]].append(v)
+        lv = min(map(levels.__getitem__, nodes))
+        hi = max(map(levels.__getitem__, nodes))
+        cost = self._cost
+        new_max = cost
+        dropped = False
+        while lv <= hi:
+            bucket = buckets[lv]
             lv += 1
-            if not bucket:
-                continue
             for v in bucket:
-                if resc[v] == version:
-                    best = 0.0
-                    arg = -1
-                    for u, e in in_edges[v]:
-                        fu = cand_finish[u] if stamp[u] == version else finish[u]
-                        cand = fu + ec[e]
-                        if cand > best:
-                            best = cand
-                            arg = e
-                    if stamp[v] != version:
-                        stamp[v] = version
-                        touched_nodes.append(v)
-                    cand_finish[v] = best
-                    cand_argmax[v] = arg
-                else:
-                    cur = cand_finish[v] if stamp[v] == version else finish[v]
-                    for u, e in pending.get(v, ()):
-                        fu = cand_finish[u] if stamp[u] == version else finish[u]
-                        cand = fu + ec[e]
-                        if cand > cur:
-                            cur = cand
-                            if stamp[v] != version:
-                                stamp[v] = version
-                                touched_nodes.append(v)
-                            cand_finish[v] = cand
-                            cand_argmax[v] = e
-                        elif cand < cur and (
-                            cand_argmax[v] if stamp[v] == version else argmax[v]
-                        ) == e:
-                            # The edge realising v's cached maximum got
-                            # cheaper; nothing else is cached, so fall
-                            # back to a full recompute of this node.
-                            best = 0.0
-                            arg = -1
-                            for u2, e2 in in_edges[v]:
-                                fu2 = (cand_finish[u2]
-                                       if stamp[u2] == version else finish[u2])
-                                cand2 = fu2 + ec[e2]
-                                if cand2 > best:
-                                    best = cand2
-                                    arg = e2
-                            cur = best
-                            if stamp[v] != version:
-                                stamp[v] = version
-                                touched_nodes.append(v)
-                            cand_finish[v] = best
-                            cand_argmax[v] = arg
-                fv = cand_finish[v] if stamp[v] == version else finish[v]
-                if fv != finish[v]:
-                    for w, e in out_edges[v]:
-                        cand = fv + ec[e]
-                        fw = cand_finish[w] if stamp[w] == version else finish[w]
-                        if cand > fw:
-                            if stamp[w] != version:
-                                stamp[w] = version
-                                touched_nodes.append(w)
-                            cand_finish[w] = cand
-                            cand_argmax[w] = e
-                        elif cand < fw and (
-                            cand_argmax[w] if stamp[w] == version else argmax[w]
-                        ) == e:
-                            resc[w] = version
-                        else:
-                            continue
-                        if sched[w] != version:
-                            sched[w] = version
-                            wl = levels[w]
-                            level_buckets[wl].append(w)
-                            if wl > last_lv:
-                                last_lv = wl
+                best = 0.0
+                arg = -1
+                for u, e in in_edges[v]:
+                    c = (cand_finish[u] if stamp[u] == version
+                         else finish[u]) + ec[e]
+                    if c > best:
+                        best = c
+                        arg = e
+                cand_finish[v] = best
+                cand_argmax[v] = arg
+                old = finish[v]
+                if best != old:
+                    if best > new_max:
+                        new_max = best
+                    elif best < old and old == cost:
+                        dropped = True
+                elif v not in moves:
+                    continue
+                for w, _ in out_edges[v]:
+                    if stamp[w] != version:
+                        stamp[w] = version
+                        nodes.append(w)
+                        wl = levels[w]
+                        buckets[wl].append(w)
+                        if wl > hi:
+                            hi = wl
             bucket.clear()
-
-        # Phase 3 — window-local cost from per-level maxima.  Only levels
-        # holding a genuinely changed node matter: a level whose maximum
-        # may have *decreased* (a changed node sat at the committed
-        # maximum and dropped) is rescanned through the overlay; any other
-        # changed level's new maximum is max(committed max, changed
-        # values).  Everything outside the [lo, hi] window is covered by
-        # the lazily extended prefix/suffix maxima.
-        level_max = self._lp_level_max
-        changed_max: Dict[int, float] = {}
-        rescan: set = set()
-        for v in touched_nodes:
-            val = cand_finish[v]
-            old = finish[v]
-            if val == old:
-                continue
-            lv = levels[v]
-            cur = changed_max.get(lv)
-            if cur is None or val > cur:
-                changed_max[lv] = val
-            if val < old and old == level_max[lv]:
-                rescan.add(lv)
         for e, old, _ in touched:
             ec[e] = old
-        new_level_max: Dict[int, float] = {}
-        if not changed_max:
-            cost = self._cost
+
+        # Step 3 — every untouched node keeps its value, so the cost only
+        # rises unless a node at the current cost dropped.  Then one
+        # C-level max over finish, with the overlay written in and
+        # restored.
+        if dropped:
+            saved = [finish[v] for v in nodes]
+            for v in nodes:
+                finish[v] = cand_finish[v]
+            cost = max(finish)
+            for v, f in zip(nodes, saved):
+                finish[v] = f
         else:
-            level_nodes = struct.level_nodes
-            for lv in rescan:
-                best = float("-inf")
-                for v in level_nodes[lv]:
-                    fv = cand_finish[v] if stamp[v] == version else finish[v]
-                    if fv > best:
-                        best = fv
-                new_level_max[lv] = best
-            for lv, mx in changed_max.items():
-                if lv in rescan:
-                    continue
-                cur = level_max[lv]
-                new_level_max[lv] = mx if mx > cur else cur
-            lo = min(new_level_max)
-            hi = max(new_level_max)
-            cost = self._lp_prefix_upto(lo - 1)
-            tail = self._lp_suffix_from(hi + 1)
-            if tail > cost:
-                cost = tail
-            window_mx = max(new_level_max.values())
-            slice_mx = max(level_max[lo:hi + 1])
-            if slice_mx <= window_mx or not rescan:
-                # Fast path: the stale committed slice maximum is either
-                # dominated by a changed level's new value or realised by
-                # a level whose maximum cannot have dropped (no rescan),
-                # so max(changed values, committed slice) is exact — two
-                # C-level max calls instead of a per-level Python loop.
-                if window_mx > cost:
-                    cost = window_mx
-                if slice_mx > cost:
-                    cost = slice_mx
-            else:
-                for lv in range(lo, hi + 1):
-                    val = new_level_max.get(lv)
-                    if val is None:
-                        val = level_max[lv]
-                    if val > cost:
-                        cost = val
-            if cost == float("-inf"):  # pragma: no cover - defensive
-                cost = 0.0
-        return cost, (touched_nodes, touched, new_level_max)
+            cost = new_max
+        return cost, (nodes, touched)
 
     def _candidate_cost(self, moves: Dict[int, int]) -> Tuple[float, tuple]:
         """Cost of applying ``moves`` plus the payload a commit would install.
@@ -1759,36 +1557,22 @@ class DeltaEvaluator:
             for e, c in zip(*payload):
                 ec[e] = c
         else:
-            # O(touched) commit: write the peeked scratch entries into
+            # O(touched) commit: write the peeked overlay entries into
             # the committed relaxation state and replay the touched edge
-            # costs; nothing is re-relaxed.  The scratch arrays still
-            # hold this peek's values: the `_last_peek` memo guarantees
-            # the payload came from the most recent peek, and only a
-            # peek bumps the version.
-            touched_nodes, touched_edges, new_level_max = payload
+            # costs; nothing is re-relaxed.  The overlay still holds this
+            # peek's values: the `_last_peek` memo guarantees the payload
+            # came from the most recent peek, and only a peek writes it.
+            nodes, touched_edges = payload
             finish = self._lp_finish
             argmax = self._lp_argmax
             cand_finish = self._cand_finish
             cand_argmax = self._cand_argmax
-            for v in touched_nodes:
+            for v in nodes:
                 finish[v] = cand_finish[v]
                 argmax[v] = cand_argmax[v]
             ec = self._lp_ec
             for e, _, c in touched_edges:
                 ec[e] = c
-            if new_level_max:
-                level_max = self._lp_level_max
-                for lv, val in new_level_max.items():
-                    level_max[lv] = val
-                # O(1) invalidation of the lazy running maxima: prefixes
-                # up to the window's low edge and suffixes past its high
-                # edge are untouched and stay valid.
-                lo = min(new_level_max)
-                hi = max(new_level_max)
-                if self._lp_prefix_len > lo:
-                    self._lp_prefix_len = lo
-                if self._lp_suffix_start < hi + 1:
-                    self._lp_suffix_start = hi + 1
         self._cost = cost
         self._last_peek = None  # state advanced; cached peek no longer valid
         self._witness = None

@@ -328,6 +328,11 @@ class PlacementConstraints:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "PlacementConstraints":
         """Rebuild constraints from :meth:`to_dict` output."""
+        if not isinstance(payload, Mapping):
+            raise ClouDiAError(
+                f"constraints payload must be a JSON object, got "
+                f"{type(payload).__name__}"
+            )
         return cls(
             pinned={node: instance for node, instance in payload.get("pinned", [])},
             forbidden={node: instances

@@ -16,8 +16,8 @@ bit-identical seed for seed to the historical per-move loop at any block
 size.  The block size depends on the objective.  Longest link draws
 :data:`DEFAULT_PEEK_BLOCK` proposals and scores them in one vectorized
 :meth:`~repro.core.evaluation.DeltaEvaluator.peek_many` call; longest path
-draws one, scored by the serial window-local peek, so no peek is spent
-past an accepted move (``docs/ARCHITECTURE.md`` has the measurements).
+draws one, scored by the serial peek, so no peek is spent past an
+accepted move (``docs/ARCHITECTURE.md`` has the measurements).
 
 Most proposals are not peeked at all.  One critical witness fixes a
 plan's cost: a maximum-cost edge under longest link, one longest path

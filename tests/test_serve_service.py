@@ -541,6 +541,35 @@ class TestAppDispatch:
         assert str(raised.value) in payload["error"]
         assert app.metrics.solver_invocations == 0
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("constraints", "x", "constraints payload must be a JSON object"),
+        ("constraints", [[0, 1]], "constraints payload must be a JSON object"),
+        ("solver", ["greedy"], "'solver' must be a solver key string"),
+        ("solver", {"key": "greedy"}, "'solver' must be a solver key string"),
+    ], ids=["constraints-str", "constraints-list", "solver-list",
+            "solver-object"])
+    def test_malformed_field_is_400_alone_and_in_a_batch(
+            self, app, field, value, message):
+        body = solve_body()
+        if field == "constraints":
+            body["problem"]["constraints"] = value
+        else:
+            body[field] = value
+        status, payload = app.handle("POST", "/v1/solve",
+                                     body=json.dumps(body).encode())
+        assert status == 400
+        assert message in payload["error"]
+        batch = {"requests": [solve_body(seed=0), body]}
+        status, payload = app.handle("POST", "/v1/solve-batch",
+                                     body=json.dumps(batch).encode())
+        assert status == 200
+        good, bad = payload["items"]
+        assert good["status"] == "done"
+        assert bad["status"] == "rejected"
+        assert bad["http_status"] == 400
+        assert message in bad["error"]
+        assert app.metrics.solver_invocations == 1
+
     def test_version_1_problem_is_400_by_its_version(self, app):
         body = solve_body()
         assert body["problem"]["version"] == 2
